@@ -16,12 +16,13 @@
 //! `monitored_speedup_vs_reference` for the JSON perf trajectory.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use snn_faults::grid::{GridRunner, GridSpec};
+use snn_faults::grid::{CellPolicy, GridPointCtx, GridRunner, GridSpec};
 use snn_faults::location::FaultDomain;
 use snn_faults::stats::{Lookahead, StopRule};
 use snn_hw::engine::{BatchResult, DirectRead, NoGuard, SpikeGuard, WeightReadPath};
 use softsnn_bench::fixture;
 use softsnn_core::bounding::{BnpVariant, BoundedRead};
+use softsnn_core::methodology::SoftSnnDeployment;
 use softsnn_core::mitigation::Technique;
 use softsnn_core::protection::ResetMonitor;
 use softsnn_exp::fig13::{evaluate_shard, evaluate_shard_in_domain};
@@ -331,8 +332,8 @@ fn bench_engine_accumulate(c: &mut Criterion) {
     // codes) with a realistic Poisson-encoded active-row set. The
     // scalar row-at-a-time formulation (the historical
     // `accumulate_cached_rows` shape: one accumulator pass per row) is
-    // the baseline; the lane-explicit chunked and u64-packed kernels run
-    // at the historical fixed quad block, and `autotuned` runs whatever
+    // the baseline; the lane-explicit chunked kernel runs at the
+    // historical fixed quad block, and `autotuned` runs whatever
     // `EngineTuning::autotune` picked for this host at fixture
     // construction. All variants are bit-identical (property-tested);
     // the ratio is pure formulation cost.
@@ -359,19 +360,6 @@ fn bench_engine_accumulate(c: &mut Criterion) {
         b.iter(|| {
             write_rows_blocked(
                 AccumKernel::Lanes8,
-                RowBlock::R4,
-                &src,
-                n,
-                &active,
-                &mut acc,
-            );
-            black_box(acc[0])
-        });
-    });
-    group.bench_function("packed64_quad", |b| {
-        b.iter(|| {
-            write_rows_blocked(
-                AccumKernel::Packed64,
                 RowBlock::R4,
                 &src,
                 n,
@@ -503,13 +491,16 @@ fn bench_campaign_adaptive(c: &mut Criterion) {
             black_box(results.cells().len())
         });
     });
-    group.bench_function("adaptive", |b| {
-        let runner = GridRunner::new(spec.clone())
-            .with_stop_rule(adaptive_rule())
+    let runner = |lookahead| {
+        let policy = CellPolicy::new(Some(adaptive_rule()), lookahead, spec.trials)
             .expect("rule fits budget");
+        GridRunner::new(spec.clone()).with_policy(policy)
+    };
+    group.bench_function("adaptive", |b| {
+        let runner = runner(Lookahead::default());
         b.iter(|| {
             let results = runner
-                .run_adaptive(&f.deployment, |d, shard| evaluate_shard(d, shard, &encoded))
+                .run_grouped(&f.deployment, |d, shard| evaluate_shard(d, shard, &encoded))
                 .expect("adaptive campaign run");
             black_box(results.cells().len())
         });
@@ -523,30 +514,23 @@ fn bench_campaign_adaptive(c: &mut Criterion) {
     // multi-map datapath, not fallback noise. Auto lookahead sizes groups
     // from the half-width ratio — at this distribution-free rule it lands
     // on the stop trial with zero discards.
+    let neuron_domain = |d: &mut SoftSnnDeployment, shard: &[GridPointCtx]| {
+        evaluate_shard_in_domain(d, shard, &encoded, FaultDomain::Neurons(None))
+    };
     group.bench_function("adaptive_seq_neuron", |b| {
-        let runner = GridRunner::new(spec.clone())
-            .with_stop_rule(adaptive_rule())
-            .expect("rule fits budget");
+        let runner = runner(Lookahead::default());
         b.iter(|| {
             let results = runner
-                .run_adaptive(&f.deployment, |d, shard| {
-                    evaluate_shard_in_domain(d, shard, &encoded, FaultDomain::Neurons(None))
-                })
+                .run_grouped(&f.deployment, neuron_domain)
                 .expect("sequential neuron-domain campaign run");
             black_box(results.cells().len())
         });
     });
     group.bench_function("adaptive_lookahead", |b| {
-        let runner = GridRunner::new(spec.clone())
-            .with_stop_rule(adaptive_rule())
-            .expect("rule fits budget")
-            .with_lookahead(Lookahead::Auto)
-            .expect("valid lookahead");
+        let runner = runner(Lookahead::Auto);
         b.iter(|| {
             let results = runner
-                .run_adaptive(&f.deployment, |d, shard| {
-                    evaluate_shard_in_domain(d, shard, &encoded, FaultDomain::Neurons(None))
-                })
+                .run_grouped(&f.deployment, neuron_domain)
                 .expect("lookahead campaign run");
             black_box(results.cells().len())
         });
@@ -555,10 +539,8 @@ fn bench_campaign_adaptive(c: &mut Criterion) {
 
     // Trials saved is a property of the grid + rule, not of timing noise:
     // count it from one real adaptive pass.
-    let adaptive = GridRunner::new(spec.clone())
-        .with_stop_rule(adaptive_rule())
-        .expect("rule fits budget")
-        .run_adaptive(&f.deployment, |d, shard| evaluate_shard(d, shard, &encoded))
+    let adaptive = runner(Lookahead::default())
+        .run_grouped(&f.deployment, |d, shard| evaluate_shard(d, shard, &encoded))
         .expect("adaptive campaign run");
     let saved: usize = adaptive
         .cells()
@@ -570,20 +552,12 @@ fn bench_campaign_adaptive(c: &mut Criterion) {
     // Lookahead waste is likewise deterministic: evaluated − kept across
     // cells under the Auto policy, counted from one real pass. Emitted so
     // the trajectory shows speculation cost next to its speedup.
-    let (lookahead_results, evaluated) = GridRunner::new(spec)
-        .with_stop_rule(adaptive_rule())
-        .expect("rule fits budget")
-        .with_lookahead(Lookahead::Auto)
-        .expect("valid lookahead")
-        .run_adaptive_counted(&f.deployment, |d, shard| {
-            evaluate_shard_in_domain(d, shard, &encoded, FaultDomain::Neurons(None))
+    let waste: usize = runner(Lookahead::Auto)
+        .run_cells(&spec.cell_keys(), &f.deployment, neuron_domain, |run| {
+            Ok(run.evaluated - run.values.len())
         })
-        .expect("lookahead campaign run");
-    let waste: usize = lookahead_results
-        .cells()
+        .expect("lookahead campaign run")
         .iter()
-        .zip(&evaluated)
-        .map(|(cell, &e)| e - cell.trials_run)
         .sum();
     c.add_metric("adaptive_lookahead_waste", waste as f64);
 }

@@ -2,31 +2,33 @@
 //! figure of the paper is made of, as one first-class object.
 //!
 //! The paper's evidence is campaign-shaped — Fig. 10/13/14 and the
-//! ablations are all accuracy (or cost) grids over a handful of axes —
-//! and before this module each figure hand-rolled its own grid: a private
-//! point struct, its own `parallel_map` call, one full deployment clone
-//! per grid point, and a quadratic per-figure aggregation scan. A
-//! [`GridSpec`] names the axes once; a [`GridRunner`] executes every point
+//! ablations are all accuracy (or cost) grids over a handful of axes. A
+//! [`GridSpec`] names the axes once; a [`GridRunner`] executes its cells
 //! with:
 //!
-//! * **deterministic per-point seeds** unified with the historical
-//!   `point_seed`/[`crate::campaign::Campaign::seed_for`] packing
-//!   ([`pack_point`] / [`grid_point_seed`]), so refactored figures
-//!   reproduce their stored results bit for bit;
-//! * **shard-local deployment reuse** — points are sharded
+//! * **deterministic per-point seeds** ([`pack_point`] /
+//!   [`grid_point_seed`]), pinned by regression tests, so refactored
+//!   figures reproduce their stored results bit for bit;
+//! * **shard-local deployment reuse** — cells are sharded
 //!   deterministically over [`snn_sim::parallel::parallel_map`], one
 //!   evaluation-state clone per shard instead of one per point, healed
 //!   between points by the evaluation path itself (the campaign-trial
 //!   `reload_parameters` cycle restores the cached clean crossbar image by
 //!   copy);
-//! * **trial-group batching hooks** — a shard's contiguous points are
-//!   handed to the evaluation closure together
-//!   ([`GridRunner::run_grouped`]), so neuron-only trial groups can route
-//!   through the engine's multi-map pass
-//!   (`ComputeEngine::run_batch_multi_map`) and share one drive/accumulate
-//!   phase across fault maps;
+//! * **one cell executor** ([`GridRunner::run_cells`]) under a
+//!   [`CellPolicy`]: a fixed trial budget, or sequential early stopping
+//!   with speculative lookahead that keeps the exact first-satisfied
+//!   prefix of each cell's seed stream. The in-memory grid
+//!   ([`GridRunner::run_grouped`]) and the checkpointing campaign service
+//!   ([`crate::service::JobHandle::run`]) differ only in which cells they
+//!   select and where finished cells go;
+//! * **trial-group batching hooks** — a cell's contiguous points are
+//!   handed to the evaluation closure together, so neuron-only trial
+//!   groups can route through the engine's multi-map pass
+//!   (`ComputeEngine::run_batch_multi_map`) and share one
+//!   drive/accumulate phase across fault maps;
 //! * **single-pass aggregation** into [`CellKey`]-addressed [`Aggregate`]
-//!   cells (mean/std/trials), replacing the old O(points²) re-scans.
+//!   cells (mean/std/trials).
 //!
 //! The three axes are named `techniques`, `rates`, and `trials` after the
 //! dominant figure shape, but the value axis is just an `f64` parameter
@@ -44,7 +46,7 @@ use crate::stats::{Lookahead, StatsError, StopRule, Streaming};
 /// high word, technique in bits 16..32, trial in the low bits.
 ///
 /// This is *the* packing of the workspace: with `technique_idx == 0` it
-/// degenerates to [`crate::campaign::Campaign::seed_for`]'s
+/// degenerates to the historical rate × trial campaign packing
 /// `(rate_idx << 32) | trial`, and with all three indices it is the figure
 /// harness's historical `point_seed` stream. Every stored campaign result
 /// depends on it, so the values are pinned by regression tests rather
@@ -215,6 +217,32 @@ impl GridSpec {
     pub fn points(&self) -> Vec<GridPointCtx> {
         (0..self.n_points()).map(|i| self.point(i)).collect()
     }
+
+    /// Every cell of the grid, in cell order (technique-major, then
+    /// rate).
+    pub fn cell_keys(&self) -> Vec<CellKey> {
+        (0..self.techniques.len())
+            .flat_map(|technique_idx| {
+                (0..self.rates.len()).map(move |rate_idx| CellKey {
+                    technique_idx,
+                    rate_idx,
+                })
+            })
+            .collect()
+    }
+
+    /// The points of one cell: all its trials, in trial order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `key` is outside the grid.
+    pub fn cell_points(&self, key: CellKey) -> Vec<GridPointCtx> {
+        assert!(key.rate_idx < self.rates.len(), "cell key out of range");
+        let first = (key.technique_idx * self.rates.len() + key.rate_idx) * self.trials;
+        (first..first + self.trials)
+            .map(|i| self.point(i))
+            .collect()
+    }
 }
 
 /// Everything an evaluation closure needs to know about one grid point:
@@ -247,7 +275,7 @@ pub struct CellKey {
 /// One aggregated grid cell: the per-trial values of one (technique,
 /// rate) combination with their mean and sample standard deviation.
 ///
-/// Under an adaptive run ([`GridRunner::run_adaptive`]) a cell may hold
+/// Under [`CellPolicy::Adaptive`] a cell may hold
 /// fewer trials than the spec's budget; `trials_run`/`stopped_early`
 /// record that honestly, and the trials that *are* present are always
 /// the exact first-k prefix of the cell's pinned seed stream.
@@ -524,15 +552,81 @@ impl JsonCodec for Aggregate {
     }
 }
 
-/// Executes a [`GridSpec`]'s points over all cores with shard-local
+/// How the executor runs one cell's trials: the whole budget, or the
+/// shortest pinned-seed prefix a stop rule accepts.
+///
+/// Build one with [`CellPolicy::new`], the only place stop rules and
+/// lookahead widths are checked; [`GridRunner`] and the campaign service
+/// ([`crate::service::JobHandle::run`]) take the built policy as is.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub enum CellPolicy {
+    /// Every cell runs its full trial budget. A shard of whole cells is
+    /// one grouped closure call, so same-technique trials can share one
+    /// engine multi-map pass.
+    #[default]
+    Fixed,
+    /// Each cell consumes its pinned seed stream in order and keeps the
+    /// first prefix that satisfies `rule`. Past the `min_trials` head,
+    /// `lookahead` sets how many trials one closure call evaluates; the
+    /// extras past the stop point are evaluated but never kept.
+    Adaptive {
+        /// When a cell may stop.
+        rule: StopRule,
+        /// Trials evaluated per closure call past the satisfied-check.
+        lookahead: Lookahead,
+    },
+}
+
+impl CellPolicy {
+    /// The policy for a grid with `spec_trials` trials per cell:
+    /// [`Fixed`](Self::Fixed) without a stop rule, [`Adaptive`]
+    /// (Self::Adaptive) with one. The lookahead is checked either way.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StatsError::BadLookahead`] for `Fixed(0)` or a width
+    /// beyond [`crate::stats::MAX_LOOKAHEAD`], and
+    /// [`StatsError::MaxTrialsExceedsSpec`] when the rule's ceiling
+    /// exceeds `spec_trials` (the pinned seed stream only defines that
+    /// many trials).
+    pub fn new(
+        stop_rule: Option<StopRule>,
+        lookahead: Lookahead,
+        spec_trials: usize,
+    ) -> Result<Self, StatsError> {
+        let lookahead = lookahead.validated()?;
+        match stop_rule {
+            None => Ok(Self::Fixed),
+            Some(rule) => {
+                rule.validate_against_trials(spec_trials)?;
+                Ok(Self::Adaptive { rule, lookahead })
+            }
+        }
+    }
+}
+
+/// One finished cell, as the executor hands it to a sink.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CellRun {
+    /// The cell's grid address.
+    pub key: CellKey,
+    /// The kept trial values: the first-k prefix of the cell's seed
+    /// stream (the whole budget under [`CellPolicy::Fixed`]).
+    pub values: Vec<f64>,
+    /// Trials evaluated: the kept prefix plus speculative lookahead
+    /// discards (always `>= values.len()`).
+    pub evaluated: usize,
+}
+
+/// Executes a [`GridSpec`]'s cells over all cores with shard-local
 /// evaluation-state reuse.
 ///
-/// Points are split into deterministic shards of
-/// [`cells_per_shard`](Self::with_cells_per_shard) whole cells (so a
-/// cell's trials never straddle shards); each shard clones the prototype
-/// state once and walks its points in order. Shard boundaries affect
-/// scheduling only — every point's seed and inputs are fixed by the spec,
-/// so results are bit-identical at any shard width (property-tested).
+/// Cells are split into deterministic shards of
+/// [`cells_per_shard`](Self::with_cells_per_shard) whole cells; each
+/// shard clones the prototype state once and walks its cells in order
+/// under the runner's [`CellPolicy`]. Shard boundaries affect scheduling
+/// only — every point's seed and inputs are fixed by the spec, so results
+/// are bit-identical at any shard width.
 ///
 /// # Examples
 ///
@@ -542,7 +636,9 @@ impl JsonCodec for Aggregate {
 /// let spec = GridSpec::new(0, 7, vec!["a".into(), "b".into()], vec![0.1, 0.2], 3);
 /// let runner = GridRunner::new(spec);
 /// let results = runner
-///     .run(&(), |(), p| Ok::<f64, std::convert::Infallible>(p.seed as f64))
+///     .run_grouped(&(), |(), points| {
+///         Ok::<_, std::convert::Infallible>(points.iter().map(|p| p.seed as f64).collect())
+///     })
 ///     .unwrap();
 /// assert_eq!(results.cells().len(), 4);
 /// assert_eq!(results.cells()[0].trials.len(), 3);
@@ -551,20 +647,18 @@ impl JsonCodec for Aggregate {
 pub struct GridRunner {
     spec: GridSpec,
     cells_per_shard: usize,
-    stop_rule: Option<StopRule>,
-    lookahead: Lookahead,
+    policy: CellPolicy,
 }
 
 impl GridRunner {
     /// Wraps a spec with the default shard width of one cell (all trials
     /// of one (technique, rate) point share a state clone — and can share
-    /// one engine multi-map pass).
+    /// one engine multi-map pass) and the [`CellPolicy::Fixed`] policy.
     pub fn new(spec: GridSpec) -> Self {
         Self {
             spec,
             cells_per_shard: 1,
-            stop_rule: None,
-            lookahead: Lookahead::default(),
+            policy: CellPolicy::Fixed,
         }
     }
 
@@ -583,48 +677,10 @@ impl GridRunner {
         self
     }
 
-    /// Arms the runner's opt-in adaptive mode: [`run_adaptive`]
-    /// (Self::run_adaptive) will stop each cell once `rule` is
-    /// satisfied. Fixed-trial mode stays the default — `run`, `run_grouped`
-    /// and friends ignore the rule entirely.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StatsError::MaxTrialsExceedsSpec`] when the rule's
-    /// ceiling exceeds the spec's per-cell trial budget (the pinned seed
-    /// stream only defines that many trials).
-    pub fn with_stop_rule(mut self, rule: StopRule) -> Result<Self, StatsError> {
-        rule.validate_against_trials(self.spec.trials)?;
-        self.stop_rule = Some(rule);
-        Ok(self)
-    }
-
-    /// Arms speculative lookahead for adaptive runs: past the
-    /// `min_trials` head, [`run_adaptive`](Self::run_adaptive) evaluates
-    /// trials in groups of up to K per closure call (so grouped
-    /// evaluation keeps its multi-map batching in the tail) and
-    /// truncates each group to the exact
-    /// [`StopRule::first_stop_index`] prefix. The policy changes
-    /// *grouping and waste only* — which trials a cell keeps is
-    /// bit-identical at every lookahead (property-tested).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StatsError::BadLookahead`] for `Fixed(0)` or a fixed
-    /// width beyond [`crate::stats::MAX_LOOKAHEAD`].
-    pub fn with_lookahead(mut self, lookahead: Lookahead) -> Result<Self, StatsError> {
-        self.lookahead = lookahead.validated()?;
-        Ok(self)
-    }
-
-    /// The armed stop rule, if any.
-    pub fn stop_rule(&self) -> Option<&StopRule> {
-        self.stop_rule.as_ref()
-    }
-
-    /// The speculative lookahead policy adaptive runs use.
-    pub fn lookahead(&self) -> Lookahead {
-        self.lookahead
+    /// Sets how each cell's trials run (see [`CellPolicy::new`]).
+    pub fn with_policy(mut self, policy: CellPolicy) -> Self {
+        self.policy = policy;
+        self
     }
 
     /// The underlying grid description.
@@ -632,14 +688,11 @@ impl GridRunner {
         &self.spec
     }
 
-    /// Runs the shard-level closure over every shard — in parallel across
-    /// shards, in point order within a shard — and returns the values in
-    /// flat point order. The closure must return exactly one value per
-    /// point it was handed.
+    /// Runs every cell and aggregates the kept trials into
+    /// [`GridResults`] in one pass.
     ///
-    /// This is the hook trial-group batching plugs into: a shard's points
-    /// arrive together, so the closure can hand contiguous same-technique
-    /// neuron-only points to the engine's multi-map pass in one call.
+    /// The closure is handed contiguous point runs of whole cells and
+    /// returns one value per point (see [`run_cells`](Self::run_cells)).
     ///
     /// # Errors
     ///
@@ -647,224 +700,120 @@ impl GridRunner {
     ///
     /// # Panics
     ///
-    /// Panics if a shard closure returns the wrong number of values.
-    pub fn run_sharded<S, V, E, F>(&self, proto: &S, f: F) -> Result<Vec<V>, E>
-    where
-        S: Clone + Sync,
-        V: Send,
-        E: Send,
-        F: Fn(&mut S, &[GridPointCtx]) -> Result<Vec<V>, E> + Sync,
-    {
-        let points = self.spec.points();
-        let shard_len = (self.cells_per_shard * self.spec.trials).max(1);
-        let shards: Vec<&[GridPointCtx]> = points.chunks(shard_len).collect();
-        let outcomes = parallel_map(&shards, |shard| {
-            let mut state = proto.clone();
-            f(&mut state, shard)
-        });
-        let mut values = Vec::with_capacity(points.len());
-        for (shard, outcome) in shards.iter().zip(outcomes) {
-            let shard_values = outcome?;
-            assert_eq!(
-                shard_values.len(),
-                shard.len(),
-                "shard closure must return one value per point"
-            );
-            values.extend(shard_values);
-        }
-        Ok(values)
-    }
-
-    /// Runs the per-point closure over every grid point (built on
-    /// [`run_sharded`](Self::run_sharded)); values come back in flat
-    /// point order.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first failing point's error.
-    pub fn run_points<S, V, E, F>(&self, proto: &S, f: F) -> Result<Vec<V>, E>
-    where
-        S: Clone + Sync,
-        V: Send,
-        E: Send,
-        F: Fn(&mut S, &GridPointCtx) -> Result<V, E> + Sync,
-    {
-        self.run_sharded(proto, |state, shard| {
-            shard.iter().map(|p| f(state, p)).collect()
-        })
-    }
-
-    /// [`run_points`](Self::run_points) for `f64` metrics, aggregated
-    /// into [`GridResults`] cells in one pass.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first failing point's error.
-    pub fn run<S, E, F>(&self, proto: &S, f: F) -> Result<GridResults, E>
-    where
-        S: Clone + Sync,
-        E: Send,
-        F: Fn(&mut S, &GridPointCtx) -> Result<f64, E> + Sync,
-    {
-        let values = self.run_points(proto, f)?;
-        Ok(GridResults::aggregate(&self.spec, &values))
-    }
-
-    /// [`run_sharded`](Self::run_sharded) for `f64` metrics, aggregated
-    /// into [`GridResults`] cells in one pass.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first failing shard's error.
+    /// Panics if the closure returns the wrong number of values.
     pub fn run_grouped<S, E, F>(&self, proto: &S, f: F) -> Result<GridResults, E>
     where
         S: Clone + Sync,
         E: Send,
         F: Fn(&mut S, &[GridPointCtx]) -> Result<Vec<f64>, E> + Sync,
     {
-        let values = self.run_sharded(proto, f)?;
-        Ok(GridResults::aggregate(&self.spec, &values))
+        let cell_trials = self.run_cells(&self.spec.cell_keys(), proto, f, |run| Ok(run.values))?;
+        Ok(GridResults::from_cell_trials(&self.spec, cell_trials))
     }
 
-    /// Runs the grid adaptively: each cell consumes its trials **in the
-    /// exact pinned per-point seed order** and stops as soon as the
-    /// armed [`StopRule`] is satisfied, so an early-stopped cell's
-    /// trials are bit-identical to the first-k prefix of a fixed-mode
-    /// run (property-tested). Cells are evaluated in parallel (one
-    /// shard per cell — trial counts diverge per cell, so wider shards
-    /// would only serialize unrelated cells).
+    /// The cell executor: runs the selected `cells` — in parallel across
+    /// shards, in order within a shard — and hands each finished cell to
+    /// `sink` as soon as it lands, on the worker that ran it. Returns the
+    /// sink's outputs in `cells` order.
     ///
-    /// The closure contract is [`run_grouped`](Self::run_grouped)'s: it
-    /// is handed *contiguous* point runs of one cell and returns one
-    /// value per point. It is first called with the `min_trials` head of
-    /// the cell, then with one point at a time until the rule stops the
-    /// cell — each call must evaluate its points independently of call
-    /// grouping (true of every workspace evaluation path: heal-on-entry
-    /// makes grouping a pure batching concern).
+    /// Under [`CellPolicy::Fixed`] a shard is one closure call over all
+    /// of its cells' points. Under [`CellPolicy::Adaptive`] each cell
+    /// consumes its pinned points **in seed order**: the rule's
+    /// `min_trials` head in one call, then groups sized by the lookahead
+    /// until the rule is satisfied, truncated to the exact
+    /// first-satisfied prefix ([`StopRule::first_stop_index`]). An
+    /// early-stopped cell is therefore a bit-identical prefix of the
+    /// fixed run at every lookahead, because each call must evaluate its
+    /// points independently of how calls are grouped (true of every
+    /// workspace evaluation path: heal-on-entry makes grouping a pure
+    /// batching concern). A never-satisfiable rule (`half_width = 0`)
+    /// runs each cell as one call of its reachable budget.
     ///
     /// # Errors
     ///
-    /// Returns the first failing cell's error in cell order.
+    /// Returns the first failing shard's error (closure or sink) in shard
+    /// order. A failing shard stops at its failing cell; other shards
+    /// still run, and their sinks still see their cells.
     ///
     /// # Panics
     ///
-    /// Panics if no stop rule was armed ([`Self::with_stop_rule`]) or
-    /// the closure returns the wrong number of values.
-    pub fn run_adaptive<S, E, F>(&self, proto: &S, f: F) -> Result<GridResults, E>
-    where
-        S: Clone + Sync,
-        E: Send,
-        F: Fn(&mut S, &[GridPointCtx]) -> Result<Vec<f64>, E> + Sync,
-    {
-        self.run_adaptive_counted(proto, f)
-            .map(|(results, _)| results)
-    }
-
-    /// [`run_adaptive`](Self::run_adaptive) with per-cell waste
-    /// accounting: alongside the results, returns how many trials each
-    /// cell **evaluated** (kept prefix *plus* speculative discards), in
-    /// cell order. With the default `Fixed(1)` lookahead the counts
-    /// equal each cell's `trials_run`; wider lookahead may evaluate
-    /// more, never aggregate more — the counts are what keeps the
-    /// speedup claim honest.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first failing cell's error in cell order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no stop rule was armed ([`Self::with_stop_rule`]) or
-    /// the closure returns the wrong number of values.
-    pub fn run_adaptive_counted<S, E, F>(
+    /// Panics if the closure returns the wrong number of values.
+    pub fn run_cells<S, T, E, F, K>(
         &self,
+        cells: &[CellKey],
         proto: &S,
         f: F,
-    ) -> Result<(GridResults, Vec<usize>), E>
+        sink: K,
+    ) -> Result<Vec<T>, E>
     where
         S: Clone + Sync,
+        T: Send,
         E: Send,
         F: Fn(&mut S, &[GridPointCtx]) -> Result<Vec<f64>, E> + Sync,
+        K: Fn(CellRun) -> Result<T, E> + Sync,
     {
-        let rule = self
-            .stop_rule
-            .as_ref()
-            .expect("run_adaptive needs a stop rule; arm one with with_stop_rule");
-        let points = self.spec.points();
-        let cell_points: Vec<&[GridPointCtx]> = points.chunks(self.spec.trials).collect();
-        let outcomes = parallel_map(&cell_points, |cell| {
+        let shards: Vec<&[CellKey]> = cells.chunks(self.cells_per_shard).collect();
+        let outcomes = parallel_map(&shards, |shard| {
             let mut state = proto.clone();
-            adaptive_cell_lookahead(&mut state, cell, rule, self.lookahead, &f)
+            match self.policy {
+                CellPolicy::Fixed => {
+                    let points: Vec<GridPointCtx> = shard
+                        .iter()
+                        .flat_map(|&key| self.spec.cell_points(key))
+                        .collect();
+                    let values = call(&f, &mut state, &points)?;
+                    shard
+                        .iter()
+                        .zip(values.chunks_exact(self.spec.trials))
+                        .map(|(&key, values)| {
+                            sink(CellRun {
+                                key,
+                                values: values.to_vec(),
+                                evaluated: values.len(),
+                            })
+                        })
+                        .collect::<Result<Vec<T>, E>>()
+                }
+                CellPolicy::Adaptive { rule, lookahead } => shard
+                    .iter()
+                    .map(|&key| {
+                        let points = self.spec.cell_points(key);
+                        let (values, evaluated) =
+                            adaptive_cell(&mut state, &points, &rule, lookahead, &f)?;
+                        sink(CellRun {
+                            key,
+                            values,
+                            evaluated,
+                        })
+                    })
+                    .collect(),
+            }
         });
-        let mut cell_trials = Vec::with_capacity(cell_points.len());
-        let mut evaluated = Vec::with_capacity(cell_points.len());
+        let mut out = Vec::with_capacity(cells.len());
         for outcome in outcomes {
-            let (values, cell_evaluated) = outcome?;
-            cell_trials.push(values);
-            evaluated.push(cell_evaluated);
+            out.extend(outcome?);
         }
-        Ok((
-            GridResults::from_cell_trials(&self.spec, cell_trials),
-            evaluated,
-        ))
+        Ok(out)
     }
 }
 
-/// Evaluates one cell's trials sequentially under a stop rule: the
-/// `min_trials` head in one closure call (so grouped evaluation keeps
-/// its batching there), then one trial at a time until the rule is
-/// satisfied or the cell's pinned points run out. Equivalent to
-/// [`adaptive_cell_lookahead`] with [`Lookahead::Fixed`]`(1)` and no
-/// waste (every evaluated trial is kept). Shared by
-/// [`GridRunner::run_adaptive`] and the campaign service's adaptive
-/// checkpointing ([`crate::service::JobHandle::run`]), so both stop at
-/// literally the same trial.
-///
-/// # Errors
-///
-/// Propagates the closure's error.
-///
-/// # Panics
-///
-/// Panics if the closure returns the wrong number of values.
-pub fn adaptive_cell_values<S, E, F>(
-    state: &mut S,
-    cell: &[GridPointCtx],
-    rule: &StopRule,
-    f: &F,
-) -> Result<Vec<f64>, E>
+/// One closure call, checked to return one value per point.
+fn call<S, E, F>(f: &F, state: &mut S, points: &[GridPointCtx]) -> Result<Vec<f64>, E>
 where
     F: Fn(&mut S, &[GridPointCtx]) -> Result<Vec<f64>, E>,
 {
-    adaptive_cell_lookahead(state, cell, rule, Lookahead::Fixed(1), f).map(|(values, _)| values)
+    let values = f(state, points)?;
+    assert_eq!(
+        values.len(),
+        points.len(),
+        "cell closure must return one value per point"
+    );
+    Ok(values)
 }
 
-/// Evaluates one cell's trials under a stop rule with speculative
-/// lookahead: after the `min_trials` head, trials are evaluated in
-/// groups sized by the [`Lookahead`] policy (one closure call per
-/// group, so grouped evaluation can batch them through the multi-map
-/// datapath), then the stop rule is replayed value-by-value over the
-/// returned group and the kept values truncated to the exact
-/// first-satisfied prefix. Speculative extras are evaluated but never
-/// aggregated — the kept prefix is bit-identical to the trial-at-a-time
-/// run for *every* policy, because heal-on-entry makes the closure's
-/// values independent of how calls are grouped.
-///
-/// Never-satisfiable rules (`half_width = 0`) skip the decision loop
-/// entirely: the whole cell runs as one grouped call, since no prefix
-/// check could ever cut it short.
-///
-/// Returns the kept values and the number of trials **evaluated**
-/// (kept plus speculatively discarded; always `>= values.len()`).
-///
-/// # Errors
-///
-/// Propagates the closure's error.
-///
-/// # Panics
-///
-/// Panics if the closure returns the wrong number of values.
-pub fn adaptive_cell_lookahead<S, E, F>(
+/// One cell under a stop rule (see [`GridRunner::run_cells`]): returns
+/// the kept values and the number of trials evaluated.
+fn adaptive_cell<S, E, F>(
     state: &mut S,
     cell: &[GridPointCtx],
     rule: &StopRule,
@@ -875,41 +824,21 @@ where
     F: Fn(&mut S, &[GridPointCtx]) -> Result<Vec<f64>, E>,
 {
     if rule.is_never_satisfiable() {
-        let len = rule.max_trials.min(cell.len());
-        let values = f(state, &cell[..len])?;
-        assert_eq!(
-            values.len(),
-            len,
-            "cell closure must return one value per point"
-        );
-        return Ok((values, len));
+        let values = call(f, state, &cell[..rule.max_trials.min(cell.len())])?;
+        let evaluated = values.len();
+        return Ok((values, evaluated));
     }
-    let head_len = rule.min_trials.min(cell.len());
+    let mut values = call(f, state, &cell[..rule.min_trials.min(cell.len())])?;
     let mut acc = Streaming::new();
-    let mut values = f(state, &cell[..head_len])?;
-    assert_eq!(
-        values.len(),
-        head_len,
-        "cell closure must return one value per point"
-    );
     for &v in &values {
         acc.push(v);
     }
-    let mut evaluated = head_len;
+    let mut evaluated = values.len();
     while !rule.satisfied(&acc) && values.len() < cell.len() {
-        let remaining = cell.len() - values.len();
-        let k = lookahead.group_size(rule, &acc, remaining);
-        let group = f(state, &cell[values.len()..values.len() + k])?;
-        assert_eq!(
-            group.len(),
-            k,
-            "cell closure must return one value per point"
-        );
+        let k = lookahead.group_size(rule, &acc, cell.len() - values.len());
+        let group = call(f, state, &cell[values.len()..values.len() + k])?;
         evaluated += k;
-        let keep = match rule.first_stop_index(&acc, &group) {
-            Some(i) => i + 1,
-            None => k,
-        };
+        let keep = rule.first_stop_index(&acc, &group).map_or(k, |i| i + 1);
         for &v in &group[..keep] {
             acc.push(v);
         }
@@ -960,17 +889,21 @@ mod tests {
     }
 
     /// The packing contract with the rest of the workspace: technique 0
-    /// degenerates to the campaign packing, and the full form matches the
-    /// figure harness's historical `point_seed` formula.
+    /// and figure 0 degenerate to the historical rate × trial campaign
+    /// packing, and the full form matches the figure harness's historical
+    /// `point_seed` formula.
     #[test]
     fn seed_packing_matches_campaign_and_point_seed() {
         assert_eq!(pack_point(3, 0, 5), (3_u64 << 32) | 5);
         assert_eq!(pack_point(3, 2, 5), (3_u64 << 32) | (2 << 16) | 5);
-        // Campaign::seed_for(ri, t) == derive_seed(base, pack_point(ri, 0, t)).
-        let c = crate::campaign::Campaign::new(vec![0.1; 4], 8, 42);
+        // Figure 0 is no salt: the rate × trial stream is
+        // derive_seed(base, (ri << 32) | t).
         for ri in 0..4 {
             for t in 0..8 {
-                assert_eq!(c.seed_for(ri, t), derive_seed(42, pack_point(ri, 0, t)));
+                assert_eq!(
+                    grid_point_seed(42, 0, ri, t, 0),
+                    derive_seed(42, ((ri as u64) << 32) | t as u64)
+                );
             }
         }
         // grid_point_seed == the historical point_seed formula.
@@ -984,6 +917,41 @@ mod tests {
                 assert_eq!(grid_point_seed(base, fig, ri, t, ti), legacy);
             }
         }
+    }
+
+    /// Pins the exact derived seeds of the rate × trial stream: any
+    /// change to the packing or to `derive_seed` silently invalidates
+    /// every stored campaign result, so the values themselves are part of
+    /// the contract.
+    #[test]
+    fn seed_for_values_are_pinned() {
+        assert_eq!(grid_point_seed(42, 0, 0, 0, 0), 0xBDD7_3226_2FEB_6E95);
+        assert_eq!(grid_point_seed(42, 0, 0, 1, 0), 0x28EF_E333_B266_F103);
+        assert_eq!(grid_point_seed(42, 0, 1, 0, 0), 0xBF98_AC77_734B_EC1D);
+        assert_eq!(grid_point_seed(42, 0, 3, 7, 0), 0xF6B0_5A59_16DB_E2D8);
+        assert_eq!(
+            grid_point_seed(0xC0_FFEE, 0, 2, 5, 0),
+            0x2729_EA8F_744C_8102
+        );
+    }
+
+    /// The packing must keep rate and trial in disjoint halves: trial
+    /// indices below 2³² can never collide with another rate's stream.
+    #[test]
+    fn seed_for_packs_rate_and_trial_disjointly() {
+        let seed = |ri, t| grid_point_seed(7, 0, ri, t, 0);
+        assert_ne!(seed(1, 0), seed(0, 1));
+        assert_ne!(seed(1, 0), seed(0, 0));
+    }
+
+    #[test]
+    fn per_point_seeds_are_unique_and_stable() {
+        let spec = spec_3x3x4();
+        let mut seeds: Vec<u64> = spec.points().iter().map(|p| p.seed).collect();
+        seeds.sort_unstable();
+        seeds.dedup();
+        assert_eq!(seeds.len(), spec.n_points());
+        assert_eq!(spec.seed_for(1, 2, 0), spec.seed_for(1, 2, 0));
     }
 
     #[test]
@@ -1052,18 +1020,46 @@ mod tests {
         }
     }
 
+    /// A grouped closure returning each point's seed.
+    fn seeds((): &mut (), points: &[GridPointCtx]) -> Result<Vec<f64>, std::convert::Infallible> {
+        Ok(points.iter().map(|p| p.seed as f64).collect())
+    }
+
+    /// A grouped closure with low within-cell variance, so loose stop
+    /// rules stop cells early while a zero half-width never does.
+    fn low_variance(
+        (): &mut (),
+        points: &[GridPointCtx],
+    ) -> Result<Vec<f64>, std::convert::Infallible> {
+        Ok(points.iter().map(|p| 50.0 + (p.seed % 7) as f64).collect())
+    }
+
+    fn adaptive(rule: StopRule, lookahead: Lookahead) -> CellPolicy {
+        CellPolicy::new(Some(rule), lookahead, 4).unwrap()
+    }
+
     #[test]
     fn runner_values_are_identical_at_any_shard_width() {
         let spec = spec_3x3x4();
         let reference: Vec<f64> = spec.points().iter().map(|p| p.seed as f64).collect();
+        let reference = GridResults::aggregate(&spec, &reference);
+        let rule = StopRule::new(2, 4, 60.0, 0.6).unwrap();
+        let sequential = GridRunner::new(spec.clone())
+            .with_policy(adaptive(rule, Lookahead::Fixed(1)))
+            .run_grouped(&(), low_variance)
+            .unwrap();
         for cells_per_shard in [1, 2, 3, 9, 100] {
             let runner = GridRunner::new(spec.clone()).with_cells_per_shard(cells_per_shard);
-            let got = runner
-                .run_points(&(), |(), p| {
-                    Ok::<f64, std::convert::Infallible>(p.seed as f64)
-                })
-                .unwrap();
+            let got = runner.run_grouped(&(), seeds).unwrap();
             assert_eq!(got, reference, "cells_per_shard={cells_per_shard}");
+            let got = runner
+                .with_policy(adaptive(rule, Lookahead::Auto))
+                .run_grouped(&(), low_variance)
+                .unwrap();
+            assert_eq!(
+                got, sequential,
+                "adaptive, cells_per_shard={cells_per_shard}"
+            );
         }
     }
 
@@ -1077,31 +1073,37 @@ mod tests {
                 Self(self.0.clone())
             }
         }
-        let spec = spec_3x3x4(); // 9 cells, 36 points
-        let proto = CloneCounter::default();
-        let runner = GridRunner::new(spec.clone());
-        runner
-            .run_points(&proto, |_, _| Ok::<f64, std::convert::Infallible>(0.0))
-            .unwrap();
-        assert_eq!(
-            proto.0.load(Ordering::Relaxed),
-            9,
-            "one clone per cell-shard, not per point"
-        );
-        let proto = CloneCounter::default();
-        GridRunner::new(spec)
-            .with_cells_per_shard(3)
-            .run_points(&proto, |_, _| Ok::<f64, std::convert::Infallible>(0.0))
-            .unwrap();
-        assert_eq!(proto.0.load(Ordering::Relaxed), 3);
+        let zeros = |_: &mut CloneCounter, points: &[GridPointCtx]| {
+            Ok::<_, std::convert::Infallible>(vec![0.0; points.len()])
+        };
+        let rule = StopRule::new(2, 4, 60.0, 0.6).unwrap();
+        for policy in [CellPolicy::Fixed, adaptive(rule, Lookahead::Fixed(2))] {
+            let spec = spec_3x3x4(); // 9 cells, 36 points
+            let proto = CloneCounter::default();
+            let runner = GridRunner::new(spec).with_policy(policy);
+            runner.run_grouped(&proto, zeros).unwrap();
+            assert_eq!(
+                proto.0.load(Ordering::Relaxed),
+                9,
+                "one clone per cell-shard, not per point ({policy:?})"
+            );
+            let proto = CloneCounter::default();
+            runner
+                .with_cells_per_shard(3)
+                .run_grouped(&proto, zeros)
+                .unwrap();
+            assert_eq!(proto.0.load(Ordering::Relaxed), 3, "{policy:?}");
+        }
     }
 
     #[test]
     fn sharded_closure_sees_whole_cells_in_order() {
         let spec = spec_3x3x4();
+        let calls = AtomicUsize::new(0);
         let runner = GridRunner::new(spec.clone()).with_cells_per_shard(2);
-        let values = runner
-            .run_sharded(&(), |(), shard| {
+        let results = runner
+            .run_grouped(&(), |(), shard| {
+                calls.fetch_add(1, Ordering::Relaxed);
                 // Shards hold whole cells: length is a multiple of trials
                 // (except possibly the last ragged shard).
                 assert!(shard.len() % spec.trials == 0 || shard.len() < 2 * spec.trials);
@@ -1114,27 +1116,45 @@ mod tests {
                 )
             })
             .unwrap();
+        assert_eq!(calls.load(Ordering::Relaxed), 5, "one call per shard");
         let expected: Vec<f64> = (0..spec.n_points()).map(|i| i as f64).collect();
-        assert_eq!(values, expected);
+        assert_eq!(results, GridResults::aggregate(&spec, &expected));
     }
 
     #[test]
     fn runner_propagates_the_first_error_in_shard_order() {
-        let spec = spec_3x3x4();
-        let runner = GridRunner::new(spec);
+        let fail_from_8 = |(): &mut (), points: &[GridPointCtx]| -> Result<Vec<f64>, usize> {
+            points
+                .iter()
+                .map(|p| if p.index >= 8 { Err(p.index) } else { Ok(0.0) })
+                .collect()
+        };
+        let rule = StopRule::new(2, 4, 60.0, 0.6).unwrap();
+        for policy in [CellPolicy::Fixed, adaptive(rule, Lookahead::Fixed(1))] {
+            let runner = GridRunner::new(spec_3x3x4()).with_policy(policy);
+            let err = runner.run_grouped(&(), fail_from_8).unwrap_err();
+            assert_eq!(err, 8, "first failing point in order, not a racy winner");
+        }
+        // A failing sink is reported the same way, and only stops its own
+        // shard: every other cell still reaches the sink.
+        let seen = AtomicUsize::new(0);
+        let runner = GridRunner::new(spec_3x3x4());
         let err = runner
-            .run_points(
+            .run_cells(
+                &spec_3x3x4().cell_keys(),
                 &(),
-                |(), p| {
-                    if p.index >= 8 {
-                        Err(p.index)
-                    } else {
-                        Ok(0.0)
+                |(), points| Ok(vec![0.0; points.len()]),
+                |run| {
+                    seen.fetch_add(1, Ordering::Relaxed);
+                    match run.key.rate_idx {
+                        1 => Err((run.key.technique_idx, run.key.rate_idx)),
+                        _ => Ok(()),
                     }
                 },
             )
             .unwrap_err();
-        assert_eq!(err, 8, "first failing point in order, not a racy winner");
+        assert_eq!(err, (0, 1));
+        assert_eq!(seen.load(Ordering::Relaxed), 9);
     }
 
     /// The codec contract that replaced the unsatisfiable serde gates:
@@ -1220,25 +1240,16 @@ mod tests {
     #[test]
     fn adaptive_run_yields_bit_identical_prefixes_of_the_fixed_run() {
         let spec = spec_3x3x4();
-        // Deterministic seed-derived evaluation; per-cell values have low
-        // variance (same high digits within a cell), so a loose rule
-        // stops at min_trials while a zero half-width never stops.
-        let eval = |(): &mut (), shard: &[GridPointCtx]| {
-            Ok::<Vec<f64>, std::convert::Infallible>(
-                shard.iter().map(|p| 50.0 + (p.seed % 7) as f64).collect(),
-            )
-        };
         let fixed = GridRunner::new(spec.clone())
-            .run_grouped(&(), eval)
+            .run_grouped(&(), low_variance)
             .unwrap();
         let rule = StopRule::new(2, 4, 60.0, 0.6).unwrap();
-        let adaptive = GridRunner::new(spec.clone())
-            .with_stop_rule(rule)
-            .unwrap()
-            .run_adaptive(&(), eval)
+        let adaptive_results = GridRunner::new(spec.clone())
+            .with_policy(adaptive(rule, Lookahead::default()))
+            .run_grouped(&(), low_variance)
             .unwrap();
         let mut saved = 0;
-        for (a, f) in adaptive.cells().iter().zip(fixed.cells()) {
+        for (a, f) in adaptive_results.cells().iter().zip(fixed.cells()) {
             assert!(a.trials_run >= 2 && a.trials_run <= 4);
             saved += 4 - a.trials_run;
             let prefix = &f.trials[..a.trials_run];
@@ -1250,113 +1261,108 @@ mod tests {
         assert!(saved > 0, "the loose rule must save trials somewhere");
         // half_width 0 degenerates to the fixed run exactly.
         let degenerate = GridRunner::new(spec)
-            .with_stop_rule(StopRule::new(2, 4, 0.0, 0.9).unwrap())
-            .unwrap()
-            .run_adaptive(&(), eval)
+            .with_policy(adaptive(
+                StopRule::new(2, 4, 0.0, 0.9).unwrap(),
+                Lookahead::default(),
+            ))
+            .run_grouped(&(), low_variance)
             .unwrap();
         assert_eq!(degenerate, fixed);
     }
 
-    /// Tentpole invariant: every lookahead policy yields bit-identical
-    /// results to the trial-at-a-time run — speculation changes grouping
-    /// and waste, never which trials are kept.
+    /// Every lookahead policy yields bit-identical results to the
+    /// trial-at-a-time run — speculation changes grouping and waste,
+    /// never which trials are kept — and the waste counts are exact.
     #[test]
     fn lookahead_policies_keep_the_exact_sequential_prefix() {
         let spec = spec_3x3x4();
-        let eval = |(): &mut (), shard: &[GridPointCtx]| {
-            Ok::<Vec<f64>, std::convert::Infallible>(
-                shard.iter().map(|p| 50.0 + (p.seed % 7) as f64).collect(),
-            )
-        };
+        let keys = spec.cell_keys();
         // Hoeffding gives hw(2) ≈ 63.4 > 60 and hw(3) ≈ 51.8 ≤ 60, so
         // every cell keeps exactly 3 trials regardless of policy.
         let rule = StopRule::new(2, 4, 60.0, 0.6).unwrap();
-        let sequential = GridRunner::new(spec.clone())
-            .with_stop_rule(rule)
-            .unwrap()
-            .run_adaptive(&(), eval)
-            .unwrap();
-        for lookahead in [Lookahead::Fixed(2), Lookahead::Fixed(16), Lookahead::Auto] {
-            let (batched, evaluated) = GridRunner::new(spec.clone())
-                .with_stop_rule(rule)
+        let run = |lookahead| {
+            GridRunner::new(spec.clone())
+                .with_policy(adaptive(rule, lookahead))
+                .run_cells(&keys, &(), low_variance, Ok)
                 .unwrap()
-                .with_lookahead(lookahead)
-                .unwrap()
-                .run_adaptive_counted(&(), eval)
-                .unwrap();
-            assert_eq!(batched, sequential, "{lookahead:?} changed the kept trials");
-            for (cell, &e) in batched.cells().iter().zip(&evaluated) {
-                assert!(e >= cell.trials_run, "{lookahead:?} undercounted waste");
+        };
+        let sequential = run(Lookahead::Fixed(1));
+        for lookahead in [
+            Lookahead::Fixed(1),
+            Lookahead::Fixed(2),
+            Lookahead::Fixed(16),
+            Lookahead::Auto,
+        ] {
+            let batched = run(lookahead);
+            for (cell, seq) in batched.iter().zip(&sequential) {
+                assert_eq!(cell.key, seq.key);
+                assert_eq!(
+                    cell.values, seq.values,
+                    "{lookahead:?} changed the kept trials"
+                );
+                assert_eq!(cell.values.len(), 3);
+                // Exact waste: Fixed(1) and Auto (which predicts 1 more
+                // trial at n = 2, the hw ratio being barely above 1)
+                // evaluate exactly the kept prefix; Fixed(2) and
+                // Fixed(16) follow the unsatisfied head of 2 with one
+                // group of 2 (clamped to the 4-trial budget) and keep
+                // its first value.
+                let expected = match lookahead {
+                    Lookahead::Fixed(1) | Lookahead::Auto => 3,
+                    Lookahead::Fixed(_) => 4,
+                };
+                assert_eq!(cell.evaluated, expected, "{lookahead:?}");
             }
         }
-        // Waste is exact and deterministic for Fixed(2): the head of 2 is
-        // unsatisfied, the group of 2 stops after its first value, so each
-        // cell evaluates 4 and keeps 3.
-        let (fixed2, evaluated) = GridRunner::new(spec.clone())
-            .with_stop_rule(rule)
-            .unwrap()
-            .with_lookahead(Lookahead::Fixed(2))
-            .unwrap()
-            .run_adaptive_counted(&(), eval)
-            .unwrap();
-        for (cell, &e) in fixed2.cells().iter().zip(&evaluated) {
-            assert_eq!(cell.trials_run, 3);
-            assert_eq!(e, 4);
-        }
-        // Auto predicts 1 more trial at n = 2 (hw ratio barely above 1),
-        // so it evaluates exactly the kept prefix: zero waste.
-        let (_, evaluated) = GridRunner::new(spec)
-            .with_stop_rule(rule)
-            .unwrap()
-            .with_lookahead(Lookahead::Auto)
-            .unwrap()
-            .run_adaptive_counted(&(), eval)
-            .unwrap();
-        assert_eq!(evaluated, vec![3; 9]);
     }
 
-    /// Satellite regression: a never-satisfiable rule (`half_width = 0`)
-    /// must evaluate each cell as ONE grouped whole-cell call instead of
-    /// grinding through the budget one trial at a time — with values
-    /// equal to the fixed run and no cell marked early-stopped.
+    /// A never-satisfiable rule (`half_width = 0`) must evaluate each
+    /// cell as ONE grouped whole-cell call instead of grinding through
+    /// the budget one trial at a time — with values equal to the fixed
+    /// run and no cell marked early-stopped.
     #[test]
     fn never_satisfiable_rule_runs_each_cell_as_one_grouped_call() {
         let spec = spec_3x3x4();
-        let calls = std::sync::Arc::new(AtomicUsize::new(0));
-        let calls_in_eval = calls.clone();
-        let eval = move |(): &mut (), shard: &[GridPointCtx]| {
-            calls_in_eval.fetch_add(1, Ordering::Relaxed);
-            Ok::<Vec<f64>, std::convert::Infallible>(
-                shard.iter().map(|p| 50.0 + (p.seed % 7) as f64).collect(),
-            )
+        let calls = AtomicUsize::new(0);
+        let eval = |(): &mut (), shard: &[GridPointCtx]| {
+            calls.fetch_add(1, Ordering::Relaxed);
+            low_variance(&mut (), shard)
         };
         let fixed = GridRunner::new(spec.clone())
-            .run_grouped(&(), &eval)
+            .run_grouped(&(), eval)
             .unwrap();
-        calls.store(0, Ordering::Relaxed);
-        let (degenerate, evaluated) = GridRunner::new(spec)
-            .with_stop_rule(StopRule::new(2, 4, 0.0, 0.9).unwrap())
-            .unwrap()
-            .run_adaptive_counted(&(), &eval)
-            .unwrap();
-        assert_eq!(degenerate, fixed);
+        assert_eq!(calls.swap(0, Ordering::Relaxed), 9, "one call per cell");
+        let runner = GridRunner::new(spec.clone()).with_policy(adaptive(
+            StopRule::new(2, 4, 0.0, 0.9).unwrap(),
+            Lookahead::default(),
+        ));
+        let runs = runner.run_cells(&spec.cell_keys(), &(), eval, Ok).unwrap();
         assert_eq!(calls.load(Ordering::Relaxed), 9, "one call per cell");
-        assert_eq!(evaluated, vec![4; 9]);
-        for cell in degenerate.cells() {
+        for (run, cell) in runs.iter().zip(fixed.cells()) {
+            assert_eq!(run.evaluated, 4);
+            assert_eq!(run.values, cell.trials);
             assert!(!cell.stopped_early);
         }
     }
 
     #[test]
     fn stop_rule_beyond_the_trial_budget_is_rejected() {
-        let spec = spec_3x3x4(); // 4 trials per cell
         let rule = StopRule::new(2, 5, 1.0, 0.9).unwrap();
+        // 4 trials per cell.
         assert_eq!(
-            GridRunner::new(spec).with_stop_rule(rule).unwrap_err(),
+            CellPolicy::new(Some(rule), Lookahead::default(), 4).unwrap_err(),
             StatsError::MaxTrialsExceedsSpec {
                 max_trials: 5,
                 spec_trials: 4
             }
+        );
+        assert_eq!(
+            CellPolicy::new(None, Lookahead::Fixed(0), 4).unwrap_err(),
+            StatsError::BadLookahead { k: 0 }
+        );
+        assert_eq!(
+            CellPolicy::new(None, Lookahead::Auto, 4),
+            Ok(CellPolicy::Fixed)
         );
     }
 

@@ -14,18 +14,17 @@
 //!   until the register is overwritten); a neuron-op site marks that
 //!   operation fault-stuck (persisting until parameter replacement)
 //!   ([`injector::inject`]).
-//! * **Campaigns**: sweeps over fault rates × independent fault maps
-//!   ([`campaign`]).
 //! * **Grids**: declarative (technique × rate × trial) campaign grids
 //!   with deterministic per-point seeds, shard-local state reuse, and
 //!   single-pass cell aggregation ([`grid`]) — the orchestration layer
-//!   behind every figure harness.
+//!   behind every figure harness. One cell executor
+//!   ([`grid::GridRunner::run_cells`]) runs every grid under a
+//!   [`grid::CellPolicy`], in memory or checkpointed by the campaign
+//!   service ([`service`]).
 //! * **Adaptive statistics**: streaming moments, pinned confidence
 //!   bounds, and sequential stop rules ([`stats`]) let grid cells stop
 //!   sampling trials once their accuracy interval is tight — consuming
-//!   the pinned seed stream as an exact prefix — and importance-sampled
-//!   fault maps ([`fault_map::FaultMap::generate_weighted`]) carry their
-//!   likelihood ratios for explicitly-labeled reweighted estimators.
+//!   the pinned seed stream as an exact prefix.
 //!
 //! ```
 //! use snn_faults::location::{FaultDomain, FaultSpace};
@@ -39,25 +38,23 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod campaign;
 pub mod codec;
 pub mod fault_map;
 pub mod grid;
 pub mod injector;
 pub mod location;
-pub mod parallel;
 pub mod permanent;
 pub mod rate;
 pub mod service;
 pub mod stats;
 
-pub use campaign::{Campaign, CampaignResult};
 pub use codec::{Json, JsonCodec, JsonError};
-pub use fault_map::{FaultMap, SiteWeights, WeightedFaultMap};
-pub use grid::{Aggregate, CellKey, GridPointCtx, GridResults, GridRunner, GridSpec};
+pub use fault_map::FaultMap;
+pub use grid::{
+    Aggregate, CellKey, CellPolicy, CellRun, GridPointCtx, GridResults, GridRunner, GridSpec,
+};
 pub use injector::{inject, InjectionSummary};
 pub use location::{FaultDomain, FaultSite, FaultSpace, RawLocation};
-pub use parallel::ParallelCampaign;
 pub use permanent::StuckAtMap;
 pub use service::{CampaignService, JobHandle, RunOptions, RunOutcome, ServiceError};
-pub use stats::{EstimatorMode, StatsError, StopRule, Streaming};
+pub use stats::{Lookahead, StatsError, StopRule, Streaming};

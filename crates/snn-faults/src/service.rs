@@ -9,9 +9,11 @@
 //! <root>/<job>/cells/c012_003.json one checkpoint per completed cell
 //! ```
 //!
-//! Each completed [`Aggregate`] cell is checkpointed as it lands (written
-//! to a unique tmp file, then atomically renamed — a crash never leaves a
-//! half-written checkpoint under the final name), and a resumed run skips
+//! A pass runs the missing cells through the grid's one cell executor
+//! ([`GridRunner::run_cells`]) under the pass's [`CellPolicy`], with a
+//! sink that checkpoints each [`Aggregate`] cell as it lands (written to
+//! a unique tmp file, then atomically renamed — a crash never leaves a
+//! half-written checkpoint under the final name). A resumed run skips
 //! every valid checkpoint and re-executes exactly the missing cells. The
 //! per-point seeds make resumption *exact*: a cell's inputs are fully
 //! determined by the spec, so the reassembled [`GridResults`] is
@@ -31,13 +33,11 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use snn_sim::parallel::parallel_map;
-
 use crate::codec::{u64_json, Json, JsonCodec};
 use crate::grid::{
-    adaptive_cell_lookahead, Aggregate, CellKey, GridPointCtx, GridResults, GridSpec,
+    Aggregate, CellKey, CellPolicy, CellRun, GridPointCtx, GridResults, GridRunner, GridSpec,
 };
-use crate::stats::{Lookahead, StopRule};
+use crate::stats::{Lookahead, StatsError, StopRule};
 
 /// On-disk checkpoint format version. Bump whenever the cell layout *or
 /// the workspace seed formula* changes — stored seeds are validated
@@ -74,6 +74,9 @@ pub enum ServiceError {
         /// What disagreed.
         detail: String,
     },
+    /// A pass's stop rule or lookahead was refused by
+    /// [`CellPolicy::new`] before any cell ran.
+    Policy(StatsError),
 }
 
 impl fmt::Display for ServiceError {
@@ -88,6 +91,7 @@ impl fmt::Display for ServiceError {
             ServiceError::SpecMismatch { detail } => {
                 write!(f, "job spec mismatch: {detail}")
             }
+            ServiceError::Policy(e) => write!(f, "bad run policy: {e}"),
         }
     }
 }
@@ -96,6 +100,7 @@ impl std::error::Error for ServiceError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             ServiceError::Io { source, .. } => Some(source),
+            ServiceError::Policy(e) => Some(e),
             _ => None,
         }
     }
@@ -477,26 +482,7 @@ impl JobHandle {
 
     /// Every cell of the grid, in cell order (technique-major).
     pub fn cell_keys(&self) -> Vec<CellKey> {
-        let mut keys = Vec::with_capacity(self.spec.n_cells());
-        for technique_idx in 0..self.spec.techniques.len() {
-            for rate_idx in 0..self.spec.rates.len() {
-                keys.push(CellKey {
-                    technique_idx,
-                    rate_idx,
-                });
-            }
-        }
-        keys
-    }
-
-    /// The flat-order [`GridPointCtx`]s of one cell (all its trials,
-    /// contiguous by the spec's point order).
-    fn cell_points(&self, key: CellKey) -> Vec<GridPointCtx> {
-        let cell = key.technique_idx * self.spec.rates.len() + key.rate_idx;
-        let first = cell * self.spec.trials;
-        (first..first + self.spec.trials)
-            .map(|i| self.spec.point(i))
-            .collect()
+        self.spec.cell_keys()
     }
 
     /// Loads and validates one cell checkpoint. `Ok(None)` means "no
@@ -612,7 +598,7 @@ impl JobHandle {
     ///
     /// Returns [`ServiceError`] on I/O failure.
     pub fn store_cell(&self, cell: &Aggregate) -> Result<(), ServiceError> {
-        let points = self.cell_points(cell.key);
+        let points = self.spec.cell_points(cell.key);
         // Seeds for exactly the trials that ran: an early-stopped cell
         // stores (and later validates) the seed-stream prefix it
         // consumed, nothing more.
@@ -687,38 +673,33 @@ impl JobHandle {
     }
 
     /// Runs (or resumes) the job: evaluates every missing cell — in
-    /// parallel across cells, each with its own clone of `proto`,
-    /// checkpointing each cell as it lands — then reassembles the full
-    /// grid from checkpoints if everything is present.
+    /// parallel across cells, each with its own clone of `proto` — through
+    /// the grid's cell executor ([`GridRunner::run_cells`]), checkpointing
+    /// each cell as it lands, then reassembles the full grid from
+    /// checkpoints if everything is present.
     ///
-    /// The closure has the same shape as [`crate::grid::GridRunner::
-    /// run_grouped`]'s: it receives one cell's contiguous trial points
-    /// and returns one value per point, so the figure harness's grouped
-    /// evaluation (multi-map batching included) plugs in unchanged.
-    ///
-    /// The reassembled [`GridResults`] is produced by
-    /// [`GridResults::aggregate`] over the checkpointed per-trial values
-    /// — the same single pass an uninterrupted [`GridRunner`]
-    /// (crate::grid::GridRunner) run performs — so resume is
+    /// The closure has [`GridRunner::run_grouped`]'s shape: it receives
+    /// one cell's contiguous trial points and returns one value per
+    /// point, so the figure harness's grouped evaluation (multi-map
+    /// batching included) plugs in unchanged. The reassembled
+    /// [`GridResults`] is produced by [`GridResults::from_cell_trials`]
+    /// over the checkpointed per-trial values — the same single pass an
+    /// uninterrupted [`GridRunner`] run performs — so resume is
     /// bit-identical, not approximately equal.
     ///
-    /// With [`RunOptions::stop_rule`] set, each missing cell is
-    /// evaluated **adaptively**: the closure is handed the rule's
-    /// `min_trials` head of the cell's pinned points first, then groups
-    /// sized by [`RunOptions::lookahead`] until the rule is satisfied,
-    /// truncating each group to the exact first-satisfied prefix
-    /// ([`crate::grid::adaptive_cell_lookahead`] — literally the code
-    /// [`crate::grid::GridRunner::run_adaptive`] runs). The checkpoint
-    /// then records the trials and seeds that were *kept* — speculative
-    /// extras are counted in the cell's waste sidecar
-    /// ([`Self::cell_waste_path`]), never in the checkpoint, so cell
-    /// files stay byte-identical across lookahead policies.
+    /// [`RunOptions::stop_rule`] and [`RunOptions::lookahead`] build the
+    /// pass's [`CellPolicy`]. Under an adaptive policy the checkpoint
+    /// records the trials and seeds that were *kept*; speculative extras
+    /// are counted in the cell's waste sidecar ([`Self::cell_waste_path`]),
+    /// never in the checkpoint, so cell files stay byte-identical across
+    /// lookahead policies.
     ///
     /// # Errors
     ///
     /// Returns the first failing cell's error in cell order
-    /// ([`RunError::Eval`]), or [`RunError::Service`] on checkpoint I/O
-    /// failure or a stop rule exceeding the spec's trial budget.
+    /// ([`RunError::Eval`]), [`RunError::Service`] on checkpoint I/O
+    /// failure, or [`ServiceError::Policy`] (before anything runs) when
+    /// [`CellPolicy::new`] refuses the options.
     ///
     /// # Panics
     ///
@@ -730,68 +711,18 @@ impl JobHandle {
         E: Send,
         F: Fn(&mut S, &[GridPointCtx]) -> Result<Vec<f64>, E> + Sync,
     {
-        if let Some(rule) = &opts.stop_rule {
-            rule.validate_against_trials(self.spec.trials)
-                .map_err(|e| ServiceError::SpecMismatch {
-                    detail: e.to_string(),
-                })?;
-        }
-        let lookahead = opts
-            .lookahead
-            .validated()
-            .map_err(|e| ServiceError::SpecMismatch {
-                detail: e.to_string(),
-            })?;
+        let policy = CellPolicy::new(opts.stop_rule, opts.lookahead, self.spec.trials)
+            .map_err(ServiceError::Policy)?;
         let missing = self.missing_cells()?;
         let budget = opts.max_cells.unwrap_or(missing.len()).min(missing.len());
-        let selected = &missing[..budget];
-        let outcomes: Vec<Result<(), RunError<E>>> = parallel_map(selected, |&key| {
-            let points = self.cell_points(key);
-            let mut state = proto.clone();
-            let (values, evaluated) = match &opts.stop_rule {
-                Some(rule) => adaptive_cell_lookahead(&mut state, &points, rule, lookahead, &f)
-                    .map_err(RunError::Eval)?,
-                None => {
-                    let values = f(&mut state, &points).map_err(RunError::Eval)?;
-                    assert_eq!(
-                        values.len(),
-                        points.len(),
-                        "cell closure must return one value per point"
-                    );
-                    let evaluated = values.len();
-                    (values, evaluated)
-                }
-            };
-            let cell = Aggregate::from_trials(
-                key,
-                self.spec.techniques[key.technique_idx].clone(),
-                self.spec.rates[key.rate_idx],
-                self.spec.trials,
-                values,
-            );
-            self.store_cell(&cell)?;
-            // Waste accounting lives in a sidecar, not the checkpoint:
-            // adaptive passes record what they evaluated; fixed passes
-            // remove any stale sidecar from an earlier adaptive attempt
-            // at this cell.
-            match &opts.stop_rule {
-                Some(_) => write_atomic(
-                    &self.cell_waste_path(key),
-                    &Json::obj([("trials_evaluated", Json::Num(evaluated as f64))]).render(),
-                )?,
-                None => {
-                    if let Err(e) = fs::remove_file(self.cell_waste_path(key)) {
-                        if e.kind() != io::ErrorKind::NotFound {
-                            return Err(ServiceError::io(&self.cell_waste_path(key), e).into());
-                        }
-                    }
-                }
-            }
-            Ok(())
-        });
-        for outcome in outcomes {
-            outcome?;
-        }
+        GridRunner::new(self.spec.clone())
+            .with_policy(policy)
+            .run_cells(
+                &missing[..budget],
+                proto,
+                |state, points| f(state, points).map_err(RunError::Eval),
+                |run| self.checkpoint(run, policy).map_err(RunError::Service),
+            )?;
         if budget < missing.len() {
             return Ok(RunOutcome::Interrupted {
                 done: self.spec.n_cells() - (missing.len() - budget),
@@ -800,6 +731,34 @@ impl JobHandle {
         }
         let results = self.results()?.expect("all cells just checkpointed");
         Ok(RunOutcome::Complete(results))
+    }
+
+    /// The service's sink: writes one finished cell's checkpoint, then
+    /// its waste sidecar. Adaptive passes record what they evaluated;
+    /// fixed passes remove any stale sidecar from an earlier adaptive
+    /// attempt at this cell.
+    fn checkpoint(&self, run: CellRun, policy: CellPolicy) -> Result<(), ServiceError> {
+        let key = run.key;
+        self.store_cell(&Aggregate::from_trials(
+            key,
+            self.spec.techniques[key.technique_idx].clone(),
+            self.spec.rates[key.rate_idx],
+            self.spec.trials,
+            run.values,
+        ))?;
+        let waste_path = self.cell_waste_path(key);
+        match policy {
+            CellPolicy::Adaptive { .. } => write_atomic(
+                &waste_path,
+                &Json::obj([("trials_evaluated", Json::Num(run.evaluated as f64))]).render(),
+            ),
+            CellPolicy::Fixed => match fs::remove_file(&waste_path) {
+                Err(e) if e.kind() != io::ErrorKind::NotFound => {
+                    Err(ServiceError::io(&waste_path, e))
+                }
+                _ => Ok(()),
+            },
+        }
     }
 
     /// Reassembles the full grid from checkpoints: `Ok(None)` while any
@@ -1272,7 +1231,7 @@ mod tests {
         let result = job.run(&(), opts, eval);
         assert!(matches!(
             result,
-            Err(RunError::Service(ServiceError::SpecMismatch { .. }))
+            Err(RunError::Service(ServiceError::Policy(_)))
         ));
         assert_eq!(job.status().unwrap().done_cells, 0);
         let _ = fs::remove_dir_all(&root);
@@ -1291,9 +1250,50 @@ mod tests {
         let result = job.run(&(), opts, eval);
         assert!(matches!(
             result,
-            Err(RunError::Service(ServiceError::SpecMismatch { .. }))
+            Err(RunError::Service(ServiceError::Policy(_)))
         ));
         // Nothing ran.
+        assert_eq!(job.status().unwrap().done_cells, 0);
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    /// A bad policy is refused with the same typed error whether it is
+    /// built for an in-memory [`GridRunner`] or handed to the service as
+    /// run options: both go through [`CellPolicy::new`].
+    #[test]
+    fn grid_runner_and_service_reject_the_same_bad_policy() {
+        let root = temp_root("samepolicy");
+        let job = CampaignService::new(&root)
+            .submit("j", spec(), None)
+            .unwrap();
+        let over_budget = StopRule::new(2, 5, 10.0, 0.9).unwrap();
+        for (stop_rule, lookahead, expected) in [
+            (
+                Some(over_budget),
+                Lookahead::Fixed(1),
+                StatsError::MaxTrialsExceedsSpec {
+                    max_trials: 5,
+                    spec_trials: 3,
+                },
+            ),
+            (
+                Some(early_rule()),
+                Lookahead::Fixed(0),
+                StatsError::BadLookahead { k: 0 },
+            ),
+        ] {
+            let grid = CellPolicy::new(stop_rule, lookahead, job.spec().trials);
+            assert_eq!(grid, Err(expected));
+            let opts = RunOptions {
+                max_cells: None,
+                stop_rule,
+                lookahead,
+            };
+            match job.run(&(), opts, eval) {
+                Err(RunError::Service(ServiceError::Policy(e))) => assert_eq!(e, expected),
+                other => panic!("expected a policy error, got {other:?}"),
+            }
+        }
         assert_eq!(job.status().unwrap().done_cells, 0);
         let _ = fs::remove_dir_all(&root);
     }

@@ -1,5 +1,5 @@
 //! Sequential campaign statistics: streaming moments, distribution-free
-//! confidence bounds, stop rules, and importance-sampling estimators.
+//! confidence bounds, stop rules, and speculative lookahead.
 //!
 //! Fault-injection campaigns spend their time on trials, and most cells
 //! converge long before the fixed trial budget is exhausted — the
@@ -17,14 +17,11 @@
 //!   drift silently.
 //! * [`StopRule`] — "stop once the CI half-width is small enough",
 //!   with typed construction errors instead of silent clamping.
-//! * [`EstimatorMode`] / [`importance_estimate`] — explicitly-labeled
-//!   estimators for importance-sampled fault maps
-//!   ([`crate::fault_map::FaultMap::generate_weighted`]): the unbiased
-//!   likelihood-ratio form and the lower-variance self-normalized form,
-//!   never conflated with a plain uniform mean.
+//! * [`Lookahead`] — how many trials past the satisfied-check one
+//!   evaluation call speculates.
 //!
-//! The module never touches the trial *order*: adaptive execution in
-//! [`crate::grid`] consumes the exact pinned per-point seed stream and
+//! The module never touches the trial *order*: adaptive execution
+//! ([`crate::grid::CellPolicy::Adaptive`]) consumes the exact pinned per-point seed stream and
 //! merely stops early, so an early-stopped cell is the first-k prefix of
 //! the fixed-mode cell, bit for bit.
 
@@ -554,89 +551,6 @@ impl Lookahead {
     }
 }
 
-/// How importance-sampled trial values are combined into an estimate.
-/// The mode is explicit everywhere — an importance-weighted sample mean
-/// silently presented as a plain mean would be a biased estimator
-/// wearing an unbiased label.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EstimatorMode {
-    /// Plain sample mean; correct only for uniformly drawn fault maps
-    /// (all likelihood ratios must be 1 / log-ratios 0).
-    Uniform,
-    /// Likelihood-ratio (Horvitz–Thompson style) estimator
-    /// `mean(rᵢ · vᵢ)` with `rᵢ = p(mapᵢ)/q(mapᵢ)`: **unbiased** for the
-    /// uniform-sampling expectation, at possibly higher variance when
-    /// the proposal is poorly matched.
-    ImportanceUnbiased,
-    /// Self-normalized estimator `Σ rᵢ·vᵢ / Σ rᵢ`: consistent (bias
-    /// vanishes as n grows) and usually lower-variance, but *not*
-    /// unbiased at finite n — label it accordingly.
-    ImportanceSelfNormalized,
-}
-
-/// Combines trial values and their log likelihood ratios (uniform over
-/// proposal, as produced by
-/// [`crate::fault_map::FaultMap::generate_weighted`]) into one estimate
-/// under an explicit [`EstimatorMode`].
-///
-/// # Panics
-///
-/// Panics when lengths differ, on empty input, or when
-/// [`EstimatorMode::Uniform`] is paired with non-zero log-ratios (that
-/// combination is precisely the mislabeling this API exists to prevent).
-pub fn importance_estimate(values: &[f64], log_ratios: &[f64], mode: EstimatorMode) -> f64 {
-    assert_eq!(values.len(), log_ratios.len(), "one log-ratio per value");
-    assert!(!values.is_empty(), "estimate over an empty sample");
-    match mode {
-        EstimatorMode::Uniform => {
-            assert!(
-                log_ratios.iter().all(|&lr| lr == 0.0),
-                "uniform estimator over importance-sampled values would be biased; \
-                 use an importance mode"
-            );
-            values.iter().sum::<f64>() / values.len() as f64
-        }
-        EstimatorMode::ImportanceUnbiased => {
-            values
-                .iter()
-                .zip(log_ratios)
-                .map(|(&v, &lr)| lr.exp() * v)
-                .sum::<f64>()
-                / values.len() as f64
-        }
-        EstimatorMode::ImportanceSelfNormalized => {
-            let mut num = 0.0;
-            let mut den = 0.0;
-            for (&v, &lr) in values.iter().zip(log_ratios) {
-                let r = lr.exp();
-                num += r * v;
-                den += r;
-            }
-            num / den
-        }
-    }
-}
-
-/// Kish effective sample size of an importance-weighted sample:
-/// `(Σ rᵢ)² / Σ rᵢ²`. Equals `n` for uniform weights and collapses
-/// toward 1 as a few ratios dominate — the standard health check before
-/// trusting an importance-sampled estimate.
-///
-/// # Panics
-///
-/// Panics on empty input.
-pub fn effective_sample_size(log_ratios: &[f64]) -> f64 {
-    assert!(!log_ratios.is_empty(), "ESS of an empty sample");
-    let mut sum = 0.0;
-    let mut sum_sq = 0.0;
-    for &lr in log_ratios {
-        let r = lr.exp();
-        sum += r;
-        sum_sq += r * r;
-    }
-    sum * sum / sum_sq
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -837,40 +751,6 @@ mod tests {
             noisy.push(if i % 2 == 0 { 0.0 } else { 100.0 });
         }
         assert!(!rule.satisfied(&noisy), "noisy cell must not stop as early");
-    }
-
-    #[test]
-    fn importance_estimators_are_labeled_and_consistent() {
-        let values = [10.0, 20.0, 30.0];
-        let zero = [0.0; 3];
-        assert_eq!(
-            importance_estimate(&values, &zero, EstimatorMode::Uniform),
-            20.0
-        );
-        // With all ratios 1 the three estimators coincide.
-        assert_eq!(
-            importance_estimate(&values, &zero, EstimatorMode::ImportanceUnbiased),
-            20.0
-        );
-        assert_eq!(
-            importance_estimate(&values, &zero, EstimatorMode::ImportanceSelfNormalized),
-            20.0
-        );
-        // Non-trivial ratios: unbiased is mean(r*v), self-normalized
-        // divides by the ratio mass instead of n.
-        let lr = [0.0, 2.0_f64.ln(), 0.5_f64.ln()];
-        let un = importance_estimate(&values, &lr, EstimatorMode::ImportanceUnbiased);
-        assert!((un - (10.0 + 40.0 + 15.0) / 3.0).abs() < 1e-12);
-        let sn = importance_estimate(&values, &lr, EstimatorMode::ImportanceSelfNormalized);
-        assert!((sn - (10.0 + 40.0 + 15.0) / 3.5).abs() < 1e-12);
-        assert!((effective_sample_size(&zero) - 3.0).abs() < 1e-12);
-        assert!(effective_sample_size(&lr) < 3.0);
-    }
-
-    #[test]
-    #[should_panic]
-    fn uniform_estimator_refuses_importance_weighted_samples() {
-        let _ = importance_estimate(&[1.0, 2.0], &[0.0, 0.3], EstimatorMode::Uniform);
     }
 
     /// `first_stop_index` replicates the sequential push-then-check loop

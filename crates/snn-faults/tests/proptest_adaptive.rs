@@ -5,7 +5,7 @@
 //! trials they are.
 
 use proptest::prelude::*;
-use snn_faults::grid::{GridPointCtx, GridResults, GridRunner, GridSpec};
+use snn_faults::grid::{CellPolicy, GridPointCtx, GridResults, GridRunner, GridSpec};
 use snn_faults::service::{CampaignService, RunOptions, RunOutcome};
 use snn_faults::stats::{Lookahead, StopRule};
 use std::convert::Infallible;
@@ -28,6 +28,12 @@ fn spec_for(base_seed: u64, n_techniques: usize, n_rates: usize, trials: usize) 
         (1..=n_rates).map(|r| r as f64 / 10.0).collect(),
         trials,
     )
+}
+
+/// A runner over `spec` under `rule` and `lookahead`.
+fn adaptive(spec: &GridSpec, rule: StopRule, lookahead: Lookahead) -> GridRunner {
+    let policy = CellPolicy::new(Some(rule), lookahead, spec.trials).unwrap();
+    GridRunner::new(spec.clone()).with_policy(policy)
 }
 
 /// The fixed-budget reference, computed straight from the pinned points.
@@ -64,10 +70,8 @@ proptest! {
         let rule = StopRule::new(min_trials, max_trials, half_width, confidence).unwrap();
         let spec = spec_for(base_seed, n_techniques, n_rates, trials);
         let fixed = reference(&spec);
-        let adaptive = GridRunner::new(spec.clone())
-            .with_stop_rule(rule)
-            .unwrap()
-            .run_adaptive(&(), eval)
+        let adaptive = adaptive(&spec, rule, Lookahead::default())
+            .run_grouped(&(), eval)
             .unwrap();
         prop_assert_eq!(adaptive.cells().len(), fixed.cells().len());
         for (cell, full) in adaptive.cells().iter().zip(fixed.cells()) {
@@ -99,10 +103,8 @@ proptest! {
         let rule = StopRule::new(2, trials, 0.0, confidence).unwrap();
         let spec = spec_for(base_seed, 2, 2, trials);
         let fixed = reference(&spec);
-        let adaptive = GridRunner::new(spec)
-            .with_stop_rule(rule)
-            .unwrap()
-            .run_adaptive(&(), eval)
+        let adaptive = adaptive(&spec, rule, Lookahead::default())
+            .run_grouped(&(), eval)
             .unwrap();
         prop_assert_eq!(&adaptive, &fixed);
         for cell in adaptive.cells() {
@@ -140,18 +142,17 @@ proptest! {
             Lookahead::Auto,
         ][lookahead_idx];
         let spec = spec_for(base_seed, n_techniques, n_rates, trials);
-        let sequential = GridRunner::new(spec.clone())
-            .with_stop_rule(rule)
-            .unwrap()
-            .run_adaptive(&(), eval)
+        let sequential = adaptive(&spec, rule, Lookahead::default())
+            .run_grouped(&(), eval)
             .unwrap();
-        let (batched, evaluated) = GridRunner::new(spec)
-            .with_stop_rule(rule)
-            .unwrap()
-            .with_lookahead(lookahead)
-            .unwrap()
-            .run_adaptive_counted(&(), eval)
+        let runs = adaptive(&spec, rule, lookahead)
+            .run_cells(&spec.cell_keys(), &(), eval, Ok)
             .unwrap();
+        let evaluated: Vec<usize> = runs.iter().map(|run| run.evaluated).collect();
+        let batched = GridResults::from_cell_trials(
+            &spec,
+            runs.into_iter().map(|run| run.values).collect(),
+        );
         prop_assert_eq!(&batched, &sequential, "{:?} changed the results", lookahead);
         for ((cell, seq_cell), &e) in batched.cells().iter().zip(sequential.cells()).zip(&evaluated) {
             prop_assert_eq!(cell.trials_run, seq_cell.trials_run);

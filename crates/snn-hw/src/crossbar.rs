@@ -328,8 +328,8 @@ mod tests {
         // The per-row kernels route through the shared lane-explicit
         // bodies in `crate::kernels`; pin them against the closure-based
         // `accumulate_row` oracle across every column-count residue of
-        // the lane width (including odd widths, which exercise the
-        // Packed64 pair remainder and the Lanes8 scalar tail).
+        // the lane width (including the widths that exercise the Lanes8
+        // scalar tail).
         let clamp = |c: u8| if c > 96 { 6 } else { c };
         let mut lut = [0_u8; 256];
         for (i, slot) in lut.iter_mut().enumerate() {

@@ -14,9 +14,7 @@
 //! Rust, so SIMD width is made explicit *structurally* instead of through
 //! intrinsics: [`AccumKernel::Lanes8`] processes columns in fixed
 //! [`LANE_WIDTH`]-wide chunks with a scalar remainder tail, accumulating
-//! into a local `[i32; LANE_WIDTH]` block that LLVM autovectorizes, and
-//! [`AccumKernel::Packed64`] packs two `i32` column accumulators into one
-//! `u64` so a single integer add advances two lanes.
+//! into a local `[i32; LANE_WIDTH]` block that LLVM autovectorizes.
 //!
 //! # Why every choice is bit-identical
 //!
@@ -24,13 +22,11 @@
 //! and a full crossbar column sums to at most `rows × 255`, so `i32`
 //! accumulation never overflows for any crossbar under ~8.4M rows —
 //! addition here is associative and commutative in the mathematical
-//! sense, not merely approximately. Any row-block size, lane chunking,
-//! or `u64` packing therefore produces bit-identical accumulators, which
-//! is what lets [`EngineTuning::autotune`] pick layouts per host without
-//! touching the engine's determinism obligations (the equivalence
-//! proptests and pinned-bit suites run under randomized tunings to prove
-//! it). The `u64` packing is exact because both lanes stay non-negative
-//! and below `2^31`, so no carry ever crosses bit 32.
+//! sense, not merely approximately. Any row-block size or lane chunking
+//! therefore produces bit-identical accumulators, which is what lets
+//! [`EngineTuning::autotune`] pick layouts per host without touching the
+//! engine's determinism obligations (the equivalence proptests and
+//! pinned-bit suites run under randomized tunings to prove it).
 
 use crate::engine::{MAX_BATCH, MAX_MAPS};
 use std::time::Instant;
@@ -50,14 +46,11 @@ pub enum AccumKernel {
     /// Fixed [`LANE_WIDTH`]-column chunks accumulated into a local lane
     /// block, scalar remainder tail.
     Lanes8,
-    /// Two `i32` column accumulators packed into one `u64` add (exact:
-    /// lanes are non-negative and `< 2^31`, so no carry crosses bit 32).
-    Packed64,
 }
 
 impl AccumKernel {
     /// Every kernel variant, in autotune candidate order.
-    pub const ALL: [Self; 3] = [Self::Scalar, Self::Lanes8, Self::Packed64];
+    pub const ALL: [Self; 2] = [Self::Scalar, Self::Lanes8];
 
     /// Sums `K` rows column-wise into `acc`, storing (`STORE = true`) or
     /// accumulating (`STORE = false`) — the one generic body behind both
@@ -67,7 +60,6 @@ impl AccumKernel {
         match self {
             Self::Scalar => pass_scalar::<K, STORE>(rows, acc),
             Self::Lanes8 => pass_lanes8::<K, STORE>(rows, acc),
-            Self::Packed64 => pass_packed64::<K, STORE>(rows, acc),
         }
     }
 }
@@ -155,33 +147,6 @@ fn pass_lanes8<const K: usize, const STORE: bool>(rows: [&[u8]; K], acc: &mut [i
         } else {
             *a += s;
         }
-    }
-}
-
-#[inline]
-fn pass_packed64<const K: usize, const STORE: bool>(rows: [&[u8]; K], acc: &mut [i32]) {
-    let rows = hoist(rows, acc.len());
-    let mut pairs = acc.chunks_exact_mut(2);
-    let mut i = 0;
-    for pair in pairs.by_ref() {
-        let mut packed: u64 = if STORE {
-            0
-        } else {
-            (pair[0] as u32 as u64) | ((pair[1] as u32 as u64) << 32)
-        };
-        for r in &rows {
-            packed += (r[i] as u64) | ((r[i + 1] as u64) << 32);
-        }
-        pair[0] = packed as u32 as i32;
-        pair[1] = (packed >> 32) as u32 as i32;
-        i += 2;
-    }
-    if let [a] = pairs.into_remainder() {
-        let mut s = if STORE { 0 } else { *a };
-        for r in &rows {
-            s += r[i] as i32;
-        }
-        *a = s;
     }
 }
 
@@ -319,20 +284,6 @@ fn accumulate_row_mapped<F: Fn(u8) -> u8>(
             }
             for (a, &c) in chunks.into_remainder().iter_mut().zip(&codes[i..]) {
                 *a += f(c) as i32;
-            }
-        }
-        AccumKernel::Packed64 => {
-            let mut pairs = acc.chunks_exact_mut(2);
-            let mut i = 0;
-            for pair in pairs.by_ref() {
-                let mut packed = (pair[0] as u32 as u64) | ((pair[1] as u32 as u64) << 32);
-                packed += (f(codes[i]) as u64) | ((f(codes[i + 1]) as u64) << 32);
-                pair[0] = packed as u32 as i32;
-                pair[1] = (packed >> 32) as u32 as i32;
-                i += 2;
-            }
-            if let [a] = pairs.into_remainder() {
-                *a += f(codes[i]) as i32;
             }
         }
     }
@@ -487,8 +438,8 @@ mod tests {
 
     #[test]
     fn all_kernel_block_pairs_match_oracle_on_ragged_shapes() {
-        // Every cols ≡ 0..LANE_WIDTH-1 (mod LANE_WIDTH) residue, odd and
-        // even (Packed64's pair remainder), block-straddling row counts.
+        // Every cols ≡ 0..LANE_WIDTH-1 (mod LANE_WIDTH) residue and
+        // block-straddling row counts.
         for cols in 1..=2 * LANE_WIDTH + 1 {
             for n_active in [0_usize, 1, 2, 3, 4, 5, 7, 8, 9, 17] {
                 let rows = 12;

@@ -59,7 +59,7 @@ proptest! {
         cols_residue in 0_usize..LANE_WIDTH,
         rows in 1_usize..14,
         n_active in 0_usize..20,
-        kernel_idx in 0_usize..3,
+        kernel_idx in 0_usize..AccumKernel::ALL.len(),
         block_idx in 0_usize..3,
     ) {
         let cols = 1 + cols_base * LANE_WIDTH + cols_residue;
@@ -89,7 +89,7 @@ proptest! {
     #[test]
     fn engine_outputs_invariant_under_random_tuning(
         net_seed in any::<u64>(),
-        kernel_idx in 0_usize..3,
+        kernel_idx in 0_usize..AccumKernel::ALL.len(),
         block_idx in 0_usize..3,
         batch_chunk in 0_usize..40,
         map_chunk in 0_usize..40,
@@ -186,7 +186,7 @@ fn different_tunings_produce_bit_identical_batch_outputs() {
             map_chunk: 5,
         },
         EngineTuning {
-            kernel: AccumKernel::Packed64,
+            kernel: AccumKernel::Lanes8,
             row_block: RowBlock::R8,
             batch_chunk: MAX_BATCH,
             map_chunk: MAX_MAPS,
@@ -245,7 +245,7 @@ fn different_tunings_produce_bit_identical_batch_outputs() {
 fn clones_inherit_tuning() {
     let qn = quantized_network(0xc10e);
     let tuning = EngineTuning {
-        kernel: AccumKernel::Packed64,
+        kernel: AccumKernel::Lanes8,
         row_block: RowBlock::R2,
         batch_chunk: 7,
         map_chunk: 9,

@@ -115,7 +115,7 @@ fn random_faulted_engine(
 fn random_tuning(seed: u64) -> EngineTuning {
     let mut rng = StdRng::seed_from_u64(seed);
     EngineTuning {
-        kernel: AccumKernel::ALL[rng.gen_range(0_usize..3)],
+        kernel: AccumKernel::ALL[rng.gen_range(0..AccumKernel::ALL.len())],
         row_block: RowBlock::ALL[rng.gen_range(0_usize..3)],
         batch_chunk: rng.gen_range(0..2 * MAX_BATCH),
         map_chunk: rng.gen_range(0..2 * MAX_MAPS),

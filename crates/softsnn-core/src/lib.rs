@@ -16,7 +16,7 @@
 //!    `Vmem ≥ Vth` comparator and disables spike generation once it has
 //!    been true for ≥ 2 consecutive cycles (the faulty-`Vmem reset`
 //!    signature), until parameter replacement.
-//! 3. **Lightweight hardware support** ([`enhanced`], [`hardening`]) —
+//! 3. **Lightweight hardware support** ([`enhanced`]) —
 //!    radiation-hardened comparator+mux per synapse, shared threshold /
 //!    default registers, and per-neuron protection logic, priced through
 //!    the `snn-hw` cost models (area 1.14× / 1.18×, energy ≈1.3× / 1.56×,
@@ -52,7 +52,6 @@ pub mod bounding;
 pub mod conventional;
 pub mod enhanced;
 pub mod fingerprint;
-pub mod hardening;
 pub mod methodology;
 pub mod mitigation;
 pub mod overhead;

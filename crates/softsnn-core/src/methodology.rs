@@ -5,9 +5,9 @@ use crate::analysis::WeightAnalysis;
 use crate::bounding::{BoundedRead, BoundingConfig};
 use crate::mitigation::{majority_vote, Technique};
 use crate::protection::{ResetMonitor, PAPER_WINDOW};
-use snn_faults::fault_map::{FaultMap, SiteWeights};
+use snn_faults::fault_map::FaultMap;
 use snn_faults::injector::inject;
-use snn_faults::location::{FaultDomain, FaultSite, FaultSpace, RawLocation};
+use snn_faults::location::{FaultDomain, FaultSite, FaultSpace};
 pub use snn_hw::backend::EngineBackendKind;
 use snn_hw::backend::{AnyBackend, EngineBackend};
 use snn_hw::engine::{
@@ -198,24 +198,6 @@ impl EncodedTestSet {
     /// sparsity rather than intuition.
     pub fn activity_stats(&self) -> SpikeActivityStats {
         SpikeActivityStats::of_trains(&self.trains)
-    }
-
-    /// Total spike events per input channel, summed over every sample and
-    /// timestep. A channel that never fires cannot drive any weight in
-    /// its crossbar row, which is what makes this the activity half of
-    /// the fault-site sensitivity proxy
-    /// ([`SoftSnnDeployment::sensitivity_site_weights`]).
-    pub fn per_input_event_counts(&self) -> Vec<usize> {
-        let n_channels = self.trains.first().map_or(0, SpikeTrain::n_channels);
-        let mut counts = vec![0usize; n_channels];
-        for train in &self.trains {
-            for step in train.iter() {
-                for &channel in step {
-                    counts[channel as usize] += 1;
-                }
-            }
-        }
-        counts
     }
 
     /// Content fingerprint over every encoded spike event and label (see
@@ -652,118 +634,6 @@ impl SoftSnnDeployment {
             .collect()
     }
 
-    /// Evaluates `technique` on a pre-encoded test set under an
-    /// **explicit** fault map instead of a `(rate, seed)` scenario — the
-    /// entry point for importance-sampled campaigns, where maps come from
-    /// [`FaultMap::generate_weighted`] rather than the uniform sampler.
-    ///
-    /// For a map produced by [`FaultMap::generate`] this is bit-identical
-    /// to [`evaluate_encoded`](Self::evaluate_encoded) with the matching
-    /// scenario: both paths reload parameters, inject the same sites, and
-    /// run the same batched pass.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the map's sites do not fit the engine.
-    ///
-    /// # Panics
-    ///
-    /// Panics on [`Technique::ReExecution`]: re-execution draws a fresh
-    /// map per execution by construction, so a single explicit map cannot
-    /// describe it.
-    pub fn evaluate_encoded_with_map(
-        &mut self,
-        technique: Technique,
-        map: &FaultMap,
-        set: &EncodedTestSet,
-    ) -> Result<EvalResult, MethodologyError> {
-        let mut result = EvalResult::new(self.assignment.n_classes());
-        match technique {
-            Technique::NoMitigation => {
-                self.engine.reload_parameters(&mut NoGuard);
-                inject(self.engine.engine_mut(), map)?;
-                self.record_batch(&set.trains, &set.labels, &DirectRead, &NoGuard, &mut result);
-            }
-            Technique::Bnp(variant) => {
-                let mut monitor = ResetMonitor::new(self.qn.n_neurons, self.monitor_window);
-                self.engine.reload_parameters(&mut monitor);
-                inject(self.engine.engine_mut(), map)?;
-                let path = BoundedRead::new(self.bounding_for(variant));
-                self.record_batch(&set.trains, &set.labels, &path, &monitor, &mut result);
-            }
-            Technique::ReExecution { .. } => panic!(
-                "explicit fault maps are incompatible with re-execution: \
-                 each execution draws its own map"
-            ),
-        }
-        Ok(result)
-    }
-
-    /// Per-location sensitivity weights for importance-sampling fault
-    /// sites ([`FaultMap::generate_weighted`]): a **cheap proxy** for how
-    /// much striking each location is likely to matter, computed without
-    /// running the network.
-    ///
-    /// * A **weight cell** `(row, col)` weighs
-    ///   `(1 + code) × (1 + activity)` — its resolved weight magnitude
-    ///   (the quantized code) scaled by how often its crossbar row's
-    ///   input channel actually fires in the test set
-    ///   ([`EncodedTestSet::per_input_event_counts`], normalized by the
-    ///   mean). A large weight on a hot input shapes many membrane
-    ///   updates; a weight on a silent input is never even read.
-    /// * A **neuron operation** weighs `1 +` the mean weight code feeding
-    ///   its column — a strongly-driven neuron spikes more, so its
-    ///   operation units act more often.
-    ///
-    /// Every location keeps strictly positive weight, so the weighted
-    /// sampler's support equals the uniform sampler's and the importance
-    /// estimator stays unbiased for every map.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `space` was built for different engine dimensions than
-    /// this deployment, or if the encoded set's channel count disagrees
-    /// with the network's inputs.
-    pub fn sensitivity_site_weights(
-        &self,
-        set: &EncodedTestSet,
-        space: &FaultSpace,
-    ) -> SiteWeights {
-        assert_eq!(
-            (space.rows, space.cols),
-            (self.qn.n_inputs, self.qn.n_neurons),
-            "fault space dimensions disagree with the deployed engine"
-        );
-        let events = set.per_input_event_counts();
-        assert_eq!(
-            events.len(),
-            self.qn.n_inputs,
-            "encoded set channel count disagrees with the network's inputs"
-        );
-        let mean_events =
-            (events.iter().sum::<usize>() as f64 / events.len().max(1) as f64).max(1.0);
-        let mut col_code_sum = vec![0u64; self.qn.n_neurons];
-        for row in 0..self.qn.n_inputs {
-            for (col, sum) in col_code_sum.iter_mut().enumerate() {
-                *sum += u64::from(self.qn.codes[row * self.qn.n_neurons + col]);
-            }
-        }
-        let weights = (0..space.total_locations())
-            .map(|idx| match space.location_at(idx) {
-                RawLocation::WeightCell { row, col } => {
-                    let code =
-                        f64::from(self.qn.codes[row as usize * self.qn.n_neurons + col as usize]);
-                    let activity = events[row as usize] as f64 / mean_events;
-                    (1.0 + code) * (1.0 + activity)
-                }
-                RawLocation::NeuronOp { neuron, .. } => {
-                    1.0 + col_code_sum[neuron as usize] as f64 / self.qn.n_inputs as f64
-                }
-            })
-            .collect();
-        SiteWeights::new(weights)
-    }
-
     /// Lowers the group's fault maps to engine-level neuron overlays, or
     /// `None` if any map strikes a weight bit (the multi-map drive
     /// sharing would be unsound). Clean scenarios lower to empty
@@ -1120,70 +990,6 @@ mod tests {
             "TMR at 2% rate should stay accurate, got {:.2}",
             re.accuracy()
         );
-    }
-
-    #[test]
-    fn explicit_map_evaluation_matches_scenario_evaluation() {
-        let (mut d, images, labels) = tiny_deployment();
-        let set = d.encode_test_set(&images, &labels, 11).unwrap();
-        let scenario = FaultScenario {
-            domain: FaultDomain::ComputeEngine,
-            rate: 0.08,
-            seed: 9,
-        };
-        let space = scenario.space(8, 4);
-        let map = FaultMap::generate(&space, scenario.rate, scenario.seed);
-        for technique in [
-            Technique::NoMitigation,
-            Technique::Bnp(BnpVariant::Bnp1),
-            Technique::Bnp(BnpVariant::Bnp3),
-        ] {
-            let by_scenario = d.evaluate_encoded(technique, &scenario, &set).unwrap();
-            let by_map = d.evaluate_encoded_with_map(technique, &map, &set).unwrap();
-            assert_eq!(by_map, by_scenario, "{technique}: explicit map diverged");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "incompatible with re-execution")]
-    fn explicit_map_refuses_reexecution() {
-        let (mut d, images, labels) = tiny_deployment();
-        let set = d.encode_test_set(&images, &labels, 11).unwrap();
-        let space = FaultSpace::new(8, 4, FaultDomain::ComputeEngine);
-        let map = FaultMap::generate(&space, 0.05, 1);
-        let _ = d.evaluate_encoded_with_map(Technique::ReExecution { runs: 3 }, &map, &set);
-    }
-
-    #[test]
-    fn sensitivity_weights_follow_magnitude_and_activity() {
-        let (d, images, labels) = tiny_deployment();
-        let set = d.encode_test_set(&images, &labels, 11).unwrap();
-        let space = FaultSpace::new(8, 4, FaultDomain::ComputeEngine);
-        let weights = d.sensitivity_site_weights(&set, &space);
-        assert_eq!(weights.len(), space.total_locations());
-        // Every location keeps positive weight (unbiasedness needs full
-        // support).
-        assert_eq!(weights.n_positive(), weights.len());
-        // The tiny net's tuned synapses (weight 0.8, near-max code) must
-        // outweigh the 0.02-weight background synapses on the same input
-        // row: flat index row*cols+col, so (0,0) is tuned and (0,3) is
-        // background, with identical row activity.
-        let w = weights.weights();
-        assert!(
-            w[0] > 10.0 * w[3],
-            "tuned synapse {} vs background {}",
-            w[0],
-            w[3]
-        );
-        // Rows 0..4 fire only in class-0 samples, rows 4..8 only in
-        // class-1 samples — same counts by construction — so activity
-        // scaling is symmetric and the tuned/background contrast repeats
-        // in the second block: (4,2) tuned vs (4,1) background.
-        assert!(w[4 * 4 + 2] > 10.0 * w[4 * 4 + 1]);
-        // Neuron-op weights sit after the 32 weight cells and favor the
-        // tuned columns equally.
-        let op_base = 32;
-        assert!(w[op_base] > 1.0, "neuron-op weights must exceed the floor");
     }
 
     #[test]

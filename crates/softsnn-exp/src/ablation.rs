@@ -115,8 +115,11 @@ where
         + Sync,
 {
     let runner = GridRunner::new(sweep_spec(name, values, rate_base, trial_base));
-    let results = runner.run(&bench.deployment, |deployment, p| {
-        eval(deployment, p.rate, p.seed)
+    let results = runner.run_grouped(&bench.deployment, |deployment, points| {
+        points
+            .iter()
+            .map(|p| eval(deployment, p.rate, p.seed))
+            .collect()
     })?;
     Ok(Sweep {
         name: name.into(),

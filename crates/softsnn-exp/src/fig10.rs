@@ -142,15 +142,20 @@ pub fn combined_grid_spec() -> GridSpec {
 /// them across cores with one deployment clone per point.
 fn run_combined(bench: &Bench) -> Result<Vec<OpAccuracyPoint>, Box<dyn std::error::Error>> {
     let runner = GridRunner::new(combined_grid_spec());
-    let results = runner.run(&bench.deployment, |deployment, p| {
-        let scenario = FaultScenario {
-            domain: FaultDomain::ComputeEngine,
-            rate: p.rate,
-            seed: p.seed,
-        };
-        deployment
-            .evaluate_encoded(Technique::NoMitigation, &scenario, &bench.encoded)
-            .map(|r| r.accuracy_pct())
+    let results = runner.run_grouped(&bench.deployment, |deployment, points| {
+        points
+            .iter()
+            .map(|p| {
+                let scenario = FaultScenario {
+                    domain: FaultDomain::ComputeEngine,
+                    rate: p.rate,
+                    seed: p.seed,
+                };
+                deployment
+                    .evaluate_encoded(Technique::NoMitigation, &scenario, &bench.encoded)
+                    .map(|r| r.accuracy_pct())
+            })
+            .collect()
     })?;
     Ok(results
         .cells()

@@ -7,7 +7,7 @@ use crate::profile::Profile;
 use crate::table::{fmt_f, fmt_rate, Table};
 use crate::workbench::{prepare_with_backend, Bench, BASE_SEED};
 use snn_data::workload::Workload;
-use snn_faults::grid::{GridRunner, GridSpec};
+use snn_faults::grid::{CellPolicy, GridRunner, GridSpec};
 use snn_faults::location::FaultDomain;
 use snn_faults::rate::PAPER_RATES;
 use softsnn_core::methodology::EngineBackendKind;
@@ -74,7 +74,7 @@ pub fn run_with_backend(
         for &n in &profile.sizes() {
             let bench = prepare_with_backend(workload, n, profile, backend)?;
             clean.push((workload, n, bench.clean_accuracy));
-            cells.extend(run_grid(&bench, profile)?);
+            cells.extend(run_grid(&bench, profile, &CellPolicy::Fixed)?);
         }
     }
     Ok(Fig13Results { cells, clean })
@@ -102,6 +102,12 @@ pub fn grid_spec(profile: Profile) -> GridSpec {
 /// reuse the bench's pre-encoded test set: they differ only in their
 /// fault map, never in their input spikes.
 ///
+/// Under [`CellPolicy::Adaptive`] each cell keeps the first prefix of its
+/// pinned trial seeds that satisfies the stop rule, so every cell's
+/// trials are a bit-identical prefix of the fixed-budget run's, at every
+/// lookahead. Cells carry honest `trials` arrays (shorter where the rule
+/// fired), aggregated by the same streaming pass the fixed run uses.
+///
 /// [`SoftSnnDeployment::evaluate_encoded_group`]: softsnn_core::methodology::SoftSnnDeployment::evaluate_encoded_group
 ///
 /// # Errors
@@ -110,60 +116,10 @@ pub fn grid_spec(profile: Profile) -> GridSpec {
 pub fn run_grid(
     bench: &Bench,
     profile: Profile,
+    policy: &CellPolicy,
 ) -> Result<Vec<AccuracyCell>, Box<dyn std::error::Error>> {
-    let runner = GridRunner::new(grid_spec(profile));
+    let runner = GridRunner::new(grid_spec(profile)).with_policy(*policy);
     let results = runner.run_grouped(&bench.deployment, |deployment, shard| {
-        evaluate_shard(deployment, shard, &bench.encoded)
-    })?;
-    Ok(cells_from_results(bench, &results))
-}
-
-/// [`run_grid`] with a sequential stop rule: each (technique, rate) cell
-/// consumes its pinned trial seeds in order and stops once the rule's
-/// accuracy interval is satisfied, so every cell's trials are a
-/// bit-identical prefix of the fixed-budget run's. Cells carry honest
-/// `trials` arrays (shorter where the rule fired), and the aggregation
-/// path is the same streaming pass the fixed run uses.
-///
-/// # Errors
-///
-/// Propagates evaluation errors; rejects rules whose `max_trials` exceed
-/// the profile's trial budget.
-pub fn run_grid_adaptive(
-    bench: &Bench,
-    profile: Profile,
-    rule: snn_faults::stats::StopRule,
-) -> Result<Vec<AccuracyCell>, Box<dyn std::error::Error>> {
-    run_grid_adaptive_lookahead(
-        bench,
-        profile,
-        rule,
-        snn_faults::stats::Lookahead::default(),
-    )
-}
-
-/// [`run_grid_adaptive`] with a speculative [`Lookahead`] policy: trials
-/// past the satisfied-check are evaluated in groups (recovering the
-/// engine's multi-map batching inside the decision loop), then truncated
-/// to the exact first-satisfied prefix — the kept trials, and therefore
-/// the rendered figure, are bit-identical for every policy.
-///
-/// [`Lookahead`]: snn_faults::stats::Lookahead
-///
-/// # Errors
-///
-/// Propagates evaluation errors; rejects rules whose `max_trials` exceed
-/// the profile's trial budget and degenerate lookahead sizes.
-pub fn run_grid_adaptive_lookahead(
-    bench: &Bench,
-    profile: Profile,
-    rule: snn_faults::stats::StopRule,
-    lookahead: snn_faults::stats::Lookahead,
-) -> Result<Vec<AccuracyCell>, Box<dyn std::error::Error>> {
-    let runner = GridRunner::new(grid_spec(profile))
-        .with_stop_rule(rule)?
-        .with_lookahead(lookahead)?;
-    let results = runner.run_adaptive(&bench.deployment, |deployment, shard| {
         evaluate_shard(deployment, shard, &bench.encoded)
     })?;
     Ok(cells_from_results(bench, &results))

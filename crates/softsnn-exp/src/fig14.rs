@@ -3,7 +3,7 @@
 
 use crate::artifact::Json;
 use crate::table::{fmt_f, Table};
-use snn_faults::grid::{GridRunner, GridSpec};
+use snn_faults::grid::GridSpec;
 use snn_hw::components::EngineEnhancement;
 use snn_hw::mapping::Tiling;
 use snn_hw::params::EngineConfig;
@@ -36,22 +36,23 @@ pub fn grid_spec() -> GridSpec {
     )
 }
 
-/// Computes the full Fig. 14 grid (pure cost models — fast at any scale)
-/// through the shared [`GridRunner`], one row per (technique, size)
-/// point, in the same technique-major order the cost tables expect.
+/// Computes the full Fig. 14 grid (pure cost models — fast at any scale),
+/// one row per (technique, size) point, in the same technique-major
+/// order the cost tables expect.
 pub fn run() -> Fig14Results {
-    let runner = GridRunner::new(grid_spec());
-    let rows = runner
-        .run_points(&(), |(), p| {
-            Ok::<OverheadRow, std::convert::Infallible>(overhead_for(
+    let rows: Vec<OverheadRow> = grid_spec()
+        .points()
+        .iter()
+        .map(|p| {
+            overhead_for(
                 Technique::PAPER_SET[p.technique_idx],
                 EngineConfig::PAPER,
                 784,
                 p.rate as usize,
                 TIMESTEPS,
-            ))
+            )
         })
-        .unwrap_or_else(|e| match e {});
+        .collect();
     let normalized = normalize_grid(&rows);
     Fig14Results { rows, normalized }
 }

@@ -31,7 +31,6 @@ pub mod fig13;
 pub mod fig14;
 pub mod fig3;
 pub mod fig9;
-pub mod parallel;
 pub mod profile;
 pub mod table;
 pub mod workbench;

@@ -3,6 +3,7 @@
 //! pinned fixed-budget trials, interrupt/resume must splice to the same
 //! artifact bytes, and the stop rule must actually save trials.
 
+use snn_faults::grid::CellPolicy;
 use snn_faults::service::RunOptions;
 use snn_faults::stats::{Lookahead, StopRule};
 use snn_faults::CampaignService;
@@ -76,7 +77,10 @@ fn adaptive_smoke_campaign_stops_on_pinned_prefixes_and_resumes_identically() {
 
     // The direct (service-free) adaptive grid runner produces the same
     // cells as the checkpointed job.
-    let direct = fig13::run_grid_adaptive(&bench, Profile::Smoke, smoke_rule()).unwrap();
+    let policy = |lookahead| {
+        CellPolicy::new(Some(smoke_rule()), lookahead, Profile::Smoke.trials()).unwrap()
+    };
+    let direct = fig13::run_grid(&bench, Profile::Smoke, &policy(Lookahead::default())).unwrap();
     assert_eq!(direct, oneshot.cells);
 
     // Interrupt an identical adaptive job after 7 cells, then resume it:
@@ -154,13 +158,7 @@ fn adaptive_smoke_campaign_stops_on_pinned_prefixes_and_resumes_identically() {
         "evaluated must cover the kept prefix"
     );
     // The direct lookahead grid runner agrees with the service cells too.
-    let direct_la = fig13::run_grid_adaptive_lookahead(
-        &bench,
-        Profile::Smoke,
-        smoke_rule(),
-        Lookahead::Fixed(16),
-    )
-    .unwrap();
+    let direct_la = fig13::run_grid(&bench, Profile::Smoke, &policy(Lookahead::Fixed(16))).unwrap();
     assert_eq!(direct_la, oneshot.cells);
 
     let _ = std::fs::remove_dir_all(&root);

@@ -13,8 +13,8 @@ use softsnn::core::methodology::{
 };
 use softsnn::core::mitigation::Technique;
 use softsnn::core::protection::ResetMonitor;
-use softsnn::faults::campaign::Campaign;
 use softsnn::faults::fault_map::FaultMap;
+use softsnn::faults::grid::GridSpec;
 use softsnn::faults::injector::inject;
 use softsnn::faults::location::{FaultDomain, FaultSpace};
 use softsnn::hw::engine::{DirectRead, NoGuard};
@@ -81,20 +81,22 @@ fn campaign_trials_share_one_encoded_set() {
     let before = encode_invocations();
     let set = d.encode_test_set(&images, &labels, 42).unwrap();
     assert_eq!(encode_invocations(), before + 1, "one encode for the set");
-    let campaign = Campaign::new(vec![0.02, 0.08], 3, 9);
-    let space = FaultSpace::new(8, 4, FaultDomain::ComputeEngine);
+    let points = GridSpec::new(0, 9, vec!["trial".into()], vec![0.02, 0.08], 3).points();
     for technique in [Technique::NoMitigation, Technique::PAPER_SET[4]] {
-        let result = campaign.run(&space, |map| {
-            let scenario = FaultScenario {
-                domain: FaultDomain::ComputeEngine,
-                rate: 0.05,
-                seed: map.seed(),
-            };
-            d.evaluate_encoded(technique, &scenario, &set)
-                .unwrap()
-                .accuracy()
-        });
-        assert_eq!(result.values.len(), 2);
+        let accuracies: Vec<f64> = points
+            .iter()
+            .map(|p| {
+                let scenario = FaultScenario {
+                    domain: FaultDomain::ComputeEngine,
+                    rate: p.rate,
+                    seed: p.seed,
+                };
+                d.evaluate_encoded(technique, &scenario, &set)
+                    .unwrap()
+                    .accuracy()
+            })
+            .collect();
+        assert_eq!(accuracies.len(), 6);
     }
     assert_eq!(
         encode_invocations(),
@@ -106,14 +108,14 @@ fn campaign_trials_share_one_encoded_set() {
 /// Encoding is deterministic and per-sample isolated: the same base seed
 /// reproduces every train bit-for-bit, each sample depends only on
 /// `derive_seed(base, i)` (not on its neighbours), and trains double as
-/// stable inputs under `Campaign::seed_for`-derived seeds.
+/// stable inputs under grid-point-derived seeds.
 #[test]
 fn encoded_test_set_is_deterministic_and_sample_isolated() {
     let _serialized = ENCODE_LOCK.lock().unwrap();
     let (d, images, labels) = tiny_deployment();
     let qn = d.quantized();
-    let campaign = Campaign::new(vec![0.01], 4, 0xC0FFEE);
-    let base = campaign.seed_for(0, 2);
+    let points = GridSpec::new(0, 0xC0FFEE, vec!["trial".into()], vec![0.01], 4).points();
+    let base = points[2].seed;
     let a = EncodedTestSet::encode(qn, &images, &labels, base).unwrap();
     let b = EncodedTestSet::encode(qn, &images, &labels, base).unwrap();
     assert_eq!(a.trains(), b.trains(), "same seed → same spike trains");
@@ -122,7 +124,7 @@ fn encoded_test_set_is_deterministic_and_sample_isolated() {
     let prefix = EncodedTestSet::encode(qn, &images[..5], &labels[..5], base).unwrap();
     assert_eq!(&a.trains()[..5], prefix.trains());
     // A different trial's derived seed changes the spike trains.
-    let c = EncodedTestSet::encode(qn, &images, &labels, campaign.seed_for(0, 3)).unwrap();
+    let c = EncodedTestSet::encode(qn, &images, &labels, points[3].seed).unwrap();
     assert_ne!(
         a.trains(),
         c.trains(),
