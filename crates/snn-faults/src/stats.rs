@@ -457,7 +457,7 @@ impl StopRule {
 }
 
 /// Hard cap on speculative lookahead group sizes — the engine's
-/// multi-map width (`snn_hw::engine::MAX_MAPS`, pinned equal by a root
+/// lane-chunk cap (`snn_hw::engine::MAX_LANES`, pinned equal by a root
 /// regression test): wider groups could not batch as one
 /// `run_batch_multi_map` pass, so speculating past it only grows waste.
 pub const MAX_LOOKAHEAD: usize = 16;

@@ -32,20 +32,24 @@
 //!   counters are scratch buffers owned by the engine and reused across
 //!   steps and samples.
 //!
-//! # Batched samples
+//! # Trial groups
 //!
-//! [`ComputeEngine::run_batch_into`] presents many encoded samples in one
-//! pass: per-sample membrane/refractory state lives in sample-major
-//! [`crate::neuron_lanes::BatchLanes`] blocks, the transformed-crossbar
-//! image stays hot across every sample of a timestep, identical
-//! active-row sets are accumulated once and copied, and the accumulate
-//! kernel is row-blocked with the lane formulation and block size the
-//! engine's [`crate::kernels::EngineTuning`] measured at construction
-//! (every choice is bit-identical — see [`crate::kernels`]). Each sample is
-//! evaluated *independently* — state reset first, spike guard cloned from
-//! the caller's prototype — so a batched run is spike-for-spike identical
-//! to per-sample [`run_sample_reference`](ComputeEngine::run_sample_reference)
-//! calls that clone the guard the same way (property-tested).
+//! [`ComputeEngine::run_batch_multi_map`] evaluates K fault maps over a
+//! set of encoded samples in one pass, and [`ComputeEngine::run_batch_into`]
+//! is its one-map case (a single empty overlay). Both run through one
+//! private executor over a bank of [`crate::neuron_lanes::NeuronLanes`],
+//! one lane per (map, sample) pair, at most [`MAX_LANES`] at a time:
+//! the transformed-crossbar image stays hot across every lane of a
+//! timestep, the drive is accumulated once per distinct active-row set
+//! among the chunk's samples (every map lane of a sample shares it), and
+//! the accumulate kernel is row-blocked with the lane formulation and
+//! block size the engine's [`crate::kernels::EngineTuning`] measured at
+//! construction (every choice is bit-identical — see [`crate::kernels`]).
+//! Each lane is evaluated *independently* — state reset first, spike
+//! guard cloned from the caller's prototype — so a trial group is
+//! spike-for-spike identical to per-sample
+//! [`run_sample_reference`](ComputeEngine::run_sample_reference) calls
+//! that clone the guard the same way (property-tested).
 //!
 //! # Campaign-level crossbar-image reuse
 //!
@@ -64,7 +68,7 @@
 use crate::crossbar::Crossbar;
 use crate::error::HwError;
 use crate::kernels::{self, EngineTuning};
-use crate::neuron_lanes::{n_words, BatchLanes, MapLanes, NeuronLanes};
+use crate::neuron_lanes::{n_words, NeuronLanes};
 use crate::neuron_unit::{NeuronHwParams, NeuronOp, NeuronUnit, OpFaults};
 use crate::params::EngineConfig;
 use snn_sim::quant::QuantizedNetwork;
@@ -326,14 +330,15 @@ pub struct ReadCacheStats {
 /// engine crate cannot name them).
 pub type NeuronFaultOverlay = Vec<(u32, NeuronOp)>;
 
-/// Cap on samples interleaved per batched chunk: bounds the resident
-/// `n_neurons × MAX_BATCH` lane state and drive planes while keeping the
-/// transformed-crossbar image hot across the whole chunk at each
-/// timestep. [`ComputeEngine::run_batch_into`] accepts any number of
-/// samples and chunks internally (the last chunk may be ragged); the
+/// Cap on lanes — (fault map, sample) pairs — interleaved per chunk of
+/// the trial-group pass: bounds the resident lane state and drive planes
+/// while keeping the transformed-crossbar image hot across the whole
+/// chunk at each timestep. [`ComputeEngine::run_batch_into`] and
+/// [`ComputeEngine::run_batch_multi_map`] accept any number of samples
+/// and maps and chunk internally (the last chunk may be ragged); the
 /// effective chunk width is the engine's measured
-/// [`EngineTuning::batch_chunk`], clamped to this cap.
-pub const MAX_BATCH: usize = 16;
+/// [`EngineTuning::lane_chunk`], clamped to this cap.
+pub const MAX_LANES: usize = 16;
 
 /// Per-sample spike-count planes written by
 /// [`ComputeEngine::run_batch_into`]: `counts(s)` is what
@@ -342,10 +347,8 @@ pub const MAX_BATCH: usize = 16;
 /// when shapes repeat.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BatchResult {
-    n_neurons: usize,
-    n_samples: usize,
-    /// Sample-major planes: sample `s` owns `[s·n, (s+1)·n)`.
-    counts: Vec<u32>,
+    /// A batch is the one-map case of a trial group.
+    planes: MultiMapResult,
 }
 
 impl BatchResult {
@@ -356,12 +359,12 @@ impl BatchResult {
 
     /// Number of samples in the last batch.
     pub fn n_samples(&self) -> usize {
-        self.n_samples
+        self.planes.n_samples
     }
 
     /// Whether the result holds no samples.
     pub fn is_empty(&self) -> bool {
-        self.n_samples == 0
+        self.planes.is_empty()
     }
 
     /// Per-neuron output spike counts of sample `s`.
@@ -370,38 +373,24 @@ impl BatchResult {
     ///
     /// Panics if `s >= n_samples`.
     pub fn counts(&self, s: usize) -> &[u32] {
-        assert!(s < self.n_samples, "sample index");
-        &self.counts[s * self.n_neurons..(s + 1) * self.n_neurons]
+        self.planes.counts(0, s)
     }
 
     /// Iterator over per-sample count slices, in sample order.
     pub fn iter(&self) -> impl Iterator<Item = &[u32]> {
-        self.counts
-            .chunks(self.n_neurons.max(1))
-            .take(self.n_samples)
+        (0..self.n_samples()).map(|s| self.counts(s))
     }
 
     /// Sizes the planes and zeroes every counter (backend-internal).
     pub(crate) fn reset(&mut self, n_neurons: usize, n_samples: usize) {
-        self.n_neurons = n_neurons;
-        self.n_samples = n_samples;
-        self.counts.clear();
-        self.counts.resize(n_neurons * n_samples, 0);
+        self.planes.reset(n_neurons, n_samples, 1);
     }
 
     /// Mutable plane of sample `s` (backend-internal).
     pub(crate) fn counts_mut(&mut self, s: usize) -> &mut [u32] {
-        &mut self.counts[s * self.n_neurons..(s + 1) * self.n_neurons]
+        self.planes.counts_mut(0, s)
     }
 }
-
-/// Cap on fault maps interleaved per multi-map chunk: bounds the
-/// resident `n_neurons × MAX_MAPS` per-map lane state.
-/// [`ComputeEngine::run_batch_multi_map`] accepts any number of maps and
-/// chunks internally (the last chunk may be ragged); the effective chunk
-/// width is the engine's measured [`EngineTuning::map_chunk`], clamped
-/// to this cap.
-pub const MAX_MAPS: usize = 16;
 
 /// Per-(map, sample) spike-count planes written by
 /// [`ComputeEngine::run_batch_multi_map`]: `counts(m, s)` is what
@@ -500,6 +489,74 @@ impl StuckWeightBit {
     }
 }
 
+/// The per-cycle bitmask words of one neuron phase — comparator,
+/// internal spike, guard allow, and output spike (`spike & allow`) —
+/// reused across cycles and lanes so the hot path never allocates.
+#[derive(Debug, Clone)]
+struct CycleWords {
+    cmp: Vec<u64>,
+    spike: Vec<u64>,
+    allow: Vec<u64>,
+    fired: Vec<u64>,
+}
+
+impl CycleWords {
+    fn new(words: usize) -> Self {
+        Self {
+            cmp: vec![0; words],
+            spike: vec![0; words],
+            allow: vec![0; words],
+            fired: vec![0; words],
+        }
+    }
+
+    /// The neuron phase of one lane over its already-filled drive `acc`:
+    /// fused LIF step, guard observation over the comparator words,
+    /// output-spike words (left in `self.fired`), per-neuron spike
+    /// counts, and lateral inhibition driven by the output spikes. The
+    /// single-sample step and every lane of the trial-group pass run
+    /// through this one copy. Returns whether any comparator fired this
+    /// cycle (pre-guard).
+    fn lane_phase<G: SpikeGuard>(
+        &mut self,
+        lane: &mut NeuronLanes,
+        acc: &[i32],
+        v_thresh: &[i32],
+        hw: &NeuronHwParams,
+        guard: &mut G,
+        counts: &mut [u32],
+    ) -> bool {
+        lane.step_fused(acc, v_thresh, hw, &mut self.cmp, &mut self.spike);
+        guard.observe_cycle(&self.cmp, &mut self.allow, lane.len());
+        let mut n_fired = 0_u32;
+        let mut cmp_any = 0_u64;
+        let words = self.cmp.iter().zip(&self.spike).zip(&self.allow);
+        for (fired, ((&cmp, &spike), &allow)) in self.fired.iter_mut().zip(words) {
+            cmp_any |= cmp;
+            *fired = spike & allow;
+            n_fired += fired.count_ones();
+        }
+        for_each_set_bit(&self.fired, |j| counts[j] += 1);
+        if n_fired > 0 && hw.v_inh > 0 {
+            let total_inh = hw.v_inh.saturating_mul(n_fired as i32);
+            lane.inhibit_non_fired(&self.fired, total_inh);
+        }
+        cmp_any != 0
+    }
+}
+
+/// Calls `f` with the index of every set bit of `words`, ascending.
+#[inline]
+fn for_each_set_bit(words: &[u64], mut f: impl FnMut(usize)) {
+    for (wi, &w) in words.iter().enumerate() {
+        let mut bits = w;
+        while bits != 0 {
+            f(wi * 64 + bits.trailing_zeros() as usize);
+            bits &= bits - 1;
+        }
+    }
+}
+
 /// The compute engine of the paper's Fig. 5, in integer arithmetic.
 ///
 /// # Examples
@@ -576,18 +633,12 @@ pub struct ComputeEngine {
     // allocates).
     acc: Vec<i32>,
     fired: Vec<u32>,
-    cmp_words: Vec<u64>,
-    spike_words: Vec<u64>,
-    allow_words: Vec<u64>,
-    fired_words: Vec<u64>,
+    words: CycleWords,
     counts: Vec<u32>,
-    /// Batched-pass state and drive planes (sized on first
-    /// [`run_batch_into`](Self::run_batch_into) use).
-    batch: BatchLanes,
-    batch_acc: Vec<i32>,
-    /// Multi-map pass state (sized on first
-    /// [`run_batch_multi_map`](Self::run_batch_multi_map) use).
-    map_lanes: MapLanes,
+    /// The trial-group pass's lane bank and per-sample drive planes
+    /// (sized on first use, at most [`MAX_LANES`] lanes).
+    lane_bank: Vec<NeuronLanes>,
+    drive: Vec<i32>,
 }
 
 impl ComputeEngine {
@@ -635,7 +686,6 @@ impl ComputeEngine {
             detail: e.to_string(),
         })?;
         let crossbar = Crossbar::from_codes(qn.n_inputs, qn.n_neurons, &qn.codes)?;
-        let words = n_words(qn.n_neurons);
         Ok(Self {
             physical,
             n_inputs: qn.n_inputs,
@@ -665,14 +715,10 @@ impl ComputeEngine {
             tuning,
             acc: vec![0; qn.n_neurons],
             fired: Vec::with_capacity(qn.n_neurons),
-            cmp_words: vec![0; words],
-            spike_words: vec![0; words],
-            allow_words: vec![0; words],
-            fired_words: vec![0; words],
+            words: CycleWords::new(n_words(qn.n_neurons)),
             counts: vec![0; qn.n_neurons],
-            batch: BatchLanes::new(),
-            batch_acc: Vec::new(),
-            map_lanes: MapLanes::new(),
+            lane_bank: Vec::new(),
+            drive: Vec::new(),
         })
     }
 
@@ -1081,46 +1127,24 @@ impl ComputeEngine {
         }
     }
 
-    /// Neuron phase of one timestep over the already-filled accumulators:
-    /// fused LIF step, guard observation, output-spike extraction, and
-    /// lateral inhibition. Returns whether any comparator fired this
-    /// cycle (`cmp`, pre-guard) — the event backend's hot-neuron gate.
+    /// Neuron phase of one timestep over the already-filled accumulators
+    /// ([`CycleWords::lane_phase`] on the engine's own lanes, counting
+    /// into the single-sample counters), plus extraction of the fired
+    /// indices. Returns whether any comparator fired this cycle (`cmp`,
+    /// pre-guard) — the event backend's hot-neuron gate.
     pub(crate) fn neuron_phase<G: SpikeGuard>(&mut self, guard: &mut G) -> bool {
         self.ensure_lanes();
-        self.lanes.step_fused(
+        let cmp_any = self.words.lane_phase(
+            &mut self.lanes,
             &self.acc,
             &self.v_thresh,
             &self.hw,
-            &mut self.cmp_words,
-            &mut self.spike_words,
+            guard,
+            &mut self.counts,
         );
-        guard.observe_cycle(&self.cmp_words, &mut self.allow_words, self.n_neurons);
-        let mut n_fired = 0_u32;
-        let mut cmp_any = 0_u64;
-        for ((&cmp, (fired, &spike)), &allow) in self
-            .cmp_words
-            .iter()
-            .zip(self.fired_words.iter_mut().zip(self.spike_words.iter()))
-            .zip(self.allow_words.iter())
-        {
-            cmp_any |= cmp;
-            let f = spike & allow;
-            *fired = f;
-            n_fired += f.count_ones();
-        }
         self.fired.clear();
-        for (wi, &fw) in self.fired_words.iter().enumerate() {
-            let mut w = fw;
-            while w != 0 {
-                self.fired.push((wi as u32) * 64 + w.trailing_zeros());
-                w &= w - 1;
-            }
-        }
-        if n_fired > 0 && self.hw.v_inh > 0 {
-            let total_inh = self.hw.v_inh.saturating_mul(n_fired as i32);
-            self.lanes.inhibit_non_fired(&self.fired_words, total_inh);
-        }
-        cmp_any != 0
+        for_each_set_bit(&self.words.fired, |j| self.fired.push(j as u32));
+        cmp_any
     }
 
     /// Output spikes of the last processed cycle (indices into the neuron
@@ -1185,14 +1209,10 @@ impl ComputeEngine {
             tuning: EngineTuning::fixed(),
             acc: Vec::new(),
             fired: Vec::new(),
-            cmp_words: Vec::new(),
-            spike_words: Vec::new(),
-            allow_words: Vec::new(),
-            fired_words: Vec::new(),
+            words: CycleWords::new(0),
             counts: Vec::new(),
-            batch: BatchLanes::new(),
-            batch_acc: Vec::new(),
-            map_lanes: MapLanes::new(),
+            lane_bank: Vec::new(),
+            drive: Vec::new(),
         }
     }
 
@@ -1208,13 +1228,11 @@ impl ComputeEngine {
         guard: &mut G,
     ) -> &[u32] {
         self.reset_state();
+        // The neuron phase counts every output spike into `counts`.
         self.counts.fill(0);
         let resolved = ResolvedPath::new(path);
         for step_idx in 0..train.n_steps() {
             self.step_into(train.step(step_idx), &resolved, guard);
-            for i in 0..self.fired.len() {
-                self.counts[self.fired[i] as usize] += 1;
-            }
         }
         &self.counts
     }
@@ -1290,7 +1308,9 @@ impl ComputeEngine {
 
     /// Presents a batch of encoded samples in one interleaved pass and
     /// writes per-sample spike counts into `out` — the campaign hot path
-    /// (see the module docs).
+    /// (see the module docs). This is the one-map case of
+    /// [`run_batch_multi_map`](Self::run_batch_multi_map): one empty
+    /// overlay, with samples filling the lanes.
     ///
     /// Every sample is evaluated **independently**: membrane state starts
     /// from rest and the spike guard is cloned per sample from the `guard`
@@ -1305,7 +1325,7 @@ impl ComputeEngine {
     /// guards, and fault maps). Trains may have ragged lengths; samples
     /// past their last timestep simply sit out the remaining cycles.
     /// Internally the batch is processed in chunks of the engine's tuned
-    /// width (at most [`MAX_BATCH`] samples). Persisted faults apply to
+    /// width (at most [`MAX_LANES`] samples). Persisted faults apply to
     /// every sample, per the paper's semantics; the engine's own membrane
     /// state is left reset.
     ///
@@ -1321,19 +1341,8 @@ impl ComputeEngine {
         out: &mut BatchResult,
     ) {
         let resolved = ResolvedPath::new(path);
-        out.reset(self.n_neurons, trains.len());
-        // Fault flags are authoritative in the architectural units; make
-        // them current once for the whole batch.
-        self.ensure_units();
-        self.ensure_read_cache(&resolved);
-        let batch_chunk = self.tuning.clamped_batch_chunk();
-        for (chunk_idx, chunk) in trains.chunks(batch_chunk).enumerate() {
-            self.run_batch_chunk(chunk, chunk_idx * batch_chunk, &resolved, guard, out);
-        }
-        // The batch pass bypasses the single-sample state; leave the
-        // engine at rest in both representations so a later step/sample
-        // starts from a well-defined point.
-        self.reset_state();
+        let no_overlay = [NeuronFaultOverlay::new()];
+        self.run_trial_group(trains, &no_overlay, &resolved, guard, &mut out.planes);
     }
 
     /// [`run_batch_into`](Self::run_batch_into) returning an owned
@@ -1347,102 +1356,6 @@ impl ComputeEngine {
         let mut out = BatchResult::new();
         self.run_batch_into(trains, path, guard, &mut out);
         out
-    }
-
-    /// One ≤ [`MAX_BATCH`] chunk of the batched pass: per timestep, fill
-    /// every active sample's drive plane (sharing the accumulate between
-    /// samples whose active-row sets are identical this cycle), then step
-    /// each sample's lanes, guard, counters, and inhibition.
-    fn run_batch_chunk<G: SpikeGuard + Clone>(
-        &mut self,
-        chunk: &[SpikeTrain],
-        base: usize,
-        path: &ResolvedPath,
-        guard: &G,
-        out: &mut BatchResult,
-    ) {
-        let b = chunk.len();
-        let n = self.n_neurons;
-        let words = n_words(n);
-        self.batch.configure(&self.neurons, b);
-        let mut guards: Vec<G> = (0..b).map(|_| guard.clone()).collect();
-        // The drive planes are taken out of `self` for the duration of the
-        // chunk so the accumulate can borrow the crossbar/image while
-        // holding `&mut` plane slices.
-        let mut acc_plane = std::mem::take(&mut self.batch_acc);
-        acc_plane.clear();
-        acc_plane.resize(b * n, 0);
-        let src: &[u8] = match path.kernel {
-            ReadKernel::Direct => self.crossbar.codes_slice(),
-            // `ensure_read_cache` ran in `run_batch_into`, and nothing in
-            // the chunk loop mutates registers or transform.
-            ReadKernel::Bounded { .. } | ReadKernel::Table => &self.read_cache,
-        };
-        let t_max = chunk.iter().map(SpikeTrain::n_steps).max().unwrap_or(0);
-        for t in 0..t_max {
-            // Drive phase: one accumulate per *distinct* active-row set
-            // across the batch this cycle; duplicates are copied. The
-            // transformed image rows touched at cycle `t` stay hot across
-            // every sample of the chunk.
-            for s in 0..b {
-                if t >= chunk[s].n_steps() {
-                    continue;
-                }
-                let rows = chunk[s].step(t);
-                let shared = (0..s).find(|&p| t < chunk[p].n_steps() && chunk[p].step(t) == rows);
-                let (done, rest) = acc_plane.split_at_mut(s * n);
-                let acc_s = &mut rest[..n];
-                if let Some(p) = shared {
-                    acc_s.copy_from_slice(&done[p * n..p * n + n]);
-                } else {
-                    kernels::write_rows_blocked(
-                        self.tuning.kernel,
-                        self.tuning.row_block,
-                        src,
-                        n,
-                        rows,
-                        acc_s,
-                    );
-                }
-            }
-            // Neuron phase: fused step + guard + count + inhibition per
-            // active sample, reusing the engine's word scratch buffers.
-            for s in 0..b {
-                if t >= chunk[s].n_steps() {
-                    continue;
-                }
-                let acc_s = &acc_plane[s * n..(s + 1) * n];
-                self.batch.step_fused_sample(
-                    s,
-                    acc_s,
-                    &self.v_thresh,
-                    &self.hw,
-                    &mut self.cmp_words,
-                    &mut self.spike_words,
-                );
-                guards[s].observe_cycle(&self.cmp_words, &mut self.allow_words, n);
-                let mut n_fired = 0_u32;
-                for w in 0..words {
-                    let f = self.spike_words[w] & self.allow_words[w];
-                    self.fired_words[w] = f;
-                    n_fired += f.count_ones();
-                }
-                let counts_s = out.counts_mut(base + s);
-                for (wi, &fw) in self.fired_words.iter().enumerate() {
-                    let mut bits = fw;
-                    while bits != 0 {
-                        counts_s[wi * 64 + bits.trailing_zeros() as usize] += 1;
-                        bits &= bits - 1;
-                    }
-                }
-                if n_fired > 0 && self.hw.v_inh > 0 {
-                    let total_inh = self.hw.v_inh.saturating_mul(n_fired as i32);
-                    self.batch
-                        .inhibit_non_fired_sample(s, &self.fired_words, total_inh);
-                }
-            }
-        }
-        self.batch_acc = acc_plane;
     }
 
     /// Evaluates K neuron-only fault maps of one trial group through a
@@ -1470,11 +1383,10 @@ impl ComputeEngine {
     ///
     /// (property-tested against
     /// [`run_batch_multi_map_reference`](Self::run_batch_multi_map_reference)
-    /// across kernels, guards, vr-burst maps, and ragged map counts).
-    /// Maps are processed in chunks of the engine's tuned width (at most
-    /// [`MAX_MAPS`]); the engine's own
-    /// fault state and crossbar are left untouched, and its membrane
-    /// state is left reset.
+    /// across kernels, guards, vr-burst maps, empty maps, and ragged map
+    /// counts). Maps are processed in chunks of the engine's tuned width
+    /// (at most [`MAX_LANES`]); the engine's own fault state and crossbar
+    /// are left untouched, and its membrane state is left reset.
     ///
     /// # Panics
     ///
@@ -1489,90 +1401,109 @@ impl ComputeEngine {
         out: &mut MultiMapResult,
     ) {
         let resolved = ResolvedPath::new(path);
-        out.reset(self.n_neurons, trains.len(), maps.len());
-        // Fault flags are authoritative in the architectural units; make
-        // them current once so every map chunk overlays the same base.
-        self.ensure_units();
-        self.ensure_read_cache(&resolved);
-        let map_chunk = self.tuning.clamped_map_chunk();
-        for (chunk_idx, chunk) in maps.chunks(map_chunk).enumerate() {
-            self.run_multi_map_chunk(trains, chunk, chunk_idx * map_chunk, &resolved, guard, out);
-        }
-        // The multi-map pass bypasses the single-sample state; leave the
-        // engine at rest in both representations.
-        self.reset_state();
+        self.run_trial_group(trains, maps, &resolved, guard, out);
     }
 
-    /// One ≤ [`MAX_MAPS`] chunk of the multi-map pass: per sample, per
-    /// timestep, one accumulate feeds every map's fused step, guard
-    /// observation, spike counting, and inhibition.
-    fn run_multi_map_chunk<G: SpikeGuard + Clone>(
+    /// The one trial-group executor behind
+    /// [`run_batch_into`](Self::run_batch_into) and
+    /// [`run_batch_multi_map`](Self::run_batch_multi_map): every
+    /// (overlay, sample) pair runs in its own lane of the lane bank and
+    /// counts into plane `(m, s)` of `out`.
+    ///
+    /// Overlays are taken in chunks of the tuned lane width W, and a chunk
+    /// of K overlays runs W / K samples at a time — a plain batch is W
+    /// samples × 1 map, a full multi-map chunk 1 sample × W maps. Per
+    /// cycle, the drive is accumulated once per distinct active-row set
+    /// among the chunk's samples (every map lane of a sample shares it),
+    /// then each lane runs [`CycleWords::lane_phase`].
+    fn run_trial_group<G: SpikeGuard + Clone>(
         &mut self,
         trains: &[SpikeTrain],
-        chunk: &[NeuronFaultOverlay],
-        base: usize,
+        overlays: &[NeuronFaultOverlay],
         path: &ResolvedPath,
         guard: &G,
         out: &mut MultiMapResult,
     ) {
-        let k = chunk.len();
         let n = self.n_neurons;
-        let words = n_words(n);
-        self.map_lanes.configure(&self.neurons, chunk);
+        out.reset(n, trains.len(), overlays.len());
+        // Fault flags are authoritative in the architectural units; make
+        // them current once so every lane imports the same base.
+        self.ensure_units();
+        self.ensure_read_cache(path);
         let src: &[u8] = match path.kernel {
             ReadKernel::Direct => self.crossbar.codes_slice(),
-            // `ensure_read_cache` ran in `run_batch_multi_map`, and
-            // neuron-only maps never mutate registers or transform.
+            // Nothing below mutates registers or the transform.
             ReadKernel::Bounded { .. } | ReadKernel::Table => &self.read_cache,
         };
-        for (s, train) in trains.iter().enumerate() {
-            self.map_lanes.reset_state();
-            let mut guards: Vec<G> = (0..k).map(|_| guard.clone()).collect();
-            for t in 0..train.n_steps() {
-                // Drive phase: one accumulate for the whole map chunk —
-                // the crossbar rows of cycle t are read once, not K times.
-                kernels::write_rows_blocked(
-                    self.tuning.kernel,
-                    self.tuning.row_block,
-                    src,
-                    n,
-                    train.step(t),
-                    &mut self.acc,
-                );
-                // Neuron phase: fused step + guard + count + inhibition
-                // per map, reusing the engine's word scratch buffers.
-                for (m, guard_m) in guards.iter_mut().enumerate() {
-                    self.map_lanes.step_fused_map(
-                        m,
-                        &self.acc,
-                        &self.v_thresh,
-                        &self.hw,
-                        &mut self.cmp_words,
-                        &mut self.spike_words,
-                    );
-                    guard_m.observe_cycle(&self.cmp_words, &mut self.allow_words, n);
-                    let mut n_fired = 0_u32;
-                    for w in 0..words {
-                        let f = self.spike_words[w] & self.allow_words[w];
-                        self.fired_words[w] = f;
-                        n_fired += f.count_ones();
-                    }
-                    let counts_m = out.counts_mut(base + m, s);
-                    for (wi, &fw) in self.fired_words.iter().enumerate() {
-                        let mut bits = fw;
-                        while bits != 0 {
-                            counts_m[wi * 64 + bits.trailing_zeros() as usize] += 1;
-                            bits &= bits - 1;
+        let width = self.tuning.clamped_lane_chunk();
+        for (chunk_idx, maps) in overlays.chunks(width).enumerate() {
+            let per_map = width / maps.len();
+            let n_lanes = maps.len() * per_map;
+            if self.lane_bank.len() < n_lanes {
+                self.lane_bank.resize_with(n_lanes, || NeuronLanes::new(0));
+            }
+            // Lane `l` is map `l / per_map`, sample `l % per_map` of the
+            // current sample chunk.
+            let lanes = &mut self.lane_bank[..n_lanes];
+            for (l, lane) in lanes.iter_mut().enumerate() {
+                lane.configure(&self.neurons, &maps[l / per_map]);
+            }
+            for (sample_chunk, samples) in trains.chunks(per_map).enumerate() {
+                if sample_chunk > 0 {
+                    lanes.iter_mut().for_each(NeuronLanes::reset_state);
+                }
+                let mut guards: Vec<G> = (0..n_lanes).map(|_| guard.clone()).collect();
+                self.drive.clear();
+                self.drive.resize(samples.len() * n, 0);
+                let t_max = samples.iter().map(SpikeTrain::n_steps).max().unwrap_or(0);
+                for t in 0..t_max {
+                    // Drive phase: one accumulate per *distinct* active-row
+                    // set across the chunk's samples this cycle; duplicates
+                    // are copied. The image rows touched at cycle `t` stay
+                    // hot across every lane of the chunk.
+                    for (s, train) in samples.iter().enumerate() {
+                        if t >= train.n_steps() {
+                            continue;
+                        }
+                        let rows = train.step(t);
+                        let shared = (0..s)
+                            .find(|&p| t < samples[p].n_steps() && samples[p].step(t) == rows);
+                        let (done, rest) = self.drive.split_at_mut(s * n);
+                        let acc_s = &mut rest[..n];
+                        match shared {
+                            Some(p) => acc_s.copy_from_slice(&done[p * n..p * n + n]),
+                            None => kernels::write_rows_blocked(
+                                self.tuning.kernel,
+                                self.tuning.row_block,
+                                src,
+                                n,
+                                rows,
+                                acc_s,
+                            ),
                         }
                     }
-                    if n_fired > 0 && self.hw.v_inh > 0 {
-                        let total_inh = self.hw.v_inh.saturating_mul(n_fired as i32);
-                        self.map_lanes
-                            .inhibit_non_fired_map(m, &self.fired_words, total_inh);
+                    // Neuron phase of every lane whose sample is still live.
+                    for (l, (lane, guard_l)) in lanes.iter_mut().zip(&mut guards).enumerate() {
+                        let (m, s) = (l / per_map, l % per_map);
+                        if s >= samples.len() || t >= samples[s].n_steps() {
+                            continue;
+                        }
+                        self.words.lane_phase(
+                            lane,
+                            &self.drive[s * n..(s + 1) * n],
+                            &self.v_thresh,
+                            &self.hw,
+                            guard_l,
+                            out.counts_mut(chunk_idx * width + m, sample_chunk * per_map + s),
+                        );
                     }
                 }
             }
         }
+        // The trial-group pass bypasses the single-sample state; leave the
+        // engine at rest in both representations so a later step/sample
+        // starts from a well-defined point.
+        self.reset_state();
     }
 
     /// Reference formulation of
@@ -2160,21 +2091,21 @@ mod tests {
 
     #[test]
     fn run_batch_multi_map_chunks_ragged_map_counts() {
-        // MAX_MAPS + 1 maps forces a ragged second chunk.
+        // MAX_LANES + 1 maps forces a ragged second chunk.
         let mut fast = small_engine();
         let mut slow = fast.clone();
         let mut train = SpikeTrain::new(8, 10);
         for t in 0..10_u32 {
             train.push_step((0..8).filter(|r| (t + r) % 2 == 0).collect());
         }
-        let maps: Vec<NeuronFaultOverlay> = (0..MAX_MAPS + 1)
+        let maps: Vec<NeuronFaultOverlay> = (0..MAX_LANES + 1)
             .map(|m| vec![((m % 4) as u32, NeuronOp::ALL[m % 4])])
             .collect();
         let mut out = MultiMapResult::new();
         fast.run_batch_multi_map(&[train.clone()], &maps, &DirectRead, &NoGuard, &mut out);
         let reference = slow.run_batch_multi_map_reference(&[train], &maps, &DirectRead, &NoGuard);
         assert_eq!(out, reference);
-        assert_eq!(out.n_maps(), MAX_MAPS + 1);
+        assert_eq!(out.n_maps(), MAX_LANES + 1);
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Lane-explicit accumulate kernels and runtime engine tuning.
 //!
 //! The widening `u8 → i32` accumulate over active crossbar rows is the
-//! innermost loop of every engine datapath — the single-sample step, the
-//! batched sample pass, and the multi-map trial pass. This module is the
-//! one place that loop exists: all three call sites in
+//! innermost loop of every engine datapath — the single-sample step and
+//! the trial-group pass behind the batched and multi-map entry points.
+//! This module is the one place that loop exists: every call site in
 //! [`crate::engine::ComputeEngine`] and the per-row kernels of
 //! [`crate::crossbar::Crossbar`] route through it, so the kernels cannot
 //! drift between paths.
@@ -28,7 +28,7 @@
 //! engine's determinism obligations (the equivalence proptests and
 //! pinned-bit suites run under randomized tunings to prove it).
 
-use crate::engine::{MAX_BATCH, MAX_MAPS};
+use crate::engine::MAX_LANES;
 use std::time::Instant;
 
 /// Columns per explicit lane chunk of [`AccumKernel::Lanes8`]: eight
@@ -290,8 +290,8 @@ fn accumulate_row_mapped<F: Fn(u8) -> u8>(
 }
 
 /// Per-engine accumulate tuning: which kernel formulation and row-block
-/// size the drive phases use, and how many samples/maps each batched
-/// chunk interleaves. Every choice is bit-identical by construction (see
+/// size the drive phases use, and how many lanes each trial-group chunk
+/// interleaves. Every choice is bit-identical by construction (see
 /// the module docs) — tuning trades only time, never results — so
 /// engines autotune at construction by default and campaign clones
 /// simply inherit the chosen values.
@@ -301,12 +301,11 @@ pub struct EngineTuning {
     pub kernel: AccumKernel,
     /// Rows summed per accumulator pass in the blocked drive phases.
     pub row_block: RowBlock,
-    /// Samples interleaved per batched-pass chunk (clamped to
-    /// `1..=MAX_BATCH` at use).
-    pub batch_chunk: usize,
-    /// Maps interleaved per multi-map chunk (clamped to `1..=MAX_MAPS`
-    /// at use).
-    pub map_chunk: usize,
+    /// Lanes — one per (fault map, sample) pair — interleaved per chunk
+    /// of the trial-group pass (clamped to `1..=MAX_LANES` at use). A
+    /// plain batch fills them with samples, a multi-map group with maps,
+    /// and a group of fewer maps with several samples per map.
+    pub lane_chunk: usize,
 }
 
 impl EngineTuning {
@@ -318,13 +317,12 @@ impl EngineTuning {
         Self {
             kernel: AccumKernel::Lanes8,
             row_block: RowBlock::R4,
-            batch_chunk: MAX_BATCH,
-            map_chunk: MAX_MAPS,
+            lane_chunk: MAX_LANES,
         }
     }
 
     /// Measures the kernel/row-block candidates and the effective chunk
-    /// widths for `MAX_BATCH`/`MAX_MAPS`-sized lane planes on a small
+    /// width for `MAX_LANES`-sized lane planes on a small
     /// synthetic workload shaped like a `rows × cols` engine, and
     /// returns the winners. The workload is capped so construction
     /// stays cheap even in debug builds (property tests construct
@@ -364,19 +362,13 @@ impl EngineTuning {
             }
         }
         std::hint::black_box(sink);
-        best.batch_chunk = pick_chunk_width(cols, MAX_BATCH);
-        best.map_chunk = pick_chunk_width(cols, MAX_MAPS);
+        best.lane_chunk = pick_chunk_width(cols, MAX_LANES);
         best
     }
 
-    /// `batch_chunk` clamped to the engine's supported range.
-    pub fn clamped_batch_chunk(&self) -> usize {
-        self.batch_chunk.clamp(1, MAX_BATCH)
-    }
-
-    /// `map_chunk` clamped to the engine's supported range.
-    pub fn clamped_map_chunk(&self) -> usize {
-        self.map_chunk.clamp(1, MAX_MAPS)
+    /// `lane_chunk` clamped to the engine's supported range.
+    pub fn clamped_lane_chunk(&self) -> usize {
+        self.lane_chunk.clamp(1, MAX_LANES)
     }
 }
 
@@ -525,19 +517,21 @@ mod tests {
     fn autotune_returns_in_range_tuning() {
         for (rows, cols) in [(1, 1), (784, 400), (24, 10), (256, 256)] {
             let t = EngineTuning::autotune(rows, cols);
-            assert!((1..=MAX_BATCH).contains(&t.clamped_batch_chunk()));
-            assert!((1..=MAX_MAPS).contains(&t.clamped_map_chunk()));
+            assert!((1..=MAX_LANES).contains(&t.clamped_lane_chunk()));
         }
     }
 
     #[test]
     fn clamps_bound_out_of_range_chunks() {
-        let t = EngineTuning {
-            batch_chunk: 0,
-            map_chunk: 900,
+        let low = EngineTuning {
+            lane_chunk: 0,
             ..EngineTuning::fixed()
         };
-        assert_eq!(t.clamped_batch_chunk(), 1);
-        assert_eq!(t.clamped_map_chunk(), MAX_MAPS);
+        let high = EngineTuning {
+            lane_chunk: 900,
+            ..EngineTuning::fixed()
+        };
+        assert_eq!(low.clamped_lane_chunk(), 1);
+        assert_eq!(high.clamped_lane_chunk(), MAX_LANES);
     }
 }

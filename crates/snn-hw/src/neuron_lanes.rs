@@ -15,7 +15,7 @@
 //! * one `Vec<u64>` bitmask per faulty operation (`vi`/`vl`/`vr`/`sg`),
 //!   bit `j % 64` of word `j / 64` set when neuron `j` has that fault;
 //! * a sparse index list of faulty neurons (`faulty`), rebuilt whenever
-//!   the architectural view is synced in.
+//!   the fault masks are imported.
 //!
 //! [`NeuronLanes::step_fused`] advances all neurons with a branch-free
 //! integrate→leak→compare→reset kernel assuming the fault-free common
@@ -31,18 +31,16 @@
 //! [`sync_to_units`](NeuronLanes::sync_to_units)), not per step — see
 //! [`crate::engine::ComputeEngine::neurons_mut`].
 //!
-//! # Batched samples
+//! # Trial groups
 //!
-//! [`BatchLanes`] extends the same layout across samples: a sample-major
-//! `n_neurons × batch` block of `vmem`/`refrac` lanes (sample `s` owns the
-//! contiguous block `[s·n, (s+1)·n)`) sharing a single plane of op-fault
-//! bitmasks (faults live in the hardware, not in the input, so every
-//! sample of a batch sees the same faulty neurons). The fused, patch, and
-//! inhibition kernels are block-level free functions shared verbatim
-//! between the single-sample and batched paths, so the batched pass is
-//! equivalent to the single-sample pass by construction — and the
-//! cross-path property suite in `tests/proptest_engine_equivalence.rs`
-//! pins it.
+//! The engine's trial-group pass (`ComputeEngine::run_batch_into` and
+//! `ComputeEngine::run_batch_multi_map`) keeps a bank of these lanes, one
+//! per (fault map, sample) pair. [`NeuronLanes::configure`] sizes a lane
+//! from rest over the engine's persisted faults plus one map's overlay
+//! sites (an empty overlay for a plain batch), so every lane steps through
+//! the very kernels of the single-sample path and evolves exactly like an
+//! engine with that map injected running that sample — the cross-path
+//! property suite in `tests/proptest_engine_equivalence.rs` pins it.
 
 use crate::neuron_unit::{NeuronHwParams, NeuronOp, NeuronUnit, OpFaults};
 
@@ -53,8 +51,8 @@ pub fn n_words(n: usize) -> usize {
 }
 
 /// One plane of per-operation fault bitmasks plus the sparse faulty-index
-/// list, shared by the single-sample and batched lane layouts.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// list.
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct OpMasks {
     vi_words: Vec<u64>,
     vl_words: Vec<u64>,
@@ -75,12 +73,19 @@ impl OpMasks {
         }
     }
 
-    /// Rebuilds every mask from the architectural units.
+    /// Rebuilds every mask from the architectural units, sized to cover
+    /// them.
     fn import(&mut self, units: &[NeuronUnit]) {
-        self.vi_words.fill(0);
-        self.vl_words.fill(0);
-        self.vr_words.fill(0);
-        self.sg_words.fill(0);
+        let words = n_words(units.len());
+        for plane in [
+            &mut self.vi_words,
+            &mut self.vl_words,
+            &mut self.vr_words,
+            &mut self.sg_words,
+        ] {
+            plane.clear();
+            plane.resize(words, 0);
+        }
         self.faulty.clear();
         for (j, u) in units.iter().enumerate() {
             let (w, bit) = (j >> 6, 1_u64 << (j & 63));
@@ -103,8 +108,8 @@ impl OpMasks {
     }
 
     /// Marks operation `op` of neuron `j` faulty in the bitmask plane
-    /// (the overlay write path of [`MapLanes`]); callers must
-    /// [`rebuild_faulty`](Self::rebuild_faulty) afterwards.
+    /// (the overlay write path of [`NeuronLanes::configure`]); callers
+    /// must [`rebuild_faulty`](Self::rebuild_faulty) afterwards.
     fn set(&mut self, j: usize, op: NeuronOp) {
         let (w, bit) = (j >> 6, 1_u64 << (j & 63));
         match op {
@@ -140,118 +145,6 @@ impl OpMasks {
     }
 }
 
-/// The branch-free fused integrate → leak → compare → reset pass over one
-/// contiguous block of lanes, packing comparator/spike bits into words.
-/// Assumes the fault-free case; faulty lanes are corrected afterwards by
-/// [`patch_block`].
-fn fused_block(
-    vmem: &mut [i32],
-    refrac: &mut [u32],
-    acc: &[i32],
-    v_thresh: &[i32],
-    params: &NeuronHwParams,
-    cmp_words: &mut [u64],
-    spike_words: &mut [u64],
-) {
-    let chunks = vmem
-        .chunks_mut(64)
-        .zip(refrac.chunks_mut(64))
-        .zip(acc.chunks(64).zip(v_thresh.chunks(64)));
-    for (wi, ((vm_c, rf_c), (acc_c, th_c))) in chunks.enumerate() {
-        let mut cmp_w = 0_u64;
-        let lanes = vm_c
-            .iter_mut()
-            .zip(rf_c.iter_mut())
-            .zip(acc_c.iter().zip(th_c.iter()));
-        for (b, ((vm, rf), (&drive, &thresh))) in lanes.enumerate() {
-            let r = *rf;
-            let active = r == 0;
-            let v = ((*vm).saturating_add(drive) - params.v_leak).max(0);
-            let hot = active && v >= thresh;
-            *vm = if active {
-                if hot {
-                    params.v_reset
-                } else {
-                    v
-                }
-            } else {
-                *vm
-            };
-            *rf = if hot {
-                params.t_refrac
-            } else {
-                r.saturating_sub(1)
-            };
-            cmp_w |= (hot as u64) << b;
-        }
-        cmp_words[wi] = cmp_w;
-        spike_words[wi] = cmp_w;
-    }
-}
-
-/// Sparse patch pass over one block: replays each faulty neuron through
-/// the exact [`NeuronUnit::step`] semantics from its saved pre-step state
-/// (`scratch` entries are `(index, vmem, refrac)`), overwriting its lanes
-/// and comparator/spike bits.
-#[allow(clippy::too_many_arguments)]
-fn patch_block(
-    vmem: &mut [i32],
-    refrac: &mut [u32],
-    acc: &[i32],
-    v_thresh: &[i32],
-    params: &NeuronHwParams,
-    cmp_words: &mut [u64],
-    spike_words: &mut [u64],
-    masks: &OpMasks,
-    scratch: &[(u32, i32, u32)],
-) {
-    for &(j, vmem0, refrac0) in scratch {
-        let j_us = j as usize;
-        let mut unit = NeuronUnit {
-            vmem: vmem0,
-            refrac: refrac0,
-            faults: masks.faults_of(j_us),
-        };
-        let out = unit.step(acc[j_us] as i64, v_thresh[j_us], params);
-        vmem[j_us] = unit.vmem;
-        refrac[j_us] = unit.refrac;
-        let (w, shift) = (j_us >> 6, j_us & 63);
-        let mask = !(1_u64 << shift);
-        cmp_words[w] = cmp_words[w] & mask | (out.cmp_out as u64) << shift;
-        spike_words[w] = spike_words[w] & mask | (out.spike as u64) << shift;
-    }
-}
-
-/// Saves `(index, vmem, refrac)` snapshots of the faulty lanes into
-/// `scratch` before the vector pass clobbers them.
-fn snapshot_faulty(
-    faulty: &[u32],
-    vmem: &[i32],
-    refrac: &[u32],
-    scratch: &mut Vec<(u32, i32, u32)>,
-) {
-    scratch.clear();
-    for &j in faulty {
-        let j_us = j as usize;
-        scratch.push((j, vmem[j_us], refrac[j_us]));
-    }
-}
-
-/// Applies lateral inhibition `total_inh` to every lane of one block whose
-/// bit in `fired_words` is clear, mirroring [`NeuronUnit::inhibit`]
-/// (floored at 0, skipped while refractory).
-fn inhibit_block(vmem: &mut [i32], refrac: &[u32], fired_words: &[u64], total_inh: i32) {
-    let chunks = vmem.chunks_mut(64).zip(refrac.chunks(64));
-    for (wi, (vm_c, rf_c)) in chunks.enumerate() {
-        let fired = fired_words[wi];
-        for (b, (vm, &r)) in vm_c.iter_mut().zip(rf_c.iter()).enumerate() {
-            let held = (fired >> b) & 1 != 0 || r != 0;
-            let v = (*vm - total_inh).max(0);
-            *vm = if held { *vm } else { v };
-        }
-    }
-}
-
 /// The engine's structure-of-arrays neuron state (see module docs).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NeuronLanes {
@@ -259,8 +152,8 @@ pub struct NeuronLanes {
     vmem: Vec<i32>,
     refrac: Vec<u32>,
     masks: OpMasks,
-    /// Pre-step (vmem, refrac) snapshots of the faulty neurons, reused
-    /// across steps so the patch pass never allocates.
+    /// Pre-step `(index, vmem, refrac)` snapshots of the faulty neurons,
+    /// reused across steps so the patch pass never allocates.
     patch_scratch: Vec<(u32, i32, u32)>,
 }
 
@@ -301,6 +194,37 @@ impl NeuronLanes {
     pub fn reset_state(&mut self) {
         self.vmem.fill(0);
         self.refrac.fill(0);
+    }
+
+    /// Resizes the lanes to the hardware described by `units` and puts
+    /// them at rest, with a fault plane of `units`' persisted faults
+    /// plus `overlay`'s `(neuron, op)` sites — the lanes then evolve
+    /// exactly like units carrying the union of both. An empty overlay
+    /// imports the persisted faults alone. Reuses allocations, so the
+    /// engine's lane bank reconfigures per trial group for free.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an overlay site's neuron index is out of range.
+    pub fn configure(&mut self, units: &[NeuronUnit], overlay: &[(u32, NeuronOp)]) {
+        let n = units.len();
+        self.n = n;
+        self.vmem.clear();
+        self.vmem.resize(n, 0);
+        self.refrac.clear();
+        self.refrac.resize(n, 0);
+        self.masks.import(units);
+        if overlay.is_empty() {
+            return;
+        }
+        for &(j, op) in overlay {
+            assert!(
+                (j as usize) < n,
+                "overlay site neuron {j} out of range for {n} lanes"
+            );
+            self.masks.set(j as usize, op);
+        }
+        self.masks.rebuild_faulty();
     }
 
     /// Imports state *and* fault flags from the architectural view and
@@ -368,34 +292,69 @@ impl NeuronLanes {
         assert_eq!(cmp_words.len(), words, "comparator word width");
         assert_eq!(spike_words.len(), words, "spike word width");
 
-        snapshot_faulty(
-            &self.masks.faulty,
-            &self.vmem,
-            &self.refrac,
-            &mut self.patch_scratch,
-        );
-        fused_block(
-            &mut self.vmem,
-            &mut self.refrac,
-            acc,
-            v_thresh,
-            params,
-            cmp_words,
-            spike_words,
-        );
-        let scratch = std::mem::take(&mut self.patch_scratch);
-        patch_block(
-            &mut self.vmem,
-            &mut self.refrac,
-            acc,
-            v_thresh,
-            params,
-            cmp_words,
-            spike_words,
-            &self.masks,
-            &scratch,
-        );
-        self.patch_scratch = scratch;
+        // Save the faulty lanes' pre-step state before the vector pass
+        // clobbers it.
+        self.patch_scratch.clear();
+        for &j in &self.masks.faulty {
+            let j_us = j as usize;
+            self.patch_scratch
+                .push((j, self.vmem[j_us], self.refrac[j_us]));
+        }
+
+        // Branch-free fused pass, assuming the fault-free case.
+        let chunks = self
+            .vmem
+            .chunks_mut(64)
+            .zip(self.refrac.chunks_mut(64))
+            .zip(acc.chunks(64).zip(v_thresh.chunks(64)));
+        for (wi, ((vm_c, rf_c), (acc_c, th_c))) in chunks.enumerate() {
+            let mut cmp_w = 0_u64;
+            let lanes = vm_c
+                .iter_mut()
+                .zip(rf_c.iter_mut())
+                .zip(acc_c.iter().zip(th_c.iter()));
+            for (b, ((vm, rf), (&drive, &thresh))) in lanes.enumerate() {
+                let r = *rf;
+                let active = r == 0;
+                let v = ((*vm).saturating_add(drive) - params.v_leak).max(0);
+                let hot = active && v >= thresh;
+                *vm = if active {
+                    if hot {
+                        params.v_reset
+                    } else {
+                        v
+                    }
+                } else {
+                    *vm
+                };
+                *rf = if hot {
+                    params.t_refrac
+                } else {
+                    r.saturating_sub(1)
+                };
+                cmp_w |= (hot as u64) << b;
+            }
+            cmp_words[wi] = cmp_w;
+            spike_words[wi] = cmp_w;
+        }
+
+        // Sparse patch pass: replay each faulty neuron from its saved
+        // pre-step state through the exact unit semantics.
+        for &(j, vmem0, refrac0) in &self.patch_scratch {
+            let j_us = j as usize;
+            let mut unit = NeuronUnit {
+                vmem: vmem0,
+                refrac: refrac0,
+                faults: self.masks.faults_of(j_us),
+            };
+            let out = unit.step(acc[j_us] as i64, v_thresh[j_us], params);
+            self.vmem[j_us] = unit.vmem;
+            self.refrac[j_us] = unit.refrac;
+            let (w, shift) = (j_us >> 6, j_us & 63);
+            let mask = !(1_u64 << shift);
+            cmp_words[w] = cmp_words[w] & mask | (out.cmp_out as u64) << shift;
+            spike_words[w] = spike_words[w] & mask | (out.spike as u64) << shift;
+        }
     }
 
     /// Applies lateral inhibition `total_inh` to every neuron whose bit
@@ -407,7 +366,15 @@ impl NeuronLanes {
     /// Panics if `fired_words` differs from [`words`](Self::words).
     pub fn inhibit_non_fired(&mut self, fired_words: &[u64], total_inh: i32) {
         assert_eq!(fired_words.len(), self.words(), "fired word width");
-        inhibit_block(&mut self.vmem, &self.refrac, fired_words, total_inh);
+        let chunks = self.vmem.chunks_mut(64).zip(self.refrac.chunks(64));
+        for (wi, (vm_c, rf_c)) in chunks.enumerate() {
+            let fired = fired_words[wi];
+            for (b, (vm, &r)) in vm_c.iter_mut().zip(rf_c.iter()).enumerate() {
+                let held = (fired >> b) & 1 != 0 || r != 0;
+                let v = (*vm - total_inh).max(0);
+                *vm = if held { *vm } else { v };
+            }
+        }
     }
 
     /// Whether any lane's membrane sits at or above its per-neuron
@@ -455,309 +422,6 @@ impl NeuronLanes {
             let v = i64::from(self.vmem[j]) - leak.total(k_leak);
             self.vmem[j] = v.max(0) as i32;
         }
-    }
-}
-
-/// Sample-major batched lane state: `batch` independent samples' membrane
-/// and refractory lanes over the *same* hardware (one shared plane of
-/// op-fault masks), stepped one sample block at a time through the exact
-/// kernels of [`NeuronLanes`]. See the module docs.
-///
-/// The resident plane width (`batch`) is the engine's tuned chunk width
-/// ([`crate::kernels::EngineTuning::batch_chunk`], measured per host at
-/// engine construction and capped by [`crate::engine::MAX_BATCH`]):
-/// wider planes amortize per-chunk setup, narrower planes keep the
-/// `n × batch` state resident in faster cache levels. Results are
-/// bit-identical for every width — samples are independent.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct BatchLanes {
-    n: usize,
-    batch: usize,
-    /// `n × batch` membrane lanes, sample-major (sample `s` owns
-    /// `vmem[s*n..(s+1)*n]`).
-    vmem: Vec<i32>,
-    refrac: Vec<u32>,
-    masks: OpMasks,
-    patch_scratch: Vec<(u32, i32, u32)>,
-}
-
-impl BatchLanes {
-    /// Empty batch lanes; [`configure`](Self::configure) sizes them.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of neurons per sample.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// Whether the batch holds zero lanes.
-    pub fn is_empty(&self) -> bool {
-        self.n * self.batch == 0
-    }
-
-    /// Number of samples in the batch.
-    pub fn batch(&self) -> usize {
-        self.batch
-    }
-
-    /// Number of bitmask words per sample.
-    pub fn words(&self) -> usize {
-        n_words(self.n)
-    }
-
-    /// Sizes the batch for `batch` samples over the hardware described by
-    /// `units`, importing the fault masks and resetting all per-sample
-    /// state (every sample starts from rest, like
-    /// [`NeuronUnit::reset_state`]). Reuses allocations across campaigns.
-    pub fn configure(&mut self, units: &[NeuronUnit], batch: usize) {
-        let n = units.len();
-        self.n = n;
-        self.batch = batch;
-        self.vmem.clear();
-        self.vmem.resize(n * batch, 0);
-        self.refrac.clear();
-        self.refrac.resize(n * batch, 0);
-        let words = n_words(n);
-        self.masks.vi_words.resize(words, 0);
-        self.masks.vl_words.resize(words, 0);
-        self.masks.vr_words.resize(words, 0);
-        self.masks.sg_words.resize(words, 0);
-        self.masks.import(units);
-    }
-
-    /// Sample `s`'s membrane lanes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `s >= batch`.
-    pub fn vmem_sample(&self, s: usize) -> &[i32] {
-        assert!(s < self.batch, "sample index");
-        &self.vmem[s * self.n..(s + 1) * self.n]
-    }
-
-    /// Advances sample `s` one timestep through the same fused + sparse
-    /// patch kernels as [`NeuronLanes::step_fused`], writing that sample's
-    /// comparator/spike bitmask words.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `s` is out of range or any buffer width mismatches.
-    #[allow(clippy::too_many_arguments)]
-    pub fn step_fused_sample(
-        &mut self,
-        s: usize,
-        acc: &[i32],
-        v_thresh: &[i32],
-        params: &NeuronHwParams,
-        cmp_words: &mut [u64],
-        spike_words: &mut [u64],
-    ) {
-        assert!(s < self.batch, "sample index");
-        assert_eq!(acc.len(), self.n, "drive width");
-        assert_eq!(v_thresh.len(), self.n, "threshold width");
-        let words = self.words();
-        assert_eq!(cmp_words.len(), words, "comparator word width");
-        assert_eq!(spike_words.len(), words, "spike word width");
-        let vmem = &mut self.vmem[s * self.n..(s + 1) * self.n];
-        let refrac = &mut self.refrac[s * self.n..(s + 1) * self.n];
-        snapshot_faulty(&self.masks.faulty, vmem, refrac, &mut self.patch_scratch);
-        fused_block(vmem, refrac, acc, v_thresh, params, cmp_words, spike_words);
-        patch_block(
-            vmem,
-            refrac,
-            acc,
-            v_thresh,
-            params,
-            cmp_words,
-            spike_words,
-            &self.masks,
-            &self.patch_scratch,
-        );
-    }
-
-    /// Applies lateral inhibition to sample `s` (see
-    /// [`NeuronLanes::inhibit_non_fired`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `s` is out of range or `fired_words` width mismatches.
-    pub fn inhibit_non_fired_sample(&mut self, s: usize, fired_words: &[u64], total_inh: i32) {
-        assert!(s < self.batch, "sample index");
-        assert_eq!(fired_words.len(), self.words(), "fired word width");
-        let vmem = &mut self.vmem[s * self.n..(s + 1) * self.n];
-        let refrac = &self.refrac[s * self.n..(s + 1) * self.n];
-        inhibit_block(vmem, refrac, fired_words, total_inh);
-    }
-}
-
-/// Map-major multi-map lane state: `k` fault-map variants of the *same*
-/// hardware evaluated on the *same* input — per-map membrane/refractory
-/// blocks, each with its **own** plane of op-fault bitmasks (the dual of
-/// [`BatchLanes`], which varies the input and shares one fault plane).
-///
-/// This is the neuron half of the engine's multi-map trial batching
-/// (`ComputeEngine::run_batch_multi_map`): when a trial group's fault maps
-/// touch only neuron operations, the synaptic drive of a cycle is
-/// identical across every map, so the engine accumulates it once and
-/// steps each map's lanes through the shared fused/patch/inhibit kernels.
-///
-/// Map `m`'s fault plane is the engine's persisted fault state *plus*
-/// that map's overlay sites, so a map block evolves exactly like an
-/// engine that had the map injected (property-tested against the per-map
-/// scalar reference).
-///
-/// The resident plane width (`k`) is the engine's tuned chunk width
-/// ([`crate::kernels::EngineTuning::map_chunk`], measured per host at
-/// engine construction and capped by [`crate::engine::MAX_MAPS`]);
-/// as with [`BatchLanes`], every width is bit-identical — maps are
-/// independent.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct MapLanes {
-    n: usize,
-    k: usize,
-    /// `n × k` membrane lanes, map-major (map `m` owns
-    /// `vmem[m*n..(m+1)*n]`).
-    vmem: Vec<i32>,
-    refrac: Vec<u32>,
-    /// One op-fault bitmask plane per map (base faults ∪ overlay).
-    masks: Vec<OpMasks>,
-    patch_scratch: Vec<(u32, i32, u32)>,
-}
-
-impl MapLanes {
-    /// Empty multi-map lanes; [`configure`](Self::configure) sizes them.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of neurons per map.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// Whether the lanes hold zero blocks.
-    pub fn is_empty(&self) -> bool {
-        self.n * self.k == 0
-    }
-
-    /// Number of fault-map variants resident.
-    pub fn n_maps(&self) -> usize {
-        self.k
-    }
-
-    /// Number of bitmask words per map.
-    pub fn words(&self) -> usize {
-        n_words(self.n)
-    }
-
-    /// Sizes the lanes for one map per `overlays` entry over the hardware
-    /// described by `units`: each map's fault plane is `units`' persisted
-    /// faults plus that overlay's `(neuron, op)` sites, and every map
-    /// starts from rest. Reuses allocations across trial groups.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an overlay site's neuron index is out of range.
-    pub fn configure(&mut self, units: &[NeuronUnit], overlays: &[Vec<(u32, NeuronOp)>]) {
-        let n = units.len();
-        let k = overlays.len();
-        self.n = n;
-        self.k = k;
-        self.vmem.clear();
-        self.vmem.resize(n * k, 0);
-        self.refrac.clear();
-        self.refrac.resize(n * k, 0);
-        let words = n_words(n);
-        self.masks.resize_with(k, || OpMasks::with_words(words));
-        for (mask, overlay) in self.masks.iter_mut().zip(overlays) {
-            mask.vi_words.resize(words, 0);
-            mask.vl_words.resize(words, 0);
-            mask.vr_words.resize(words, 0);
-            mask.sg_words.resize(words, 0);
-            mask.import(units);
-            for &(j, op) in overlay {
-                assert!(
-                    (j as usize) < n,
-                    "map site neuron {j} out of range for {n} lanes"
-                );
-                mask.set(j as usize, op);
-            }
-            mask.rebuild_faulty();
-        }
-    }
-
-    /// Clears every map's membrane and refractory state (the sample
-    /// boundary); fault planes persist.
-    pub fn reset_state(&mut self) {
-        self.vmem.fill(0);
-        self.refrac.fill(0);
-    }
-
-    /// Map `m`'s membrane lanes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `m >= n_maps`.
-    pub fn vmem_map(&self, m: usize) -> &[i32] {
-        assert!(m < self.k, "map index");
-        &self.vmem[m * self.n..(m + 1) * self.n]
-    }
-
-    /// Advances map `m` one timestep through the same fused + sparse
-    /// patch kernels as [`NeuronLanes::step_fused`], against map `m`'s
-    /// fault plane, writing that map's comparator/spike bitmask words.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `m` is out of range or any buffer width mismatches.
-    #[allow(clippy::too_many_arguments)]
-    pub fn step_fused_map(
-        &mut self,
-        m: usize,
-        acc: &[i32],
-        v_thresh: &[i32],
-        params: &NeuronHwParams,
-        cmp_words: &mut [u64],
-        spike_words: &mut [u64],
-    ) {
-        assert!(m < self.k, "map index");
-        assert_eq!(acc.len(), self.n, "drive width");
-        assert_eq!(v_thresh.len(), self.n, "threshold width");
-        let words = self.words();
-        assert_eq!(cmp_words.len(), words, "comparator word width");
-        assert_eq!(spike_words.len(), words, "spike word width");
-        let vmem = &mut self.vmem[m * self.n..(m + 1) * self.n];
-        let refrac = &mut self.refrac[m * self.n..(m + 1) * self.n];
-        let masks = &self.masks[m];
-        snapshot_faulty(&masks.faulty, vmem, refrac, &mut self.patch_scratch);
-        fused_block(vmem, refrac, acc, v_thresh, params, cmp_words, spike_words);
-        patch_block(
-            vmem,
-            refrac,
-            acc,
-            v_thresh,
-            params,
-            cmp_words,
-            spike_words,
-            masks,
-            &self.patch_scratch,
-        );
-    }
-
-    /// Applies lateral inhibition to map `m` (see
-    /// [`NeuronLanes::inhibit_non_fired`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `m` is out of range or `fired_words` width mismatches.
-    pub fn inhibit_non_fired_map(&mut self, m: usize, fired_words: &[u64], total_inh: i32) {
-        assert!(m < self.k, "map index");
-        assert_eq!(fired_words.len(), self.words(), "fired word width");
-        let vmem = &mut self.vmem[m * self.n..(m + 1) * self.n];
-        let refrac = &self.refrac[m * self.n..(m + 1) * self.n];
-        inhibit_block(vmem, refrac, fired_words, total_inh);
     }
 }
 
@@ -874,72 +538,92 @@ mod tests {
         assert_eq!(lanes.masks.faulty, vec![1]);
     }
 
-    #[test]
-    fn batch_lanes_match_independent_single_lanes() {
-        // Every sample of a batch must evolve exactly like its own
-        // isolated NeuronLanes instance over the same faulty hardware.
+    /// Steps a bank of lanes, each configured from `base_units` plus its
+    /// overlay, beside lanes synced from units carrying the base faults ∪
+    /// that overlay, and asserts identical outputs and state every cycle.
+    fn assert_bank_lockstep(
+        base_units: &[NeuronUnit],
+        overlays: &[Vec<(u32, NeuronOp)>],
+        drives: impl Fn(usize, usize, usize) -> i32,
+    ) {
         let p = params();
-        let mut units = vec![NeuronUnit::new(); 70];
-        units[0].faults.set(NeuronOp::VmemReset);
-        units[65].faults.set(NeuronOp::SpikeGeneration);
-        units[69].faults.set(NeuronOp::VmemLeak);
-        let thresholds = vec![500_i32; 70];
-        let batch_n = 3;
-        let mut batch = BatchLanes::new();
-        batch.configure(&units, batch_n);
-        assert_eq!(batch.batch(), batch_n);
-        assert_eq!(batch.words(), 2);
-        let mut singles: Vec<NeuronLanes> = (0..batch_n)
-            .map(|_| {
-                let mut l = NeuronLanes::new(70);
+        let n = base_units.len();
+        let thresholds = vec![500_i32; n];
+        let mut bank: Vec<NeuronLanes> = overlays
+            .iter()
+            .map(|overlay| {
+                let mut lane = NeuronLanes::new(0);
+                lane.configure(base_units, overlay);
+                lane
+            })
+            .collect();
+        let mut singles: Vec<NeuronLanes> = overlays
+            .iter()
+            .map(|overlay| {
+                let mut units = base_units.to_vec();
+                for &(j, op) in overlay {
+                    units[j as usize].faults.set(op);
+                }
+                let mut l = NeuronLanes::new(n);
                 l.sync_from_units(&units);
                 l
             })
             .collect();
-        let mut cmp_b = vec![0_u64; 2];
-        let mut spk_b = vec![0_u64; 2];
-        let mut cmp_s = vec![0_u64; 2];
-        let mut spk_s = vec![0_u64; 2];
+        let words = n_words(n);
+        let (mut cmp_b, mut spk_b) = (vec![0_u64; words], vec![0_u64; words]);
+        let (mut cmp_s, mut spk_s) = (vec![0_u64; words], vec![0_u64; words]);
         for t in 0..40 {
-            for (s, single) in singles.iter_mut().enumerate() {
-                let acc: Vec<i32> = (0..70)
-                    .map(|j| ((t * 131 + j * 37 + s * 71) % 550) as i32)
-                    .collect();
-                batch.step_fused_sample(s, &acc, &thresholds, &p, &mut cmp_b, &mut spk_b);
+            for (l, (lane, single)) in bank.iter_mut().zip(&mut singles).enumerate() {
+                assert_eq!(lane.words(), words);
+                let acc: Vec<i32> = (0..n).map(|j| drives(t, l, j)).collect();
+                lane.step_fused(&acc, &thresholds, &p, &mut cmp_b, &mut spk_b);
                 single.step_fused(&acc, &thresholds, &p, &mut cmp_s, &mut spk_s);
-                assert_eq!(cmp_b, cmp_s, "cmp t={t} s={s}");
-                assert_eq!(spk_b, spk_s, "spike t={t} s={s}");
-                // Inhibit off the spike words to also exercise the
-                // per-sample inhibition block.
-                batch.inhibit_non_fired_sample(s, &spk_b, 40);
+                assert_eq!(cmp_b, cmp_s, "cmp t={t} lane={l}");
+                assert_eq!(spk_b, spk_s, "spike t={t} lane={l}");
+                // Inhibit off the spike words to also exercise inhibition.
+                lane.inhibit_non_fired(&spk_b, 40);
                 single.inhibit_non_fired(&spk_s, 40);
-                assert_eq!(batch.vmem_sample(s), single.vmem(), "vmem t={t} s={s}");
+                assert_eq!(lane.vmem(), single.vmem(), "vmem t={t} lane={l}");
             }
         }
+    }
+
+    #[test]
+    fn batch_lanes_match_independent_single_lanes() {
+        // The batched pass: every sample's lane (empty overlay) must evolve
+        // exactly like its own NeuronLanes over the same faulty hardware.
+        let mut units = vec![NeuronUnit::new(); 70];
+        units[0].faults.set(NeuronOp::VmemReset);
+        units[65].faults.set(NeuronOp::SpikeGeneration);
+        units[69].faults.set(NeuronOp::VmemLeak);
+        assert_bank_lockstep(&units, &[vec![], vec![], vec![]], |t, s, j| {
+            ((t * 131 + j * 37 + s * 71) % 550) as i32
+        });
     }
 
     #[test]
     fn batch_lanes_reconfigure_resets_state() {
         let units = vec![NeuronUnit::new(); 4];
         let p = params();
-        let mut batch = BatchLanes::new();
-        batch.configure(&units, 2);
+        let mut bank = vec![NeuronLanes::new(0), NeuronLanes::new(0)];
+        for lane in &mut bank {
+            lane.configure(&units, &[]);
+        }
         let mut cmp = vec![0_u64; 1];
         let mut spk = vec![0_u64; 1];
-        batch.step_fused_sample(1, &[400; 4], &[500; 4], &p, &mut cmp, &mut spk);
-        assert!(batch.vmem_sample(1).iter().any(|&v| v > 0));
+        bank[1].step_fused(&[400; 4], &[500; 4], &p, &mut cmp, &mut spk);
+        assert!(bank[1].vmem().iter().any(|&v| v > 0));
         // Reconfiguring (next chunk of a campaign) starts from rest again.
-        batch.configure(&units, 2);
-        assert!(batch.vmem_sample(1).iter().all(|&v| v == 0));
-        assert!(!batch.is_empty());
-        assert_eq!(batch.len(), 4);
+        bank[1].configure(&units, &[]);
+        assert!(bank[1].vmem().iter().all(|&v| v == 0));
+        assert!(!bank[1].is_empty());
+        assert_eq!(bank[1].len(), 4);
     }
 
     #[test]
     fn map_lanes_match_independent_single_lanes_with_union_faults() {
-        // Every map block must evolve exactly like its own NeuronLanes
-        // instance whose units carry the base faults ∪ that map's overlay.
-        let p = params();
+        // The multi-map pass: every map's lane must evolve exactly like a
+        // NeuronLanes whose units carry the base faults ∪ that map's overlay.
         let mut base_units = vec![NeuronUnit::new(); 70];
         base_units[7].faults.set(NeuronOp::VmemLeak);
         base_units[64].faults.set(NeuronOp::SpikeGeneration);
@@ -948,85 +632,57 @@ mod tests {
             vec![(0, NeuronOp::VmemReset), (69, NeuronOp::VmemReset)],
             vec![(7, NeuronOp::VmemLeak), (65, NeuronOp::VmemIncrease)],
         ];
-        let thresholds = vec![500_i32; 70];
-        let mut maps = MapLanes::new();
-        maps.configure(&base_units, &overlays);
-        assert_eq!(maps.n_maps(), 3);
-        assert_eq!(maps.words(), 2);
-        let mut singles: Vec<NeuronLanes> = overlays
-            .iter()
-            .map(|overlay| {
-                let mut units = base_units.clone();
-                for &(j, op) in overlay {
-                    units[j as usize].faults.set(op);
-                }
-                let mut l = NeuronLanes::new(70);
-                l.sync_from_units(&units);
-                l
-            })
-            .collect();
-        let mut cmp_m = vec![0_u64; 2];
-        let mut spk_m = vec![0_u64; 2];
-        let mut cmp_s = vec![0_u64; 2];
-        let mut spk_s = vec![0_u64; 2];
-        for t in 0..40 {
-            // One shared drive per cycle — the whole point of the layout.
-            let acc: Vec<i32> = (0..70).map(|j| (t * 131 + j * 37) % 550).collect();
-            for (m, single) in singles.iter_mut().enumerate() {
-                maps.step_fused_map(m, &acc, &thresholds, &p, &mut cmp_m, &mut spk_m);
-                single.step_fused(&acc, &thresholds, &p, &mut cmp_s, &mut spk_s);
-                assert_eq!(cmp_m, cmp_s, "cmp t={t} m={m}");
-                assert_eq!(spk_m, spk_s, "spike t={t} m={m}");
-                maps.inhibit_non_fired_map(m, &spk_m, 40);
-                single.inhibit_non_fired(&spk_s, 40);
-                assert_eq!(maps.vmem_map(m), single.vmem(), "vmem t={t} m={m}");
-            }
-        }
+        // One shared drive per cycle, as the trial-group pass feeds every
+        // map lane of a sample.
+        assert_bank_lockstep(&base_units, &overlays, |t, _, j| {
+            ((t * 131 + j * 37) % 550) as i32
+        });
     }
 
     #[test]
     fn map_lanes_reconfigure_resets_state_and_masks() {
         let units = vec![NeuronUnit::new(); 4];
         let p = params();
-        let mut maps = MapLanes::new();
-        maps.configure(&units, &[vec![(1, NeuronOp::SpikeGeneration)]]);
-        assert_eq!(maps.masks[0].faulty, vec![1]);
+        let mut lane = NeuronLanes::new(0);
+        lane.configure(&units, &[(1, NeuronOp::SpikeGeneration)]);
+        assert_eq!(lane.masks.faulty, vec![1]);
         let mut cmp = vec![0_u64; 1];
         let mut spk = vec![0_u64; 1];
-        maps.step_fused_map(0, &[400; 4], &[500; 4], &p, &mut cmp, &mut spk);
-        assert!(maps.vmem_map(0).iter().any(|&v| v > 0));
-        // Reconfiguring (next trial group) starts from rest with fresh
-        // fault planes — the old overlay must not leak into the new maps.
-        maps.configure(&units, &[vec![], vec![(2, NeuronOp::VmemReset)]]);
-        assert_eq!(maps.n_maps(), 2);
-        assert!(maps.vmem_map(0).iter().all(|&v| v == 0));
-        assert!(maps.masks[0].faulty.is_empty());
-        assert_eq!(maps.masks[1].faulty, vec![2]);
+        lane.step_fused(&[400; 4], &[500; 4], &p, &mut cmp, &mut spk);
+        assert!(lane.vmem().iter().any(|&v| v > 0));
+        // Reconfiguring (next trial group) starts from rest with a fresh
+        // fault plane — the old overlay must not leak into it.
+        lane.configure(&units, &[]);
+        assert!(lane.vmem().iter().all(|&v| v == 0));
+        assert!(lane.masks.faulty.is_empty());
+        lane.configure(&units, &[(2, NeuronOp::VmemReset)]);
+        assert_eq!(lane.masks.faulty, vec![2]);
+        assert!(!lane.masks.faults_of(1).sg);
     }
 
     #[test]
     fn overlay_duplicates_and_base_overlap_are_idempotent() {
         let mut units = vec![NeuronUnit::new(); 4];
         units[3].faults.set(NeuronOp::VmemReset);
-        let mut maps = MapLanes::new();
-        maps.configure(
+        let mut lane = NeuronLanes::new(0);
+        lane.configure(
             &units,
-            &[vec![
+            &[
                 (3, NeuronOp::VmemReset),
                 (2, NeuronOp::VmemLeak),
                 (2, NeuronOp::VmemLeak),
-            ]],
+            ],
         );
-        assert_eq!(maps.masks[0].faulty, vec![2, 3]);
-        assert!(maps.masks[0].faults_of(3).vr);
-        assert!(maps.masks[0].faults_of(2).vl);
+        assert_eq!(lane.masks.faulty, vec![2, 3]);
+        assert!(lane.masks.faults_of(3).vr);
+        assert!(lane.masks.faults_of(2).vl);
     }
 
     #[test]
     #[should_panic(expected = "out of range")]
     fn overlay_out_of_range_neuron_panics() {
         let units = vec![NeuronUnit::new(); 4];
-        MapLanes::new().configure(&units, &[vec![(9, NeuronOp::VmemReset)]]);
+        NeuronLanes::new(0).configure(&units, &[(9, NeuronOp::VmemReset)]);
     }
 
     #[test]

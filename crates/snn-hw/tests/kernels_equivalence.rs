@@ -12,9 +12,7 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng as _, SeedableRng};
-use snn_hw::engine::{
-    BatchResult, ComputeEngine, MultiMapResult, NeuronFaultOverlay, MAX_BATCH, MAX_MAPS,
-};
+use snn_hw::engine::{BatchResult, ComputeEngine, MultiMapResult, NeuronFaultOverlay, MAX_LANES};
 use snn_hw::kernels::{
     accumulate_rows, write_rows_blocked, AccumKernel, EngineTuning, RowBlock, LANE_WIDTH,
 };
@@ -91,15 +89,13 @@ proptest! {
         net_seed in any::<u64>(),
         kernel_idx in 0_usize..AccumKernel::ALL.len(),
         block_idx in 0_usize..3,
-        batch_chunk in 0_usize..40,
-        map_chunk in 0_usize..40,
+        lane_chunk in 0_usize..40,
         density in 0.1_f64..0.7,
     ) {
         let tuning = EngineTuning {
             kernel: AccumKernel::ALL[kernel_idx],
             row_block: RowBlock::ALL[block_idx],
-            batch_chunk,
-            map_chunk,
+            lane_chunk,
         };
         let (mut tuned, mut fixed) = engine_pair(net_seed, tuning);
         let trains: Vec<SpikeTrain> =
@@ -182,26 +178,23 @@ fn different_tunings_produce_bit_identical_batch_outputs() {
         EngineTuning {
             kernel: AccumKernel::Scalar,
             row_block: RowBlock::R2,
-            batch_chunk: 3,
-            map_chunk: 5,
+            lane_chunk: 3,
         },
         EngineTuning {
             kernel: AccumKernel::Lanes8,
             row_block: RowBlock::R8,
-            batch_chunk: MAX_BATCH,
-            map_chunk: MAX_MAPS,
+            lane_chunk: MAX_LANES,
         },
         EngineTuning {
             kernel: AccumKernel::Lanes8,
             row_block: RowBlock::R4,
-            batch_chunk: 1,
-            map_chunk: 1,
+            lane_chunk: 1,
         },
     ];
-    let trains: Vec<SpikeTrain> = (0..2 * MAX_BATCH + 3)
+    let trains: Vec<SpikeTrain> = (0..2 * MAX_LANES + 3)
         .map(|s| random_train(0x7ea1 + s as u64, 0.4))
         .collect();
-    let maps = overlay_maps(MAX_MAPS + 3);
+    let maps = overlay_maps(MAX_LANES + 3);
     let path = BoundedRead::new(BoundingConfig {
         threshold_code: 96,
         default_code: 6,
@@ -247,8 +240,7 @@ fn clones_inherit_tuning() {
     let tuning = EngineTuning {
         kernel: AccumKernel::Lanes8,
         row_block: RowBlock::R2,
-        batch_chunk: 7,
-        map_chunk: 9,
+        lane_chunk: 7,
     };
     let engine = ComputeEngine::with_tuning(EngineConfig::PAPER, &qn, tuning).expect("deployable");
     assert_eq!(engine.clone().tuning(), tuning);

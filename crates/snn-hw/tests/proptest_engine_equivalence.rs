@@ -15,7 +15,7 @@ use rand::rngs::StdRng;
 use rand::{Rng as _, SeedableRng};
 use snn_hw::engine::{
     ComputeEngine, DirectRead, MultiMapResult, NeuronFaultOverlay, NoGuard, SpikeGuard,
-    WeightReadPath, MAX_BATCH, MAX_MAPS,
+    WeightReadPath, MAX_LANES,
 };
 use snn_hw::kernels::{AccumKernel, EngineTuning, RowBlock};
 use snn_hw::neuron_unit::NeuronOp;
@@ -117,8 +117,7 @@ fn random_tuning(seed: u64) -> EngineTuning {
     EngineTuning {
         kernel: AccumKernel::ALL[rng.gen_range(0..AccumKernel::ALL.len())],
         row_block: RowBlock::ALL[rng.gen_range(0_usize..3)],
-        batch_chunk: rng.gen_range(0..2 * MAX_BATCH),
-        map_chunk: rng.gen_range(0..2 * MAX_MAPS),
+        lane_chunk: rng.gen_range(0..2 * MAX_LANES),
     }
 }
 
@@ -444,8 +443,9 @@ proptest! {
     /// `ResetMonitor`), vr-burst-heavy overlays so the monitor actually
     /// latches, ragged map counts `K` (including 1 and chunk-straddling
     /// values via the standalone test below), all three accumulation
-    /// kernels, persisted base faults underneath the overlays, and
-    /// multiple samples per trial group.
+    /// kernels, persisted base faults underneath the overlays, empty
+    /// overlays (what a clean scenario lowers to), and multiple samples
+    /// per trial group.
     #[test]
     fn run_batch_multi_map_matches_reference(
         net_seed in any::<u64>(),
@@ -455,6 +455,7 @@ proptest! {
         n_bit_flips in 0_usize..30,
         n_base_op_faults in 0_usize..3,
         k in 1_usize..10,
+        n_clean in 0_usize..3,
         n_samples in 1_usize..4,
         window in 1_u8..4,
         density in 0.1_f64..0.7,
@@ -472,7 +473,7 @@ proptest! {
         fast.set_tuning(random_tuning(net_seed ^ fault_seed ^ 0x7a9e));
         // Ragged overlays: map m carries m % 4 random sites plus one
         // forced vr burst so suppression paths light up.
-        let maps: Vec<NeuronFaultOverlay> = (0..k)
+        let mut maps: Vec<NeuronFaultOverlay> = (0..k)
             .map(|m| {
                 let mut overlay = random_overlay(10, m % 4, fault_seed ^ (m as u64 + 1));
                 let mut rng = StdRng::seed_from_u64(fault_seed ^ (0x5eed_0000 + m as u64));
@@ -480,6 +481,13 @@ proptest! {
                 overlay
             })
             .collect();
+        // Clean scenarios lower to empty overlays: splice some in at
+        // seeded positions among the faulty maps.
+        let mut rng = StdRng::seed_from_u64(fault_seed ^ 0xc1ea_0000);
+        for _ in 0..n_clean {
+            let at = rng.gen_range(0..=maps.len());
+            maps.insert(at, NeuronFaultOverlay::new());
+        }
         let trains: Vec<snn_sim::spike::SpikeTrain> = (0..n_samples)
             .map(|s| random_train(24, 12 + (s * 5) % 20, fault_seed ^ (0x100 + s as u64), density))
             .collect();
@@ -496,6 +504,39 @@ proptest! {
             &mut fast, &mut slow, &trains, &maps, &bound, &monitor, "bounded/monitored");
         assert_multi_map_matches_reference(
             &mut fast, &mut slow, &trains, &maps, &as_table, &monitor, "table/monitored");
+    }
+
+    /// The batched pass is the one-map case of the multi-map pass: one
+    /// empty overlay over the same trains gives the very same counts,
+    /// under any tuning, guard class, and persisted base faults.
+    #[test]
+    fn run_batch_is_the_one_empty_map_case(
+        net_seed in any::<u64>(),
+        fault_seed in any::<u64>(),
+        threshold in any::<u8>(),
+        default in any::<u8>(),
+        n_bit_flips in 0_usize..30,
+        n_op_faults in 0_usize..4,
+        batch in 1_usize..40,
+        window in 1_u8..4,
+        density in 0.1_f64..0.7,
+    ) {
+        let bound = RandomBound { threshold, default };
+        let mut engine =
+            random_faulted_engine(24, 10, net_seed, fault_seed, n_bit_flips, n_op_faults);
+        engine.set_tuning(random_tuning(net_seed ^ fault_seed ^ 0x0e3a));
+        let trains: Vec<SpikeTrain> = (0..batch)
+            .map(|s| random_train(24, 10 + (s * 3) % 20, fault_seed ^ (0x200 + s as u64), density))
+            .collect();
+        let monitor = ResetMonitor::new(10, window);
+        let batched = engine.run_batch(&trains, &bound, &monitor);
+        let mut one_map = MultiMapResult::new();
+        engine.run_batch_multi_map(&trains, &[vec![]], &bound, &monitor, &mut one_map);
+        prop_assert_eq!(one_map.n_maps(), 1);
+        prop_assert_eq!(one_map.n_samples(), batched.n_samples());
+        for s in 0..trains.len() {
+            prop_assert_eq!(one_map.counts(0, s), batched.counts(s), "sample {}", s);
+        }
     }
 
     /// Identical samples inside a batch (the shared-accumulate fast path:
@@ -531,7 +572,7 @@ proptest! {
 /// and two chunks plus a tail.
 #[test]
 fn run_batch_chunk_boundaries_match_reference() {
-    for &batch in &[1_usize, 2, MAX_BATCH, MAX_BATCH + 1, 2 * MAX_BATCH + 3] {
+    for &batch in &[1_usize, 2, MAX_LANES, MAX_LANES + 1, 2 * MAX_LANES + 3] {
         let mut fast = random_faulted_engine(24, 10, 0xfeed, 0xbeef, 20, 2);
         fast.neurons_mut()[3].faults.set(NeuronOp::VmemReset);
         let mut slow = fast.clone();
@@ -595,7 +636,7 @@ fn run_batch_word_straddling_engine_matches_reference() {
 /// under the full BnP shape (bounded path + reset monitor + vr bursts).
 #[test]
 fn run_batch_multi_map_chunk_boundaries_match_reference() {
-    for &k in &[1_usize, 2, MAX_MAPS, MAX_MAPS + 1, 2 * MAX_MAPS + 3] {
+    for &k in &[1_usize, 2, MAX_LANES, MAX_LANES + 1, 2 * MAX_LANES + 3] {
         let mut fast = random_faulted_engine(24, 10, 0xfeed, 0xbeef, 15, 1);
         let mut slow = fast.clone();
         let maps: Vec<NeuronFaultOverlay> = (0..k)

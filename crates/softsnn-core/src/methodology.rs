@@ -468,41 +468,45 @@ impl SoftSnnDeployment {
         labels: &[usize],
         rng: &mut Rng,
     ) -> Result<EvalResult, MethodologyError> {
-        let encoder = PoissonEncoder::new(self.qn.max_rate);
-        let timesteps = self.qn.timesteps;
-        let space = scenario.space(self.qn.n_inputs, self.qn.n_neurons);
-        let mut result = EvalResult::new(self.assignment.n_classes());
-        let mut monitor = ResetMonitor::new(self.qn.n_neurons, monitor_window);
-        self.engine.reload_parameters(&mut monitor);
-        if !scenario.is_clean() {
-            let map = FaultMap::generate(&space, scenario.rate, scenario.seed);
-            inject(self.engine.engine_mut(), &map)?;
-        }
+        let trains = self.encode(images, labels, rng)?;
+        let monitor = ResetMonitor::new(self.qn.n_neurons, monitor_window);
         let path = BoundedRead::new(bounding);
-        let trains: Vec<SpikeTrain> = images
-            .iter()
-            .map(|img| encoder.encode(img, timesteps, rng))
-            .collect();
-        self.record_batch(&trains, labels, &path, &monitor, &mut result);
-        Ok(result)
+        let mut results = self.evaluate_persistent(
+            &path,
+            monitor,
+            std::slice::from_ref(scenario),
+            &trains,
+            labels,
+        )?;
+        Ok(results.remove(0))
     }
 
-    /// Runs a labeled set of spike trains through the engine's batched
-    /// pass and records each sample's prediction. Every sample gets a
-    /// fresh clone of `guard` (see [`ComputeEngine::run_batch_into`]).
-    fn record_batch<P: WeightReadPath, G: SpikeGuard + Clone>(
-        &mut self,
-        trains: &[SpikeTrain],
+    /// Poisson-encodes `images` in sample order from `rng` — the only RNG
+    /// consumer of an evaluation, so encoding up front is bit-identical
+    /// to the historical interleaved form.
+    ///
+    /// # Errors
+    ///
+    /// Returns a shape mismatch if `labels` does not match `images`.
+    fn encode(
+        &self,
+        images: &[Vec<f32>],
         labels: &[usize],
-        path: &P,
-        guard: &G,
-        result: &mut EvalResult,
-    ) {
-        let mut batch = BatchResult::new();
-        self.engine.run_batch_into(trains, path, guard, &mut batch);
-        for (s, &label) in labels.iter().enumerate() {
-            result.record(self.assignment.predict(batch.counts(s)), label);
+        rng: &mut Rng,
+    ) -> Result<Vec<SpikeTrain>, MethodologyError> {
+        if images.len() != labels.len() {
+            return Err(SnnError::ShapeMismatch {
+                expected: images.len(),
+                actual: labels.len(),
+                what: "labels",
+            }
+            .into());
         }
+        let encoder = PoissonEncoder::new(self.qn.max_rate);
+        Ok(images
+            .iter()
+            .map(|img| encoder.encode(img, self.qn.timesteps, rng))
+            .collect())
     }
 
     /// Evaluates classification accuracy of `technique` under `scenario`
@@ -535,26 +539,10 @@ impl SoftSnnDeployment {
         labels: &[usize],
         rng: &mut Rng,
     ) -> Result<EvalResult, MethodologyError> {
-        if images.len() != labels.len() {
-            return Err(SnnError::ShapeMismatch {
-                expected: images.len(),
-                actual: labels.len(),
-                what: "labels",
-            }
-            .into());
-        }
-        // Encoding is the only RNG consumer in the evaluation loop, so
-        // encoding every sample up front (in sample order, from the same
-        // stream) is bit-identical to the historical interleaved form —
-        // and lets this path share the evaluation core with the cached
-        // variant.
-        let encoder = PoissonEncoder::new(self.qn.max_rate);
-        let timesteps = self.qn.timesteps;
-        let trains: Vec<SpikeTrain> = images
-            .iter()
-            .map(|img| encoder.encode(img, timesteps, rng))
-            .collect();
-        self.evaluate_trains(technique, scenario, &trains, labels)
+        let trains = self.encode(images, labels, rng)?;
+        let mut results =
+            self.evaluate_scenarios(technique, std::slice::from_ref(scenario), &trains, labels)?;
+        Ok(results.remove(0))
     }
 
     /// Evaluates `technique` under `scenario` on a pre-encoded test set —
@@ -577,7 +565,13 @@ impl SoftSnnDeployment {
         scenario: &FaultScenario,
         set: &EncodedTestSet,
     ) -> Result<EvalResult, MethodologyError> {
-        self.evaluate_trains(technique, scenario, &set.trains, &set.labels)
+        let mut results = self.evaluate_scenarios(
+            technique,
+            std::slice::from_ref(scenario),
+            &set.trains,
+            &set.labels,
+        )?;
+        Ok(results.remove(0))
     }
 
     /// Evaluates one **trial group** — several [`FaultScenario`]s of the
@@ -597,9 +591,10 @@ impl SoftSnnDeployment {
     /// all K maps instead of once per map — weight reads are identical
     /// when maps don't touch the crossbar, so sharing the drive phase is
     /// exact, and the equivalence is property-tested at the engine layer.
-    /// Any group containing a weight-bit site (or a re-execution
-    /// technique, whose per-execution maps defeat sharing) falls back to
-    /// the per-scenario loop.
+    /// Any group containing a weight-bit site falls back to the
+    /// per-scenario loop, and a re-execution technique (whose
+    /// per-execution maps defeat sharing) always takes it. Either way,
+    /// each scenario's fault map is generated at most once.
     ///
     /// # Errors
     ///
@@ -611,157 +606,157 @@ impl SoftSnnDeployment {
         scenarios: &[FaultScenario],
         set: &EncodedTestSet,
     ) -> Result<Vec<EvalResult>, MethodologyError> {
-        if scenarios.len() > 1 {
-            if let Some(overlays) = self.neuron_only_overlays(scenarios) {
-                match technique {
-                    Technique::NoMitigation => {
-                        self.engine.reload_parameters(&mut NoGuard);
-                        return Ok(self.record_multi_map(&overlays, &DirectRead, &NoGuard, set));
-                    }
-                    Technique::Bnp(variant) => {
-                        let mut monitor = ResetMonitor::new(self.qn.n_neurons, self.monitor_window);
-                        self.engine.reload_parameters(&mut monitor);
-                        let path = BoundedRead::new(self.bounding_for(variant));
-                        return Ok(self.record_multi_map(&overlays, &path, &monitor, set));
-                    }
-                    Technique::ReExecution { .. } => {}
-                }
-            }
-        }
-        scenarios
-            .iter()
-            .map(|scenario| self.evaluate_encoded(technique, scenario, set))
-            .collect()
+        self.evaluate_scenarios(technique, scenarios, &set.trains, &set.labels)
     }
 
-    /// Lowers the group's fault maps to engine-level neuron overlays, or
-    /// `None` if any map strikes a weight bit (the multi-map drive
-    /// sharing would be unsound). Clean scenarios lower to empty
-    /// overlays — injecting nothing and overlaying nothing are the same
-    /// event.
-    fn neuron_only_overlays(&self, scenarios: &[FaultScenario]) -> Option<Vec<NeuronFaultOverlay>> {
-        let mut overlays = Vec::with_capacity(scenarios.len());
-        for scenario in scenarios {
-            if scenario.is_clean() {
-                overlays.push(NeuronFaultOverlay::new());
-                continue;
-            }
-            let space = scenario.space(self.qn.n_inputs, self.qn.n_neurons);
-            let map = FaultMap::generate(&space, scenario.rate, scenario.seed);
-            if map.n_weight_bits() > 0 {
-                return None;
-            }
-            overlays.push(
-                map.sites()
-                    .iter()
-                    .map(|site| match *site {
-                        FaultSite::NeuronOp { neuron, op } => (neuron, op),
-                        FaultSite::WeightBit { .. } => unreachable!("weight sites filtered above"),
-                    })
-                    .collect(),
-            );
-        }
-        Some(overlays)
-    }
-
-    /// Runs a lowered trial group through the engine's multi-map pass and
-    /// records per-(map, sample) predictions — one [`EvalResult`] per
-    /// map, in map order.
-    fn record_multi_map<P: WeightReadPath, G: SpikeGuard + Clone>(
-        &mut self,
-        overlays: &[NeuronFaultOverlay],
-        path: &P,
-        guard: &G,
-        set: &EncodedTestSet,
-    ) -> Vec<EvalResult> {
-        let mut out = MultiMapResult::new();
-        self.engine
-            .run_batch_multi_map(&set.trains, overlays, path, guard, &mut out);
-        (0..overlays.len())
-            .map(|m| {
-                let mut result = EvalResult::new(self.assignment.n_classes());
-                for (s, &label) in set.labels.iter().enumerate() {
-                    result.record(self.assignment.predict(out.counts(m, s)), label);
-                }
-                result
-            })
-            .collect()
-    }
-
-    /// The shared evaluation core behind [`evaluate`](Self::evaluate) and
-    /// [`evaluate_encoded`](Self::evaluate_encoded): one technique arm
-    /// each for No-Mitigation, BnP, and Re-execution, consuming
-    /// already-encoded spike trains.
-    ///
-    /// The No-Mitigation and BnP arms run the whole test set through the
-    /// engine's batched pass ([`ComputeEngine::run_batch_into`]): one
-    /// injection, then all samples interleaved over the same persisted
-    /// faults, each with an independent guard clone. Re-execution cannot
-    /// batch across samples — every execution draws its own fault map and
-    /// reloads parameters — and keeps the per-sample loop.
-    fn evaluate_trains(
+    /// The shared evaluation core behind every evaluate entry point: one
+    /// arm per technique over already-encoded spike trains, one
+    /// [`EvalResult`] per scenario. No-Mitigation and BnP persist faults
+    /// across the set ([`evaluate_persistent`](Self::evaluate_persistent));
+    /// Re-execution cannot batch across samples — every execution draws
+    /// its own fault map and reloads parameters — and keeps the
+    /// per-sample loop.
+    fn evaluate_scenarios(
         &mut self,
         technique: Technique,
+        scenarios: &[FaultScenario],
+        trains: &[SpikeTrain],
+        labels: &[usize],
+    ) -> Result<Vec<EvalResult>, MethodologyError> {
+        match technique {
+            Technique::NoMitigation => {
+                self.evaluate_persistent(&DirectRead, NoGuard, scenarios, trains, labels)
+            }
+            Technique::Bnp(variant) => {
+                // Each sample observes a fresh clone of the reset monitor
+                // (the engine evaluates samples independently), so a
+                // sample's outcome does not depend on where it sits in the
+                // test set: a neuron latched during one sample is not
+                // pre-muted for the next. The vr-burst signature the
+                // monitor exists for re-latches within `window` cycles of
+                // every sample, so protection strength is unchanged.
+                let monitor = ResetMonitor::new(self.qn.n_neurons, self.monitor_window);
+                let path = BoundedRead::new(self.bounding_for(variant));
+                self.evaluate_persistent(&path, monitor, scenarios, trains, labels)
+            }
+            Technique::ReExecution { runs } => scenarios
+                .iter()
+                .map(|scenario| self.evaluate_reexecution(runs, scenario, trains, labels))
+                .collect(),
+        }
+    }
+
+    /// The No-Mitigation / BnP arm: per scenario, reload parameters
+    /// (healing through `guard`), inject the scenario's map once, and run
+    /// the whole set through the engine's batched pass over the persisted
+    /// faults, each sample with its own clone of `guard`. A group of
+    /// several neuron-only maps instead reloads once and runs as one
+    /// multi-map pass (see
+    /// [`evaluate_encoded_group`](Self::evaluate_encoded_group)).
+    ///
+    /// Each map is generated once: maps are lowered in scenario order
+    /// until the first weight-bearing one, and the fallback reuses every
+    /// map already generated.
+    fn evaluate_persistent<P: WeightReadPath, G: SpikeGuard + Clone>(
+        &mut self,
+        path: &P,
+        mut guard: G,
+        scenarios: &[FaultScenario],
+        trains: &[SpikeTrain],
+        labels: &[usize],
+    ) -> Result<Vec<EvalResult>, MethodologyError> {
+        let mut maps: Vec<Option<FaultMap>> = Vec::with_capacity(scenarios.len());
+        let mut shared_drive = scenarios.len() > 1;
+        for scenario in scenarios {
+            let map = self.scenario_map(scenario);
+            let weight_bits = map.as_ref().is_some_and(|m| m.n_weight_bits() > 0);
+            maps.push(map);
+            if weight_bits {
+                shared_drive = false;
+                break;
+            }
+        }
+        if shared_drive {
+            // Lowering consumes the maps, so none outlives its overlay.
+            let overlays: Vec<NeuronFaultOverlay> = maps
+                .into_iter()
+                .map(|map| map.as_ref().map(neuron_overlay).unwrap_or_default())
+                .collect();
+            self.engine.reload_parameters(&mut guard);
+            let mut out = MultiMapResult::new();
+            self.engine
+                .run_batch_multi_map(trains, &overlays, path, &guard, &mut out);
+            return Ok((0..overlays.len())
+                .map(|m| self.score((0..labels.len()).map(|s| out.counts(m, s)), labels))
+                .collect());
+        }
+        let mut batch = BatchResult::new();
+        let mut results = Vec::with_capacity(scenarios.len());
+        for (i, scenario) in scenarios.iter().enumerate() {
+            let map = match maps.get_mut(i) {
+                Some(map) => map.take(),
+                None => self.scenario_map(scenario),
+            };
+            self.engine.reload_parameters(&mut guard);
+            // The map is dropped once injected, before the pass allocates.
+            if let Some(map) = map {
+                inject(self.engine.engine_mut(), &map)?;
+            }
+            self.engine.run_batch_into(trains, path, &guard, &mut batch);
+            results.push(self.score(batch.iter(), labels));
+        }
+        Ok(results)
+    }
+
+    /// The scenario's fault map, or `None` for a clean scenario
+    /// (injecting nothing).
+    fn scenario_map(&self, scenario: &FaultScenario) -> Option<FaultMap> {
+        (!scenario.is_clean()).then(|| {
+            let space = scenario.space(self.qn.n_inputs, self.qn.n_neurons);
+            FaultMap::generate(&space, scenario.rate, scenario.seed)
+        })
+    }
+
+    /// Decodes per-sample spike counts and scores them against `labels`.
+    fn score<'a>(&self, counts: impl Iterator<Item = &'a [u32]>, labels: &[usize]) -> EvalResult {
+        let mut result = EvalResult::new(self.assignment.n_classes());
+        for (counts, &label) in counts.zip(labels) {
+            result.record(self.assignment.predict(counts), label);
+        }
+        result
+    }
+
+    /// The Re-execution ×`runs` arm for one scenario (see
+    /// [`evaluate`](Self::evaluate)).
+    fn evaluate_reexecution(
+        &mut self,
+        runs: u32,
         scenario: &FaultScenario,
         trains: &[SpikeTrain],
         labels: &[usize],
     ) -> Result<EvalResult, MethodologyError> {
         let space = scenario.space(self.qn.n_inputs, self.qn.n_neurons);
         let mut result = EvalResult::new(self.assignment.n_classes());
-
-        match technique {
-            Technique::NoMitigation => {
+        // Each execution reloads parameters (healing accumulated faults)
+        // and is only exposed to the strikes landing within its own
+        // window — see DEFAULT_REEXEC_EXPOSURE.
+        let exec_rate = scenario.rate * self.reexec_exposure;
+        for (sample_idx, (train, &label)) in trains.iter().zip(labels).enumerate() {
+            let mut votes = Vec::with_capacity(runs as usize);
+            for k in 0..runs {
                 self.engine.reload_parameters(&mut NoGuard);
-                if !scenario.is_clean() {
-                    let map = FaultMap::generate(&space, scenario.rate, scenario.seed);
+                if !scenario.is_clean() && exec_rate > 0.0 {
+                    let exec_seed =
+                        derive_seed(scenario.seed, (sample_idx as u64) * runs as u64 + k as u64);
+                    let map = FaultMap::generate(&space, exec_rate, exec_seed);
                     inject(self.engine.engine_mut(), &map)?;
                 }
-                // `NoGuard` is stateless, so the batched pass is
-                // bit-identical to the historical per-sample loop.
-                self.record_batch(trains, labels, &DirectRead, &NoGuard, &mut result);
+                let counts = self
+                    .engine
+                    .run_sample_into(train, &DirectRead, &mut NoGuard);
+                votes.push(self.assignment.predict(counts));
             }
-            Technique::Bnp(variant) => {
-                let mut monitor = ResetMonitor::new(self.qn.n_neurons, self.monitor_window);
-                self.engine.reload_parameters(&mut monitor);
-                if !scenario.is_clean() {
-                    let map = FaultMap::generate(&space, scenario.rate, scenario.seed);
-                    inject(self.engine.engine_mut(), &map)?;
-                }
-                let path = BoundedRead::new(self.bounding_for(variant));
-                // Each sample observes a fresh clone of the reset monitor
-                // (the batched pass evaluates samples independently), so a
-                // sample's outcome no longer depends on where it sits in
-                // the test set: a neuron latched during one sample is not
-                // pre-muted for the next. The vr-burst signature the
-                // monitor exists for re-latches within `window` cycles of
-                // every sample, so protection strength is unchanged.
-                self.record_batch(trains, labels, &path, &monitor, &mut result);
-            }
-            Technique::ReExecution { runs } => {
-                // Each execution reloads parameters (healing accumulated
-                // faults) and is only exposed to the strikes landing
-                // within its own window — see DEFAULT_REEXEC_EXPOSURE.
-                let exec_rate = scenario.rate * self.reexec_exposure;
-                for (sample_idx, (train, &label)) in trains.iter().zip(labels).enumerate() {
-                    let mut votes = Vec::with_capacity(runs as usize);
-                    for k in 0..runs {
-                        self.engine.reload_parameters(&mut NoGuard);
-                        if !scenario.is_clean() && exec_rate > 0.0 {
-                            let exec_seed = derive_seed(
-                                scenario.seed,
-                                (sample_idx as u64) * runs as u64 + k as u64,
-                            );
-                            let map = FaultMap::generate(&space, exec_rate, exec_seed);
-                            inject(self.engine.engine_mut(), &map)?;
-                        }
-                        let counts = self
-                            .engine
-                            .run_sample_into(train, &DirectRead, &mut NoGuard);
-                        votes.push(self.assignment.predict(counts));
-                    }
-                    result.record(majority_vote(&votes), label);
-                }
-            }
+            result.record(majority_vote(&votes), label);
         }
         Ok(result)
     }
@@ -819,6 +814,21 @@ impl SoftSnnDeployment {
     ) -> Result<EncodedTestSet, MethodologyError> {
         EncodedTestSet::encode(&self.qn, images, labels, base_seed)
     }
+}
+
+/// Lowers a neuron-only fault map to the engine's overlay shape.
+///
+/// # Panics
+///
+/// Panics if the map strikes a weight bit (callers check first).
+fn neuron_overlay(map: &FaultMap) -> NeuronFaultOverlay {
+    map.sites()
+        .iter()
+        .map(|site| match *site {
+            FaultSite::NeuronOp { neuron, op } => (neuron, op),
+            FaultSite::WeightBit { .. } => unreachable!("callers lower neuron-only maps"),
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -170,5 +170,5 @@ fn adaptive_smoke_campaign_stops_on_pinned_prefixes_and_resumes_identically() {
 /// the batching it exists to recover.
 #[test]
 fn lookahead_clamp_matches_the_engine_multi_map_width() {
-    assert_eq!(snn_faults::stats::MAX_LOOKAHEAD, snn_hw::engine::MAX_MAPS);
+    assert_eq!(snn_faults::stats::MAX_LOOKAHEAD, snn_hw::engine::MAX_LANES);
 }
