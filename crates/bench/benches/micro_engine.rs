@@ -311,7 +311,7 @@ fn bench_run_multi_map(c: &mut Criterion) {
         b.iter(|| {
             let mut acc = 0_u32;
             for map in &maps {
-                for &(j, op) in map {
+                for &(j, op) in map.neuron_ops() {
                     engine.neurons_mut()[j as usize].faults.set(op);
                 }
                 engine.run_batch_into(&trains, &path, &monitor, &mut out);
@@ -319,6 +319,63 @@ fn bench_run_multi_map(c: &mut Criterion) {
                 for unit in engine.neurons_mut() {
                     unit.faults = Default::default();
                 }
+            }
+            black_box(acc)
+        });
+    });
+    group.finish();
+}
+
+fn bench_run_weight_multi_map(c: &mut Criterion) {
+    // The headline trial-group lever on the paper's Fig. 13 fault model:
+    // K = 16 compute-engine fault maps at rate 1e-3 (≈ 315 weight flips
+    // plus a neuron site or two each) on the N400 BnP3+monitor workload.
+    // `run_batch_multi_map` shares one drive accumulate per cycle across
+    // all K maps and adds each map's weight deltas on the active rows;
+    // the baseline is the per-map loop it replaced — heal, inject, one
+    // `run_batch_into` pass per map. Each side starts from the same
+    // generated maps and includes its own map handling (lowering vs
+    // injection); both produce bit-identical counts (property-tested).
+    use snn_faults::fault_map::FaultMap;
+    use snn_faults::injector::{inject, lower_overlay};
+    use snn_faults::location::FaultSpace;
+    use snn_hw::engine::{MultiMapResult, NeuronFaultOverlay};
+
+    let (engine, path, monitor, trains) = paper_scale_campaign_fixture();
+    let space = FaultSpace::new(
+        engine.n_inputs(),
+        engine.n_neurons(),
+        FaultDomain::ComputeEngine,
+    );
+    let maps: Vec<FaultMap> = (0..16)
+        .map(|m| FaultMap::generate(&space, 1e-3, 0x3a9 + m))
+        .collect();
+
+    let mut group = c.benchmark_group("engine_weight_multi_map");
+    group.sample_size(10);
+    group.bench_function("bnp3_monitored_multi_map", |b| {
+        let mut engine = engine.clone();
+        let mut out = MultiMapResult::new();
+        b.iter(|| {
+            let overlays: Vec<NeuronFaultOverlay> = maps
+                .iter()
+                .map(|map| lower_overlay(&engine, map).expect("in range"))
+                .collect();
+            engine.reload_parameters(&mut monitor.clone());
+            engine.run_batch_multi_map(&trains, &overlays, &path, &monitor, &mut out);
+            black_box(out.counts(0, 0)[0])
+        });
+    });
+    group.bench_function("bnp3_monitored_per_map", |b| {
+        let mut engine = engine.clone();
+        let mut out = BatchResult::new();
+        b.iter(|| {
+            let mut acc = 0_u32;
+            for map in &maps {
+                engine.reload_parameters(&mut monitor.clone());
+                inject(&mut engine, map).expect("in range");
+                engine.run_batch_into(&trains, &path, &monitor, &mut out);
+                acc += out.counts(0)[0];
             }
             black_box(acc)
         });
@@ -506,14 +563,12 @@ fn bench_campaign_adaptive(c: &mut Criterion) {
         });
     });
 
-    // The lookahead pair runs on a neuron-only fault domain: Fig. 13's
-    // ComputeEngine domain almost always places weight bits in every map
-    // at these rates, which forces the engine's per-scenario fallback and
-    // would make grouping a no-op. Neuron-only maps are exactly the shape
-    // `run_batch_multi_map` batches, so the ratio measures the recovered
-    // multi-map datapath, not fallback noise. Auto lookahead sizes groups
-    // from the half-width ratio — at this distribution-free rule it lands
-    // on the stop trial with zero discards.
+    // The lookahead pair runs on a neuron-only fault domain: its maps add
+    // no weight corrections to the shared drive, so the ratio measures
+    // grouping alone (one reload and one shared drive phase per group
+    // instead of per trial). Auto lookahead sizes groups from the
+    // half-width ratio — at this distribution-free rule it lands on the
+    // stop trial with zero discards.
     let neuron_domain = |d: &mut SoftSnnDeployment, shard: &[GridPointCtx]| {
         evaluate_shard_in_domain(d, shard, &encoded, FaultDomain::Neurons(None))
     };
@@ -605,6 +660,16 @@ fn emit_derived_metrics(c: &mut Criterion) {
             c.add_metric("multi_map_speedup", per_map / multi);
         }
     }
+    // Weight-fault trial-group headline: K=16 compute-engine maps through
+    // one shared drive phase plus per-map weight deltas vs heal, inject
+    // and one batched pass per map.
+    let multi = c.ns_per_iter("engine_weight_multi_map", "bnp3_monitored_multi_map");
+    let per_map = c.ns_per_iter("engine_weight_multi_map", "bnp3_monitored_per_map");
+    if let (Some(multi), Some(per_map)) = (multi, per_map) {
+        if multi > 0.0 {
+            c.add_metric("weight_multi_map_speedup", per_map / multi);
+        }
+    }
     // Kernel headline: the host-autotuned accumulate vs the scalar
     // row-at-a-time formulation on the same N400 drive phase.
     let scalar = c.ns_per_iter("engine_accumulate", "scalar_rows");
@@ -653,6 +718,7 @@ criterion_group!(
     bench_run_sample,
     bench_run_batch,
     bench_run_multi_map,
+    bench_run_weight_multi_map,
     bench_engine_accumulate,
     bench_engine_sparse,
     bench_campaign_adaptive,

@@ -23,8 +23,8 @@
 //!   ([`crate::service::JobHandle::run`]) differ only in which cells they
 //!   select and where finished cells go;
 //! * **trial-group batching hooks** — a cell's contiguous points are
-//!   handed to the evaluation closure together, so neuron-only trial
-//!   groups can route through the engine's multi-map pass
+//!   handed to the evaluation closure together, so trial groups can
+//!   route through the engine's multi-map pass
 //!   (`ComputeEngine::run_batch_multi_map`) and share one
 //!   drive/accumulate phase across fault maps;
 //! * **single-pass aggregation** into [`CellKey`]-addressed [`Aggregate`]

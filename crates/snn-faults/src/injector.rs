@@ -3,7 +3,7 @@
 use crate::fault_map::FaultMap;
 use crate::location::FaultSite;
 use crate::permanent::StuckAtMap;
-use snn_hw::engine::{ComputeEngine, StuckWeightBit};
+use snn_hw::engine::{ComputeEngine, NeuronFaultOverlay, StuckWeightBit};
 use snn_hw::error::HwError;
 use snn_hw::neuron_unit::NeuronOp;
 
@@ -78,6 +78,55 @@ pub fn inject(engine: &mut ComputeEngine, map: &FaultMap) -> Result<InjectionSum
         }
     }
     Ok(summary)
+}
+
+/// Lowers `map` to the engine's [`NeuronFaultOverlay`] — the per-call
+/// form the trial-group passes apply without installing it
+/// ([`ComputeEngine::run_batch_multi_map`],
+/// [`ComputeEngine::run_batch_per_sample_maps`]). Running a sample under
+/// the overlay is bit-identical to running it after [`inject`]`(engine,
+/// map)` on the same engine.
+///
+/// Every site is checked against `engine` first, in [`inject`]'s order
+/// (weight sites, then neuron sites), so an overlay that lowers is one
+/// the passes accept.
+///
+/// # Errors
+///
+/// Returns the [`HwError::IndexOutOfRange`] that [`inject`] would return
+/// for the same map if it was generated for a larger engine than
+/// `engine`.
+pub fn lower_overlay(
+    engine: &ComputeEngine,
+    map: &FaultMap,
+) -> Result<NeuronFaultOverlay, HwError> {
+    let (rows, cols) = (engine.crossbar().rows(), engine.crossbar().cols());
+    let n_neurons = engine.n_neurons();
+    let out_of_range = |what, index: usize, bound| HwError::IndexOutOfRange { what, index, bound };
+    let mut overlay = NeuronFaultOverlay::new();
+    for site in map.sites() {
+        if let FaultSite::WeightBit { row, col, bit } = *site {
+            if row as usize >= rows {
+                return Err(out_of_range("row", row as usize, rows));
+            }
+            if col as usize >= cols {
+                return Err(out_of_range("col", col as usize, cols));
+            }
+            if bit >= 8 {
+                return Err(out_of_range("bit", bit as usize, 8));
+            }
+            overlay.push_weight_flip(row, col, bit);
+        }
+    }
+    for site in map.sites() {
+        if let FaultSite::NeuronOp { neuron, op } = *site {
+            if neuron as usize >= n_neurons {
+                return Err(out_of_range("neuron", neuron as usize, n_neurons));
+            }
+            overlay.push_neuron_op(neuron, op);
+        }
+    }
+    Ok(overlay)
 }
 
 /// Installs a permanent stuck-at map on `engine` and returns the number
@@ -170,6 +219,58 @@ mod tests {
         let space = FaultSpace::new(100, 50, FaultDomain::ComputeEngine);
         let map = FaultMap::generate(&space, 0.01, 4);
         assert!(inject(&mut e, &map).is_err());
+    }
+
+    #[test]
+    fn lowering_rejects_oversized_maps_like_inject() {
+        // Maps drawn for a 100×50 engine against engines too small in
+        // both dimensions, only in rows, and only in columns.
+        for ((m, n), domain, seed) in [
+            ((4, 2), FaultDomain::ComputeEngine, 4),
+            ((4, 2), FaultDomain::Synapses, 5),
+            ((4, 2), FaultDomain::Neurons(None), 6),
+            ((4, 50), FaultDomain::Synapses, 7),
+            ((100, 2), FaultDomain::Synapses, 8),
+        ] {
+            let e = engine(m, n);
+            let map = FaultMap::generate(&FaultSpace::new(100, 50, domain), 0.1, seed);
+            let lowered = lower_overlay(&e, &map).unwrap_err();
+            let injected = inject(&mut e.clone(), &map).unwrap_err();
+            assert!(matches!(lowered, HwError::IndexOutOfRange { .. }));
+            assert_eq!(lowered, injected, "{m}×{n} engine, {domain:?}");
+        }
+    }
+
+    #[test]
+    fn lowered_overlay_runs_like_the_injected_map() {
+        use snn_hw::engine::{MultiMapResult, NoGuard};
+        let mut e = engine(8, 4);
+        let train = saturating_train(8);
+        let space = FaultSpace::new(8, 4, FaultDomain::ComputeEngine);
+        let maps: Vec<FaultMap> = (0..3)
+            .map(|seed| FaultMap::generate(&space, 0.3, 20 + seed))
+            .collect();
+        let overlays: Vec<NeuronFaultOverlay> = maps
+            .iter()
+            .map(|map| lower_overlay(&e, map).unwrap())
+            .collect();
+        let mut out = MultiMapResult::new();
+        e.run_batch_multi_map(
+            std::slice::from_ref(&train),
+            &overlays,
+            &Bound,
+            &NoGuard,
+            &mut out,
+        );
+        for (m, map) in maps.iter().enumerate() {
+            let overlay = &overlays[m];
+            assert_eq!(overlay.weight_flips().len(), map.n_weight_bits());
+            assert_eq!(overlay.neuron_ops().len(), map.n_neuron_ops());
+            let mut injected = e.clone();
+            inject(&mut injected, map).unwrap();
+            let counts = injected.run_sample(&train, &Bound, &mut NoGuard);
+            assert_eq!(out.counts(m, 0), counts.as_slice(), "map {m}");
+        }
     }
 
     /// A bounding-shaped read path so the engine materializes (and the

@@ -53,7 +53,7 @@ pub use fault_map::FaultMap;
 pub use grid::{
     Aggregate, CellKey, CellPolicy, CellRun, GridPointCtx, GridResults, GridRunner, GridSpec,
 };
-pub use injector::{inject, InjectionSummary};
+pub use injector::{inject, lower_overlay, InjectionSummary};
 pub use location::{FaultDomain, FaultSite, FaultSpace, RawLocation};
 pub use permanent::StuckAtMap;
 pub use service::{CampaignService, JobHandle, RunOptions, RunOutcome, ServiceError};

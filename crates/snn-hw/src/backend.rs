@@ -2,9 +2,10 @@
 //! interchangeable per workload.
 //!
 //! [`EngineBackend`] covers the evaluate entry points a deployment (or a
-//! grid shard) drives — sample, batch, multi-map, the heal-on-entry
-//! `reload_parameters`, and `reset_state` — so callers pick a backend
-//! per workload without forking their evaluation code. [`AnyBackend`]
+//! grid shard) drives — sample, batch, multi-map, per-sample maps, the
+//! heal-on-entry `reload_parameters`, and `reset_state` — so callers
+//! pick a backend per workload without forking their evaluation code.
+//! [`AnyBackend`]
 //! is the concrete closed-world container (the trait's generic methods
 //! keep guard/path static dispatch, so it cannot be a trait object);
 //! [`AnyBackend::set_kind`] swaps representations in place while
@@ -12,11 +13,14 @@
 //!
 //! Picking a backend: the dense [`ComputeEngine`] wins when most cycles
 //! carry input (its batched/multi-map passes amortize the drive phase
-//! across samples and fault maps); the [`EventEngine`] wins when most
-//! cycles are silent (it skips the whole neuron phase on provably-silent
-//! cycles and lazily replays leak), and it is the only backend that can
-//! express per-synapse delays. On delay-free workloads both produce
-//! bit-identical spikes, counts, and guard decisions.
+//! across samples and fault maps, weight-bearing maps included); the
+//! [`EventEngine`] wins when most cycles are silent (it skips the whole
+//! neuron phase on provably-silent cycles and lazily replays leak), and
+//! it is the only backend that can express per-synapse delays. It runs
+//! fault maps through an explicit per-map fallback — apply the map, run
+//! each sample, restore — at one sample run per (map, sample). On
+//! delay-free workloads both produce bit-identical spikes, counts, and
+//! guard decisions.
 
 use crate::engine::{
     BatchResult, ComputeEngine, MultiMapResult, NeuronFaultOverlay, SpikeGuard, WeightReadPath,
@@ -55,6 +59,19 @@ pub trait EngineBackend {
     fn run_batch_multi_map<P: WeightReadPath, G: SpikeGuard + Clone>(
         &mut self,
         trains: &[SpikeTrain],
+        maps: &[NeuronFaultOverlay],
+        path: &P,
+        guard: &G,
+        out: &mut MultiMapResult,
+    );
+
+    /// Evaluates each sample under its own `maps_per_sample` fault maps
+    /// (sample `s` under `maps[s·k .. (s + 1)·k]`, plane `(j, s)`) into
+    /// `out`; fault state present before the call is restored after it.
+    fn run_batch_per_sample_maps<P: WeightReadPath, G: SpikeGuard + Clone>(
+        &mut self,
+        trains: &[SpikeTrain],
+        maps_per_sample: usize,
         maps: &[NeuronFaultOverlay],
         path: &P,
         guard: &G,
@@ -110,6 +127,26 @@ impl EngineBackend for ComputeEngine {
         ComputeEngine::run_batch_multi_map(self, trains, maps, path, guard, out);
     }
 
+    fn run_batch_per_sample_maps<P: WeightReadPath, G: SpikeGuard + Clone>(
+        &mut self,
+        trains: &[SpikeTrain],
+        maps_per_sample: usize,
+        maps: &[NeuronFaultOverlay],
+        path: &P,
+        guard: &G,
+        out: &mut MultiMapResult,
+    ) {
+        ComputeEngine::run_batch_per_sample_maps(
+            self,
+            trains,
+            maps_per_sample,
+            maps,
+            path,
+            guard,
+            out,
+        );
+    }
+
     fn reload_parameters<G: SpikeGuard>(&mut self, guard: &mut G) {
         ComputeEngine::reload_parameters(self, guard);
     }
@@ -156,6 +193,26 @@ impl EngineBackend for EventEngine {
         out: &mut MultiMapResult,
     ) {
         EventEngine::run_batch_multi_map(self, trains, maps, path, guard, out);
+    }
+
+    fn run_batch_per_sample_maps<P: WeightReadPath, G: SpikeGuard + Clone>(
+        &mut self,
+        trains: &[SpikeTrain],
+        maps_per_sample: usize,
+        maps: &[NeuronFaultOverlay],
+        path: &P,
+        guard: &G,
+        out: &mut MultiMapResult,
+    ) {
+        EventEngine::run_batch_per_sample_maps(
+            self,
+            trains,
+            maps_per_sample,
+            maps,
+            path,
+            guard,
+            out,
+        );
     }
 
     fn reload_parameters<G: SpikeGuard>(&mut self, guard: &mut G) {
@@ -276,6 +333,24 @@ impl EngineBackend for AnyBackend {
         match self {
             AnyBackend::Dense(e) => e.run_batch_multi_map(trains, maps, path, guard, out),
             AnyBackend::Event(ev) => ev.run_batch_multi_map(trains, maps, path, guard, out),
+        }
+    }
+
+    fn run_batch_per_sample_maps<P: WeightReadPath, G: SpikeGuard + Clone>(
+        &mut self,
+        trains: &[SpikeTrain],
+        maps_per_sample: usize,
+        maps: &[NeuronFaultOverlay],
+        path: &P,
+        guard: &G,
+        out: &mut MultiMapResult,
+    ) {
+        let k = maps_per_sample;
+        match self {
+            AnyBackend::Dense(e) => e.run_batch_per_sample_maps(trains, k, maps, path, guard, out),
+            AnyBackend::Event(ev) => {
+                ev.run_batch_per_sample_maps(trains, k, maps, path, guard, out)
+            }
         }
     }
 

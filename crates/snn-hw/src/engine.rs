@@ -35,21 +35,38 @@
 //! # Trial groups
 //!
 //! [`ComputeEngine::run_batch_multi_map`] evaluates K fault maps over a
-//! set of encoded samples in one pass, and [`ComputeEngine::run_batch_into`]
-//! is its one-map case (a single empty overlay). Both run through one
-//! private executor over a bank of [`crate::neuron_lanes::NeuronLanes`],
-//! one lane per (map, sample) pair, at most [`MAX_LANES`] at a time:
-//! the transformed-crossbar image stays hot across every lane of a
-//! timestep, the drive is accumulated once per distinct active-row set
-//! among the chunk's samples (every map lane of a sample shares it), and
-//! the accumulate kernel is row-blocked with the lane formulation and
-//! block size the engine's [`crate::kernels::EngineTuning`] measured at
-//! construction (every choice is bit-identical — see [`crate::kernels`]).
+//! set of encoded samples in one pass,
+//! [`ComputeEngine::run_batch_per_sample_maps`] gives each sample its own
+//! maps (the re-execution shape), and [`ComputeEngine::run_batch_into`]
+//! is the one-map case (a single empty overlay). All three run through
+//! one private executor over a bank of
+//! [`crate::neuron_lanes::NeuronLanes`], one lane per (sample, map) pair,
+//! at most [`MAX_LANES`] at a time: the transformed-crossbar image stays
+//! hot across every lane of a timestep, the drive is accumulated once
+//! per distinct active-row set among the chunk's samples (every map lane
+//! of a sample shares it), and the accumulate kernel is row-blocked with
+//! the lane formulation and block size the engine's
+//! [`crate::kernels::EngineTuning`] measured at construction (every
+//! choice is bit-identical — see [`crate::kernels`]).
+//!
+//! A map is a [`NeuronFaultOverlay`]: neuron-op sites, which the lane
+//! imports into its fault masks, and weight-register flips, which never
+//! reach the crossbar. When a chunk starts, each map's flips are lowered
+//! against the current registers through the resolved read path into
+//! per-row `read(faulty) − read(current)` corrections, and each cycle a
+//! lane reads its sample's shared drive plus its corrections on that
+//! cycle's active rows. The drive is an `i32` sum of `u8` reads, so this
+//! is exact — weight-bearing groups share the drive phase too, with no
+//! fallback. Overlays are per-call inputs: the registers, the read cache
+//! and the mutation epoch are the same after the pass as before it.
+//!
 //! Each lane is evaluated *independently* — state reset first, spike
 //! guard cloned from the caller's prototype — so a trial group is
 //! spike-for-spike identical to per-sample
 //! [`run_sample_reference`](ComputeEngine::run_sample_reference) calls
-//! that clone the guard the same way (property-tested).
+//! on an engine with the map injected, cloning the guard the same way
+//! (property-tested against
+//! [`run_batch_multi_map_reference`](ComputeEngine::run_batch_multi_map_reference)).
 //!
 //! # Campaign-level crossbar-image reuse
 //!
@@ -188,6 +205,22 @@ impl ResolvedPath {
             }
         }
     }
+
+    /// One register code through the resolved path — the per-code
+    /// function every accumulate kernel applies.
+    pub(crate) fn read(&self, code: u8) -> u8 {
+        match self.kernel {
+            ReadKernel::Direct => code,
+            ReadKernel::Bounded { threshold, default } => {
+                if code > threshold {
+                    default
+                } else {
+                    code
+                }
+            }
+            ReadKernel::Table => self.table[code as usize],
+        }
+    }
 }
 
 /// The baseline read path: registers feed the adders unmodified.
@@ -323,12 +356,209 @@ pub struct ReadCacheStats {
     pub patches: u64,
 }
 
-/// A neuron-only fault map in engine terms: the `(neuron, op)` sites one
-/// trial's soft errors strike. This is the unit of
-/// [`ComputeEngine::run_batch_multi_map`]'s map axis — campaign layers
-/// lower their fault-map types to this shape at the call boundary (the
-/// engine crate cannot name them).
-pub type NeuronFaultOverlay = Vec<(u32, NeuronOp)>;
+/// One trial's fault map in engine terms: the `(neuron, op)` sites and
+/// the `(row, col, bit)` weight-register flips its soft errors strike.
+/// This is the unit of the trial-group passes' map axis
+/// ([`ComputeEngine::run_batch_multi_map`],
+/// [`ComputeEngine::run_batch_per_sample_maps`]) — campaign layers lower
+/// their fault-map types to this shape at the call boundary (the engine
+/// crate cannot name them).
+///
+/// An overlay is a per-call input: the passes apply it on top of the
+/// engine's current registers and persisted faults for the lanes that
+/// carry it and never install it, so the crossbar, the read cache and
+/// the mutation epoch are the same before and after the call.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct NeuronFaultOverlay {
+    neuron_ops: Vec<(u32, NeuronOp)>,
+    weight_flips: Vec<(u32, u32, u8)>,
+}
+
+impl NeuronFaultOverlay {
+    /// An overlay that strikes nothing.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Adds a stuck fault on operation `op` of neuron `neuron`.
+    pub fn push_neuron_op(&mut self, neuron: u32, op: NeuronOp) {
+        self.neuron_ops.push((neuron, op));
+    }
+
+    /// Adds a flip of bit `bit` of the register at (`row`, `col`). Flips
+    /// are XOR: two flips of the same bit cancel, as two injections
+    /// would.
+    pub fn push_weight_flip(&mut self, row: u32, col: u32, bit: u8) {
+        self.weight_flips.push((row, col, bit));
+    }
+
+    /// The `(neuron, op)` sites.
+    pub fn neuron_ops(&self) -> &[(u32, NeuronOp)] {
+        &self.neuron_ops
+    }
+
+    /// The `(row, col, bit)` weight flips, in the order added.
+    pub fn weight_flips(&self) -> &[(u32, u32, u8)] {
+        &self.weight_flips
+    }
+}
+
+impl FromIterator<(u32, NeuronOp)> for NeuronFaultOverlay {
+    fn from_iter<I: IntoIterator<Item = (u32, NeuronOp)>>(iter: I) -> Self {
+        Self {
+            neuron_ops: iter.into_iter().collect(),
+            weight_flips: Vec::new(),
+        }
+    }
+}
+
+/// One overlay's weight flips lowered against the engine's current
+/// register codes through the resolved read path: per crossbar row, the
+/// `(column, read(faulty) − read(current))` corrections a lane adds to
+/// the shared drive whenever that row is active. The drive is an `i32`
+/// sum of transformed codes, so shared drive + corrections is exactly
+/// the drive of an engine with the flips injected.
+///
+/// Each entry packs its column above [`DELTA_BITS`] bits of biased
+/// correction into one `u32`: applying a dense map walks its active rows'
+/// entries every cycle for every lane, so their footprint is what the
+/// corrections cost.
+#[derive(Debug, Clone, Default)]
+struct WeightDeltas {
+    /// Row `r`'s entries are `entries[row_start[r]..row_start[r + 1]]`;
+    /// empty when no correction is nonzero.
+    row_start: Vec<u32>,
+    entries: Vec<u32>,
+}
+
+/// Low bits of a packed delta entry holding `correction + 255` (a
+/// correction is a difference of two `u8` reads).
+const DELTA_BITS: u32 = 9;
+
+impl WeightDeltas {
+    /// Packs one `(column, correction)` entry.
+    fn pack(col: usize, delta: i32) -> u32 {
+        (col as u32) << DELTA_BITS | (delta + 255) as u32
+    }
+
+    /// Unpacks an entry into `(column, correction)`.
+    fn unpack(entry: u32) -> (usize, i32) {
+        let delta = (entry & ((1 << DELTA_BITS) - 1)) as i32 - 255;
+        ((entry >> DELTA_BITS) as usize, delta)
+    }
+
+    /// Lowers `flips` over the row-major `codes` of a `cols`-wide
+    /// crossbar: flips of one cell are XOR-merged, and corrections that
+    /// read as zero are dropped. Flips already in row-major order (what a
+    /// generated fault map lowers to) are merged in place; others are
+    /// sorted through `keys` first.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a flip's row, column or bit is out of range.
+    fn lower(
+        &mut self,
+        flips: &[(u32, u32, u8)],
+        codes: &[u8],
+        cols: usize,
+        path: &ResolvedPath,
+        keys: &mut Vec<u64>,
+    ) {
+        let rows = codes.len() / cols.max(1);
+        assert!(
+            cols <= 1 << (32 - DELTA_BITS),
+            "weight overlays support up to 2^23 columns"
+        );
+        for &(row, col, bit) in flips {
+            assert!(
+                (row as usize) < rows && (col as usize) < cols && bit < 8,
+                "overlay weight flip ({row}, {col}, bit {bit}) out of range for {rows}×{cols}"
+            );
+        }
+        let cell = |row: u32, col: u32| row as usize * cols + col as usize;
+        if flips
+            .windows(2)
+            .all(|w| (w[0].0, w[0].1) <= (w[1].0, w[1].1))
+        {
+            self.merge(
+                flips.iter().map(|&(r, c, bit)| (cell(r, c), bit)),
+                codes,
+                cols,
+                path,
+            );
+        } else {
+            keys.clear();
+            keys.extend(
+                flips
+                    .iter()
+                    .map(|&(r, c, bit)| (cell(r, c) as u64) << 3 | u64::from(bit)),
+            );
+            keys.sort_unstable();
+            let sorted = keys.iter().map(|&k| ((k >> 3) as usize, (k & 7) as u8));
+            self.merge(sorted, codes, cols, path);
+        }
+    }
+
+    /// Rebuilds the deltas from `(cell, bit)` flips sorted by cell.
+    fn merge(
+        &mut self,
+        flips: impl Iterator<Item = (usize, u8)>,
+        codes: &[u8],
+        cols: usize,
+        path: &ResolvedPath,
+    ) {
+        self.row_start.clear();
+        self.entries.clear();
+        let mut flips = flips.peekable();
+        while let Some((cell, bit)) = flips.next() {
+            let mut mask = 1_u8 << bit;
+            while let Some((_, bit)) = flips.next_if(|&(c, _)| c == cell) {
+                mask ^= 1 << bit;
+            }
+            let code = codes[cell];
+            let delta = i32::from(path.read(code ^ mask)) - i32::from(path.read(code));
+            if delta != 0 {
+                if self.row_start.is_empty() {
+                    self.row_start.resize(codes.len() / cols + 1, 0);
+                }
+                self.row_start[cell / cols + 1] += 1;
+                self.entries.push(Self::pack(cell % cols, delta));
+            }
+        }
+        // Per-row counts → prefix sums (the flips were sorted by cell, so
+        // the entries already sit in row order).
+        for r in 1..self.row_start.len() {
+            self.row_start[r] += self.row_start[r - 1];
+        }
+    }
+
+    /// Writes `drive` plus the corrections of every row in `active_rows`
+    /// into `out` and returns `true`, or returns `false` (leaving `out`
+    /// alone) when none of the rows carries one — the lane then reads
+    /// `drive` itself.
+    fn apply(&self, drive: &[i32], active_rows: &[u32], out: &mut [i32]) -> bool {
+        if self.entries.is_empty() {
+            return false;
+        }
+        let mut touched = false;
+        for &row in active_rows {
+            let r = row as usize;
+            let (a, b) = (self.row_start[r] as usize, self.row_start[r + 1] as usize);
+            if a == b {
+                continue;
+            }
+            if !touched {
+                out.copy_from_slice(drive);
+                touched = true;
+            }
+            for &entry in &self.entries[a..b] {
+                let (col, delta) = Self::unpack(entry);
+                out[col] += delta;
+            }
+        }
+        touched
+    }
+}
 
 /// Cap on lanes — (fault map, sample) pairs — interleaved per chunk of
 /// the trial-group pass: bounds the resident lane state and drive planes
@@ -545,6 +775,41 @@ impl CycleWords {
     }
 }
 
+/// One lane of a trial-group chunk: the sample it runs, the chunk slot
+/// of its overlay, the output plane `(map, sample)` it counts into, and
+/// (filled by the chunk runner) its sample's drive plane.
+#[derive(Debug, Clone, Copy)]
+struct LaneJob {
+    sample: usize,
+    slot: usize,
+    plane: (usize, usize),
+    drive: usize,
+}
+
+/// How a trial group pairs overlays with samples.
+#[derive(Debug, Clone, Copy)]
+enum Pairing {
+    /// Every overlay with every sample.
+    Every,
+    /// Sample `s` with its own overlays `s·k .. (s + 1)·k`.
+    PerSample(usize),
+}
+
+/// The trial-group pass's scratch (sized on first use, at most
+/// [`MAX_LANES`] lanes): the lane bank, the chunk's lane jobs, its
+/// distinct samples and their drive planes, one lane's corrected drive,
+/// and the lowered weight deltas of the chunk's overlays.
+#[derive(Debug, Clone, Default)]
+struct TrialScratch {
+    lanes: Vec<NeuronLanes>,
+    jobs: Vec<LaneJob>,
+    samples: Vec<usize>,
+    drive: Vec<i32>,
+    lane_drive: Vec<i32>,
+    deltas: Vec<WeightDeltas>,
+    keys: Vec<u64>,
+}
+
 /// Calls `f` with the index of every set bit of `words`, ascending.
 #[inline]
 fn for_each_set_bit(words: &[u64], mut f: impl FnMut(usize)) {
@@ -635,10 +900,8 @@ pub struct ComputeEngine {
     fired: Vec<u32>,
     words: CycleWords,
     counts: Vec<u32>,
-    /// The trial-group pass's lane bank and per-sample drive planes
-    /// (sized on first use, at most [`MAX_LANES`] lanes).
-    lane_bank: Vec<NeuronLanes>,
-    drive: Vec<i32>,
+    /// The trial-group pass's scratch (see [`TrialScratch`]).
+    trial: TrialScratch,
 }
 
 impl ComputeEngine {
@@ -717,8 +980,7 @@ impl ComputeEngine {
             fired: Vec::with_capacity(qn.n_neurons),
             words: CycleWords::new(n_words(qn.n_neurons)),
             counts: vec![0; qn.n_neurons],
-            lane_bank: Vec::new(),
-            drive: Vec::new(),
+            trial: TrialScratch::default(),
         })
     }
 
@@ -1211,8 +1473,7 @@ impl ComputeEngine {
             fired: Vec::new(),
             words: CycleWords::new(0),
             counts: Vec::new(),
-            lane_bank: Vec::new(),
-            drive: Vec::new(),
+            trial: TrialScratch::default(),
         }
     }
 
@@ -1342,7 +1603,15 @@ impl ComputeEngine {
     ) {
         let resolved = ResolvedPath::new(path);
         let no_overlay = [NeuronFaultOverlay::new()];
-        self.run_trial_group(trains, &no_overlay, &resolved, guard, &mut out.planes);
+        let planes = &mut out.planes;
+        self.run_trial_group(
+            trains,
+            &no_overlay,
+            Pairing::Every,
+            &resolved,
+            guard,
+            planes,
+        );
     }
 
     /// [`run_batch_into`](Self::run_batch_into) returning an owned
@@ -1358,40 +1627,53 @@ impl ComputeEngine {
         out
     }
 
-    /// Evaluates K neuron-only fault maps of one trial group through a
-    /// **single shared drive phase** — the engine-level lever for
-    /// batching a campaign across techniques/trials.
+    /// Evaluates K fault maps of one trial group through a **single
+    /// shared drive phase** — the engine-level lever for batching a
+    /// campaign across techniques/trials.
     ///
-    /// When a trial group's maps strike only neuron operations, the
-    /// crossbar (and therefore the transformed-crossbar image) is
-    /// identical for every map: at each timestep of each sample the
-    /// synaptic drive is accumulated **once** and then every map's neuron
-    /// lanes are stepped against it — K maps cost one accumulate plus K
-    /// cheap neuron passes, instead of K full engine passes.
+    /// At each timestep of each sample the synaptic drive over the
+    /// engine's current registers is accumulated **once**, and every
+    /// map's lane reads it: a map that strikes only neuron operations
+    /// reads it as is, and a map with weight flips reads it plus its
+    /// per-row corrections on that cycle's active rows. The drive is an
+    /// `i32` sum of transformed codes, so for a map `m` with flipped
+    /// cells `F_m`
+    ///
+    /// ```text
+    /// drive_m[c] = drive[c] + Σ_{(r,c) ∈ F_m, r active} (read(faulty) − read(current))
+    /// ```
+    ///
+    /// holds exactly for every read path (bounding applies to the faulty
+    /// code). K maps cost one accumulate plus K neuron passes and a few
+    /// corrections, instead of K full engine passes.
     ///
     /// Each `(map, sample)` pair is evaluated **independently**: map `m`'s
-    /// fault plane is the engine's persisted neuron faults plus
-    /// `maps[m]`'s sites, membrane state starts from rest per sample, and
-    /// the spike guard is cloned per (map, sample) from the `guard`
-    /// prototype — so `out.counts(m, s)` is bit-identical to
+    /// fault plane is the engine's current registers and persisted neuron
+    /// faults plus `maps[m]`'s flips and sites, membrane state starts from
+    /// rest per sample, and the spike guard is cloned per (map, sample)
+    /// from the `guard` prototype — so `out.counts(m, s)` is bit-identical
+    /// to
     ///
     /// ```text
     /// let mut e = engine.clone();
-    /// for &(j, op) in &maps[m] { e.neurons_mut()[j as usize].faults.set(op); }
+    /// for &(r, c, b) in maps[m].weight_flips() { e.flip_weight_bit(r as usize, c as usize, b)?; }
+    /// for &(j, op) in maps[m].neuron_ops() { e.neurons_mut()[j as usize].faults.set(op); }
     /// e.run_sample(&trains[s], path, &mut guard.clone())
     /// ```
     ///
     /// (property-tested against
     /// [`run_batch_multi_map_reference`](Self::run_batch_multi_map_reference)
-    /// across kernels, guards, vr-burst maps, empty maps, and ragged map
-    /// counts). Maps are processed in chunks of the engine's tuned width
-    /// (at most [`MAX_LANES`]); the engine's own fault state and crossbar
-    /// are left untouched, and its membrane state is left reset.
+    /// across kernels, guards, weight flips, vr-burst maps, empty maps,
+    /// and ragged map counts). Maps are processed in chunks of the
+    /// engine's tuned width (at most [`MAX_LANES`]); the maps are never
+    /// installed, so the engine's fault state, crossbar, read cache and
+    /// mutation epoch are left untouched, and its membrane state is left
+    /// reset.
     ///
     /// # Panics
     ///
-    /// Panics if a map site's neuron index or a train's active-row index
-    /// is out of range for this engine.
+    /// Panics if a map site's neuron, row, column or bit, or a train's
+    /// active-row index, is out of range for this engine.
     pub fn run_batch_multi_map<P: WeightReadPath, G: SpikeGuard + Clone>(
         &mut self,
         trains: &[SpikeTrain],
@@ -1401,118 +1683,266 @@ impl ComputeEngine {
         out: &mut MultiMapResult,
     ) {
         let resolved = ResolvedPath::new(path);
-        self.run_trial_group(trains, maps, &resolved, guard, out);
+        self.run_trial_group(trains, maps, Pairing::Every, &resolved, guard, out);
+    }
+
+    /// Evaluates every sample under its own `maps_per_sample` fault maps
+    /// in one pass — the re-execution shape, where each execution of a
+    /// sample draws a fresh map. Sample `s` runs once under each of
+    /// `maps[s·k .. (s + 1)·k]` (`k = maps_per_sample`), and
+    /// `out.counts(j, s)` is what
+    /// [`run_batch_multi_map`](Self::run_batch_multi_map) would give for
+    /// `trains[s]` alone under `maps[s·k + j]`. Lanes are
+    /// (sample, map) pairs as there, so the lanes of one sample share its
+    /// drive and the maps are never installed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `maps.len() != trains.len() * maps_per_sample`, or under
+    /// the conditions of [`run_batch_multi_map`](Self::run_batch_multi_map).
+    pub fn run_batch_per_sample_maps<P: WeightReadPath, G: SpikeGuard + Clone>(
+        &mut self,
+        trains: &[SpikeTrain],
+        maps_per_sample: usize,
+        maps: &[NeuronFaultOverlay],
+        path: &P,
+        guard: &G,
+        out: &mut MultiMapResult,
+    ) {
+        let resolved = ResolvedPath::new(path);
+        let pairing = Pairing::PerSample(maps_per_sample);
+        self.run_trial_group(trains, maps, pairing, &resolved, guard, out);
     }
 
     /// The one trial-group executor behind
-    /// [`run_batch_into`](Self::run_batch_into) and
-    /// [`run_batch_multi_map`](Self::run_batch_multi_map): every
-    /// (overlay, sample) pair runs in its own lane of the lane bank and
-    /// counts into plane `(m, s)` of `out`.
+    /// [`run_batch_into`](Self::run_batch_into),
+    /// [`run_batch_multi_map`](Self::run_batch_multi_map) and
+    /// [`run_batch_per_sample_maps`](Self::run_batch_per_sample_maps):
+    /// every (sample, overlay) pair runs in its own lane of the lane bank
+    /// and counts into one plane of `out`.
     ///
-    /// Overlays are taken in chunks of the tuned lane width W, and a chunk
-    /// of K overlays runs W / K samples at a time — a plain batch is W
-    /// samples × 1 map, a full multi-map chunk 1 sample × W maps. Per
-    /// cycle, the drive is accumulated once per distinct active-row set
-    /// among the chunk's samples (every map lane of a sample shares it),
-    /// then each lane runs [`CycleWords::lane_phase`].
+    /// Lanes run in chunks of at most the tuned lane width W, and each
+    /// chunk's overlays are lowered to weight deltas once, against the
+    /// current registers. Under [`Pairing::Every`] a chunk of K overlays
+    /// runs W / K samples at a time — a plain batch is W samples × 1 map,
+    /// a full multi-map chunk 1 sample × W maps; under
+    /// [`Pairing::PerSample`] a chunk holds whole samples' overlay sets
+    /// where they fit.
     fn run_trial_group<G: SpikeGuard + Clone>(
         &mut self,
         trains: &[SpikeTrain],
         overlays: &[NeuronFaultOverlay],
+        pairing: Pairing,
         path: &ResolvedPath,
         guard: &G,
         out: &mut MultiMapResult,
     ) {
-        let n = self.n_neurons;
-        out.reset(n, trains.len(), overlays.len());
+        let n_maps = match pairing {
+            Pairing::Every => overlays.len(),
+            Pairing::PerSample(k) => {
+                assert_eq!(overlays.len(), trains.len() * k, "maps per sample");
+                k
+            }
+        };
+        out.reset(self.n_neurons, trains.len(), n_maps);
         // Fault flags are authoritative in the architectural units; make
         // them current once so every lane imports the same base.
         self.ensure_units();
         self.ensure_read_cache(path);
-        let src: &[u8] = match path.kernel {
-            ReadKernel::Direct => self.crossbar.codes_slice(),
-            // Nothing below mutates registers or the transform.
-            ReadKernel::Bounded { .. } | ReadKernel::Table => &self.read_cache,
-        };
         let width = self.tuning.clamped_lane_chunk();
-        for (chunk_idx, maps) in overlays.chunks(width).enumerate() {
-            let per_map = width / maps.len();
-            let n_lanes = maps.len() * per_map;
-            if self.lane_bank.len() < n_lanes {
-                self.lane_bank.resize_with(n_lanes, || NeuronLanes::new(0));
-            }
-            // Lane `l` is map `l / per_map`, sample `l % per_map` of the
-            // current sample chunk.
-            let lanes = &mut self.lane_bank[..n_lanes];
-            for (l, lane) in lanes.iter_mut().enumerate() {
-                lane.configure(&self.neurons, &maps[l / per_map]);
-            }
-            for (sample_chunk, samples) in trains.chunks(per_map).enumerate() {
-                if sample_chunk > 0 {
-                    lanes.iter_mut().for_each(NeuronLanes::reset_state);
+        let mut scratch = std::mem::take(&mut self.trial);
+        match pairing {
+            Pairing::Every => {
+                for (chunk_idx, maps) in overlays.chunks(width).enumerate() {
+                    self.lower_deltas(&mut scratch, maps, path);
+                    let per_map = width / maps.len();
+                    for first in (0..trains.len()).step_by(per_map) {
+                        let samples = first..(first + per_map).min(trains.len());
+                        scratch.jobs.clear();
+                        for m in 0..maps.len() {
+                            scratch.jobs.extend(samples.clone().map(|s| LaneJob {
+                                sample: s,
+                                slot: m,
+                                plane: (chunk_idx * width + m, s),
+                                drive: 0,
+                            }));
+                        }
+                        self.run_lane_chunk(&mut scratch, trains, maps, path, guard, out);
+                    }
                 }
-                let mut guards: Vec<G> = (0..n_lanes).map(|_| guard.clone()).collect();
-                self.drive.clear();
-                self.drive.resize(samples.len() * n, 0);
-                let t_max = samples.iter().map(SpikeTrain::n_steps).max().unwrap_or(0);
-                for t in 0..t_max {
-                    // Drive phase: one accumulate per *distinct* active-row
-                    // set across the chunk's samples this cycle; duplicates
-                    // are copied. The image rows touched at cycle `t` stay
-                    // hot across every lane of the chunk.
-                    for (s, train) in samples.iter().enumerate() {
-                        if t >= train.n_steps() {
-                            continue;
+            }
+            Pairing::PerSample(k) => {
+                // Whole samples per chunk where their k lanes fit.
+                let chunk = if k == 0 || k > width {
+                    width
+                } else {
+                    width - width % k
+                };
+                for (chunk_idx, maps) in overlays.chunks(chunk).enumerate() {
+                    self.lower_deltas(&mut scratch, maps, path);
+                    scratch.jobs.clear();
+                    scratch.jobs.extend((0..maps.len()).map(|slot| {
+                        let lane = chunk_idx * chunk + slot;
+                        LaneJob {
+                            sample: lane / k,
+                            slot,
+                            plane: (lane % k, lane / k),
+                            drive: 0,
                         }
-                        let rows = train.step(t);
-                        let shared = (0..s)
-                            .find(|&p| t < samples[p].n_steps() && samples[p].step(t) == rows);
-                        let (done, rest) = self.drive.split_at_mut(s * n);
-                        let acc_s = &mut rest[..n];
-                        match shared {
-                            Some(p) => acc_s.copy_from_slice(&done[p * n..p * n + n]),
-                            None => kernels::write_rows_blocked(
-                                self.tuning.kernel,
-                                self.tuning.row_block,
-                                src,
-                                n,
-                                rows,
-                                acc_s,
-                            ),
-                        }
-                    }
-                    // Neuron phase of every lane whose sample is still live.
-                    for (l, (lane, guard_l)) in lanes.iter_mut().zip(&mut guards).enumerate() {
-                        let (m, s) = (l / per_map, l % per_map);
-                        if s >= samples.len() || t >= samples[s].n_steps() {
-                            continue;
-                        }
-                        self.words.lane_phase(
-                            lane,
-                            &self.drive[s * n..(s + 1) * n],
-                            &self.v_thresh,
-                            &self.hw,
-                            guard_l,
-                            out.counts_mut(chunk_idx * width + m, sample_chunk * per_map + s),
-                        );
-                    }
+                    }));
+                    self.run_lane_chunk(&mut scratch, trains, maps, path, guard, out);
                 }
             }
         }
+        self.trial = scratch;
         // The trial-group pass bypasses the single-sample state; leave the
         // engine at rest in both representations so a later step/sample
         // starts from a well-defined point.
         self.reset_state();
     }
 
+    /// Lowers each of `maps`' weight flips into delta slot `i` of
+    /// `scratch`, against the current registers.
+    fn lower_deltas(
+        &self,
+        scratch: &mut TrialScratch,
+        maps: &[NeuronFaultOverlay],
+        path: &ResolvedPath,
+    ) {
+        if scratch.deltas.len() < maps.len() {
+            scratch
+                .deltas
+                .resize_with(maps.len(), WeightDeltas::default);
+        }
+        let codes = self.crossbar.codes_slice();
+        for (deltas, map) in scratch.deltas.iter_mut().zip(maps) {
+            deltas.lower(
+                map.weight_flips(),
+                codes,
+                self.n_neurons,
+                path,
+                &mut scratch.keys,
+            );
+        }
+    }
+
+    /// Runs one chunk of lanes (`scratch.jobs`; slot `i` is `maps[i]`,
+    /// already lowered into `scratch.deltas[i]`) over their samples.
+    /// Per cycle, the drive is accumulated once per distinct active-row
+    /// set among the chunk's samples, then each live lane runs
+    /// [`CycleWords::lane_phase`] on its sample's drive, corrected by its
+    /// overlay's weight deltas on the active rows.
+    fn run_lane_chunk<G: SpikeGuard + Clone>(
+        &mut self,
+        scratch: &mut TrialScratch,
+        trains: &[SpikeTrain],
+        maps: &[NeuronFaultOverlay],
+        path: &ResolvedPath,
+        guard: &G,
+        out: &mut MultiMapResult,
+    ) {
+        let n = self.n_neurons;
+        let src: &[u8] = match path.kernel {
+            ReadKernel::Direct => self.crossbar.codes_slice(),
+            // Nothing below mutates registers or the transform.
+            ReadKernel::Bounded { .. } | ReadKernel::Table => &self.read_cache,
+        };
+        let TrialScratch {
+            lanes,
+            jobs,
+            samples,
+            drive,
+            lane_drive,
+            deltas,
+            ..
+        } = scratch;
+        if lanes.len() < jobs.len() {
+            lanes.resize_with(jobs.len(), || NeuronLanes::new(0));
+        }
+        samples.clear();
+        for (lane, job) in lanes.iter_mut().zip(jobs.iter_mut()) {
+            lane.configure(&self.neurons, maps[job.slot].neuron_ops());
+            job.drive = match samples.iter().position(|&s| s == job.sample) {
+                Some(d) => d,
+                None => {
+                    samples.push(job.sample);
+                    samples.len() - 1
+                }
+            };
+        }
+        let mut guards: Vec<G> = jobs.iter().map(|_| guard.clone()).collect();
+        drive.clear();
+        drive.resize(samples.len() * n, 0);
+        lane_drive.resize(n, 0);
+        let t_max = samples
+            .iter()
+            .map(|&s| trains[s].n_steps())
+            .max()
+            .unwrap_or(0);
+        for t in 0..t_max {
+            // Drive phase: one accumulate per *distinct* active-row set
+            // across the chunk's samples this cycle; duplicates are
+            // copied. The image rows touched at cycle `t` stay hot across
+            // every lane of the chunk.
+            for (d, &s) in samples.iter().enumerate() {
+                let train = &trains[s];
+                if t >= train.n_steps() {
+                    continue;
+                }
+                let rows = train.step(t);
+                let shared = samples[..d]
+                    .iter()
+                    .position(|&p| t < trains[p].n_steps() && trains[p].step(t) == rows);
+                let (done, rest) = drive.split_at_mut(d * n);
+                let acc = &mut rest[..n];
+                match shared {
+                    Some(p) => acc.copy_from_slice(&done[p * n..p * n + n]),
+                    None => kernels::write_rows_blocked(
+                        self.tuning.kernel,
+                        self.tuning.row_block,
+                        src,
+                        n,
+                        rows,
+                        acc,
+                    ),
+                }
+            }
+            // Neuron phase of every lane whose sample is still live.
+            for ((lane, job), guard_l) in lanes.iter_mut().zip(jobs.iter()).zip(&mut guards) {
+                let train = &trains[job.sample];
+                if t >= train.n_steps() {
+                    continue;
+                }
+                let shared = &drive[job.drive * n..(job.drive + 1) * n];
+                let acc = if deltas[job.slot].apply(shared, train.step(t), lane_drive) {
+                    &lane_drive[..]
+                } else {
+                    shared
+                };
+                self.words.lane_phase(
+                    lane,
+                    acc,
+                    &self.v_thresh,
+                    &self.hw,
+                    guard_l,
+                    out.counts_mut(job.plane.0, job.plane.1),
+                );
+            }
+        }
+    }
+
     /// Reference formulation of
     /// [`run_batch_multi_map`](Self::run_batch_multi_map): the per-map
-    /// scalar loop — inject each map's sites into the architectural
-    /// units, run every sample through
+    /// scalar loop — flip each map's weight bits and set its neuron sites
+    /// in the architectural units, run every sample through
     /// [`run_sample_reference`](Self::run_sample_reference) with a fresh
-    /// guard clone, restore the fault flags. Kept as the behavioral
-    /// oracle for the equivalence property tests; not a hot path.
+    /// guard clone, flip the bits back and restore the fault flags. Kept
+    /// as the behavioral oracle for the equivalence property tests; not a
+    /// hot path.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a map site is out of range for this engine.
     pub fn run_batch_multi_map_reference<P: WeightReadPath, G: SpikeGuard + Clone>(
         &mut self,
         trains: &[SpikeTrain],
@@ -1525,9 +1955,10 @@ impl ComputeEngine {
         self.ensure_units();
         let baseline: Vec<OpFaults> = self.neurons.iter().map(|u| u.faults).collect();
         for (m, map) in maps.iter().enumerate() {
+            self.flip_overlay_bits(map);
             {
                 let units = self.neurons_mut();
-                for &(j, op) in map {
+                for &(j, op) in map.neuron_ops() {
                     units[j as usize].faults.set(op);
                 }
             }
@@ -1535,6 +1966,7 @@ impl ComputeEngine {
                 let counts = self.run_sample_reference(train, path, &mut guard.clone());
                 out.counts_mut(m, s).copy_from_slice(&counts);
             }
+            self.flip_overlay_bits(map);
             let units = self.neurons_mut();
             for (u, &f) in units.iter_mut().zip(&baseline) {
                 u.faults = f;
@@ -1542,6 +1974,20 @@ impl ComputeEngine {
         }
         self.reset_state();
         out
+    }
+
+    /// Flips every weight bit of `overlay` in the registers (through
+    /// [`flip_weight_bit`](Self::flip_weight_bit)); a second call undoes
+    /// the first. The apply/restore step of the per-map loops.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a flip is out of range for this engine.
+    pub(crate) fn flip_overlay_bits(&mut self, overlay: &NeuronFaultOverlay) {
+        for &(row, col, bit) in overlay.weight_flips() {
+            self.flip_weight_bit(row as usize, col as usize, bit)
+                .expect("overlay weight flip out of range");
+        }
     }
 
     /// Reference (pre-optimization) formulation of [`step`](Self::step):
@@ -1634,6 +2080,11 @@ mod tests {
         let net = Network::from_parts(cfg.clone(), vec![0.5; cfg.n_synapses()]).unwrap();
         let qn = QuantizedNetwork::from_network_default(&net);
         ComputeEngine::for_network(&qn).unwrap()
+    }
+
+    /// A neuron-only overlay of `sites`.
+    fn ops(sites: &[(u32, NeuronOp)]) -> NeuronFaultOverlay {
+        sites.iter().copied().collect()
     }
 
     #[test]
@@ -2072,9 +2523,9 @@ mod tests {
             trains.push(train);
         }
         let maps: Vec<NeuronFaultOverlay> = vec![
-            vec![],
-            vec![(1, NeuronOp::VmemReset)],
-            vec![(2, NeuronOp::SpikeGeneration), (3, NeuronOp::VmemIncrease)],
+            ops(&[]),
+            ops(&[(1, NeuronOp::VmemReset)]),
+            ops(&[(2, NeuronOp::SpikeGeneration), (3, NeuronOp::VmemIncrease)]),
         ];
         let mut out = MultiMapResult::new();
         fast.run_batch_multi_map(&trains, &maps, &DirectRead, &NoGuard, &mut out);
@@ -2099,7 +2550,7 @@ mod tests {
             train.push_step((0..8).filter(|r| (t + r) % 2 == 0).collect());
         }
         let maps: Vec<NeuronFaultOverlay> = (0..MAX_LANES + 1)
-            .map(|m| vec![((m % 4) as u32, NeuronOp::ALL[m % 4])])
+            .map(|m| ops(&[((m % 4) as u32, NeuronOp::ALL[m % 4])]))
             .collect();
         let mut out = MultiMapResult::new();
         fast.run_batch_multi_map(&[train.clone()], &maps, &DirectRead, &NoGuard, &mut out);
@@ -2123,13 +2574,13 @@ mod tests {
         assert!(out.is_empty());
         assert_eq!(out.n_samples(), 1);
         // No samples: K empty planes.
-        e.run_batch_multi_map(&[], &[vec![]], &DirectRead, &NoGuard, &mut out);
+        e.run_batch_multi_map(&[], &[ops(&[])], &DirectRead, &NoGuard, &mut out);
         assert_eq!(out.n_maps(), 1);
         assert_eq!(out.n_samples(), 0);
         // Zero-length trains: all-zero counts.
         e.run_batch_multi_map(
             &[SpikeTrain::new(8, 0)],
-            &[vec![], vec![(0, NeuronOp::VmemReset)]],
+            &[ops(&[]), ops(&[(0, NeuronOp::VmemReset)])],
             &DirectRead,
             &NoGuard,
             &mut out,
@@ -2140,8 +2591,11 @@ mod tests {
 
     #[test]
     fn multi_map_leaves_read_cache_and_crossbar_alone() {
-        // Neuron-only trial groups must not rebuild the transformed image:
-        // that invariance is what makes the shared drive phase legal.
+        // Overlays are per-call inputs: neither neuron-only nor
+        // weight-bearing trial groups may touch the registers, the
+        // transformed image, its counters, or the mutation epoch — that
+        // invariance is what keeps heal-on-entry and the shared drive
+        // phase legal.
         let mut e = small_engine();
         let mut train = SpikeTrain::new(8, 5);
         for _ in 0..5 {
@@ -2150,23 +2604,105 @@ mod tests {
         e.run_sample(&train, &Bound90, &mut NoGuard);
         assert_eq!(e.read_cache_stats().rebuilds, 1);
         let codes_before = e.crossbar().codes();
+        let image_before = e.read_cache.clone();
+        let stats_before = e.read_cache_stats();
+        let epoch_before = e.mutation_epoch();
+        let mut weighty = ops(&[(1, NeuronOp::VmemLeak)]);
+        weighty.push_weight_flip(0, 1, 7);
+        weighty.push_weight_flip(2, 3, 6);
+        weighty.push_weight_flip(2, 3, 6);
         let mut out = MultiMapResult::new();
         e.run_batch_multi_map(
             &[train.clone()],
-            &[
-                vec![(0, NeuronOp::VmemReset)],
-                vec![(1, NeuronOp::VmemLeak)],
-            ],
+            &[ops(&[(0, NeuronOp::VmemReset)]), weighty.clone()],
+            &Bound90,
+            &NoGuard,
+            &mut out,
+        );
+        e.run_batch_per_sample_maps(
+            &[train.clone()],
+            1,
+            &[weighty],
             &Bound90,
             &NoGuard,
             &mut out,
         );
         assert_eq!(
-            e.read_cache_stats().rebuilds,
-            1,
-            "no rebuild for neuron-only maps"
+            e.read_cache_stats(),
+            stats_before,
+            "no rebuild, restore or patch for overlays"
         );
         assert_eq!(e.crossbar().codes(), codes_before);
+        assert_eq!(e.read_cache, image_before);
+        assert_eq!(e.mutation_epoch(), epoch_before);
+    }
+
+    #[test]
+    fn weight_overlay_matches_injected_flips() {
+        // Flips of one cell merge by XOR (the same bit twice cancels),
+        // and the corrected shared drive equals the drive of an engine
+        // with the flips injected, on every read kernel.
+        let mut train = SpikeTrain::new(8, 12);
+        for t in 0..12_u32 {
+            train.push_step((0..8).filter(|r| (t + r) % 3 != 0).collect());
+        }
+        let mut overlay = ops(&[(2, NeuronOp::SpikeGeneration)]);
+        for (row, col, bit) in [
+            (0, 0, 7),
+            (0, 0, 6),
+            (0, 0, 7),
+            (3, 2, 5),
+            (7, 3, 0),
+            (5, 1, 7),
+        ] {
+            overlay.push_weight_flip(row, col, bit);
+        }
+        struct Table;
+        impl WeightReadPath for Table {
+            fn read(&self, code: u8) -> u8 {
+                code / 3
+            }
+        }
+        let mut e = small_engine();
+        let mut out = MultiMapResult::new();
+        let maps = [NeuronFaultOverlay::new(), overlay.clone()];
+        let mut injected = e.clone();
+        for &(row, col, bit) in overlay.weight_flips() {
+            injected
+                .flip_weight_bit(row as usize, col as usize, bit)
+                .unwrap();
+        }
+        injected.neurons_mut()[2]
+            .faults
+            .set(NeuronOp::SpikeGeneration);
+        e.run_batch_multi_map(&[train.clone()], &maps, &DirectRead, &NoGuard, &mut out);
+        let want = injected.run_sample(&train, &DirectRead, &mut NoGuard);
+        assert_eq!(out.counts(1, 0), want.as_slice(), "direct");
+        e.run_batch_multi_map(&[train.clone()], &maps, &Bound90, &NoGuard, &mut out);
+        let want = injected.run_sample(&train, &Bound90, &mut NoGuard);
+        assert_eq!(out.counts(1, 0), want.as_slice(), "bounded");
+        e.run_batch_multi_map(&[train.clone()], &maps, &Table, &NoGuard, &mut out);
+        let want = injected.run_sample(&train, &Table, &mut NoGuard);
+        assert_eq!(out.counts(1, 0), want.as_slice(), "table");
+        // Lowering: (0,0) keeps bit 6 only, and the deltas hold one entry
+        // per cell whose read changes.
+        let mut deltas = WeightDeltas::default();
+        let mut keys = Vec::new();
+        let codes = e.crossbar().codes();
+        let path = ResolvedPath::new(&DirectRead);
+        deltas.lower(overlay.weight_flips(), &codes, 4, &path, &mut keys);
+        assert_eq!(deltas.entries.len(), 4);
+        let d00 = i32::from(codes[0] ^ 0x40) - i32::from(codes[0]);
+        assert_eq!(WeightDeltas::unpack(deltas.entries[0]), (0, d00));
+        for (col, delta) in [(0, -255), (7, 255), (399, 0), ((1 << 23) - 1, -1)] {
+            assert_eq!(
+                WeightDeltas::unpack(WeightDeltas::pack(col, delta)),
+                (col, delta)
+            );
+        }
+        // Two flips of one bit lower to nothing at all.
+        deltas.lower(&[(1, 1, 3), (1, 1, 3)], &codes, 4, &path, &mut keys);
+        assert!(deltas.entries.is_empty() && deltas.row_start.is_empty());
     }
 
     #[test]

@@ -312,10 +312,13 @@ impl EventEngine {
         self.reset_state();
     }
 
-    /// Evaluates every (fault map, sample) pair: mirrors the dense
-    /// multi-map reference semantics — inject map `m` over the current
-    /// fault state, run each sample with a fresh guard clone, restore the
-    /// baseline fault state, repeat — with this backend's sample runner.
+    /// Evaluates every (fault map, sample) pair with this backend's
+    /// sample runner. This is the event backend's explicit per-map
+    /// fallback for the dense shared-drive pass: apply map `m` (weight
+    /// flips and neuron sites) over the current fault state, run each
+    /// sample with a fresh guard clone, restore the state exactly, repeat
+    /// — the dense multi-map reference semantics, at the cost of one
+    /// sample run per (map, sample).
     pub fn run_batch_multi_map<P: WeightReadPath, G: SpikeGuard + Clone>(
         &mut self,
         trains: &[SpikeTrain],
@@ -326,25 +329,76 @@ impl EventEngine {
     ) {
         let resolved = ResolvedPath::new(path);
         out.reset(self.inner.n_neurons(), trains.len(), maps.len());
-        let baseline: Vec<OpFaults> = self.inner.neurons().iter().map(|u| u.faults).collect();
+        let baseline = self.fault_baseline();
         for (m, map) in maps.iter().enumerate() {
-            {
-                let units = self.inner.neurons_mut();
-                for &(j, op) in map {
-                    units[j as usize].faults.set(op);
-                }
-            }
+            self.apply_overlay(map);
             for (s, train) in trains.iter().enumerate() {
-                let mut g = guard.clone();
-                self.run_sample_resolved(train, &resolved, &mut g);
+                self.run_sample_resolved(train, &resolved, &mut guard.clone());
                 out.counts_mut(m, s).copy_from_slice(&self.counts);
             }
-            let units = self.inner.neurons_mut();
-            for (u, &f) in units.iter_mut().zip(&baseline) {
-                u.faults = f;
-            }
+            self.restore_overlay(map, &baseline);
         }
         self.reset_state();
+    }
+
+    /// Evaluates each sample under its own `maps_per_sample` fault maps
+    /// (see [`ComputeEngine::run_batch_per_sample_maps`]) through the
+    /// same explicit per-map fallback as
+    /// [`run_batch_multi_map`](Self::run_batch_multi_map): apply the map,
+    /// run its sample with a fresh guard clone, restore.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `maps.len() != trains.len() * maps_per_sample` or a map
+    /// site is out of range.
+    pub fn run_batch_per_sample_maps<P: WeightReadPath, G: SpikeGuard + Clone>(
+        &mut self,
+        trains: &[SpikeTrain],
+        maps_per_sample: usize,
+        maps: &[NeuronFaultOverlay],
+        path: &P,
+        guard: &G,
+        out: &mut MultiMapResult,
+    ) {
+        assert_eq!(
+            maps.len(),
+            trains.len() * maps_per_sample,
+            "maps per sample"
+        );
+        let resolved = ResolvedPath::new(path);
+        out.reset(self.inner.n_neurons(), trains.len(), maps_per_sample);
+        let baseline = self.fault_baseline();
+        for (i, map) in maps.iter().enumerate() {
+            let (j, s) = (i % maps_per_sample, i / maps_per_sample);
+            self.apply_overlay(map);
+            self.run_sample_resolved(&trains[s], &resolved, &mut guard.clone());
+            out.counts_mut(j, s).copy_from_slice(&self.counts);
+            self.restore_overlay(map, &baseline);
+        }
+        self.reset_state();
+    }
+
+    /// The wrapped engine's current neuron fault flags.
+    fn fault_baseline(&self) -> Vec<OpFaults> {
+        self.inner.neurons().iter().map(|u| u.faults).collect()
+    }
+
+    /// Injects `map` over the current fault state.
+    fn apply_overlay(&mut self, map: &NeuronFaultOverlay) {
+        self.inner.flip_overlay_bits(map);
+        let units = self.inner.neurons_mut();
+        for &(j, op) in map.neuron_ops() {
+            units[j as usize].faults.set(op);
+        }
+    }
+
+    /// Undoes [`apply_overlay`](Self::apply_overlay): flips `map`'s bits
+    /// back and restores the neuron fault flags to `baseline`.
+    fn restore_overlay(&mut self, map: &NeuronFaultOverlay, baseline: &[OpFaults]) {
+        self.inner.flip_overlay_bits(map);
+        for (u, &f) in self.inner.neurons_mut().iter_mut().zip(baseline) {
+            u.faults = f;
+        }
     }
 
     /// The sample loop (see the module docs for the cycle shape).
@@ -444,7 +498,7 @@ impl EventEngine {
         for row in 0..m {
             for col in 0..n {
                 let idx = row * n + col;
-                let w = resolve_code(resolved, codes[idx]);
+                let w = resolved.read(codes[idx]);
                 let d = self.delays[idx];
                 if d == 0 {
                     self.immediate[idx] = w;
@@ -454,21 +508,5 @@ impl EventEngine {
             }
         }
         self.compiled_key = Some(key);
-    }
-}
-
-/// One register code through the resolved read path — the same per-code
-/// function the dense kernels apply, reused at compile time.
-fn resolve_code(path: &ResolvedPath, code: u8) -> u8 {
-    match path.kernel {
-        ReadKernel::Direct => code,
-        ReadKernel::Bounded { threshold, default } => {
-            if code > threshold {
-                default
-            } else {
-                code
-            }
-        }
-        ReadKernel::Table => path.table[code as usize],
     }
 }

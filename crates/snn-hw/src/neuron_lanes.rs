@@ -33,11 +33,13 @@
 //!
 //! # Trial groups
 //!
-//! The engine's trial-group pass (`ComputeEngine::run_batch_into` and
-//! `ComputeEngine::run_batch_multi_map`) keeps a bank of these lanes, one
-//! per (fault map, sample) pair. [`NeuronLanes::configure`] sizes a lane
-//! from rest over the engine's persisted faults plus one map's overlay
-//! sites (an empty overlay for a plain batch), so every lane steps through
+//! The engine's trial-group pass (`ComputeEngine::run_batch_into`,
+//! `ComputeEngine::run_batch_multi_map` and
+//! `ComputeEngine::run_batch_per_sample_maps`) keeps a bank of these
+//! lanes, one per (fault map, sample) pair. [`NeuronLanes::configure`]
+//! sizes a lane from rest over the engine's persisted faults plus one
+//! map's neuron-op sites (none for a plain batch; the map's weight flips
+//! reach the lane as drive corrections instead), so every lane steps through
 //! the very kernels of the single-sample path and evolves exactly like an
 //! engine with that map injected running that sample — the cross-path
 //! property suite in `tests/proptest_engine_equivalence.rs` pins it.

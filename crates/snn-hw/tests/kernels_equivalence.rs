@@ -154,13 +154,17 @@ fn random_train(seed: u64, density: f64) -> SpikeTrain {
 fn overlay_maps(k: usize) -> Vec<NeuronFaultOverlay> {
     (0..k)
         .map(|m| {
-            vec![
+            let mut overlay: NeuronFaultOverlay = [
                 ((m % 10) as u32, snn_hw::neuron_unit::NeuronOp::VmemReset),
                 (
                     ((m * 3 + 1) % 10) as u32,
                     snn_hw::neuron_unit::NeuronOp::ALL[m % 4],
                 ),
             ]
+            .into_iter()
+            .collect();
+            overlay.push_weight_flip((m % 24) as u32, ((m * 7) % 10) as u32, (m % 8) as u8);
+            overlay
         })
         .collect()
 }

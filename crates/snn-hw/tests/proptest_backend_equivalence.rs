@@ -147,6 +147,33 @@ fn random_overlay(n_neurons: usize, n_sites: usize, seed: u64) -> NeuronFaultOve
         .collect()
 }
 
+/// Adds `n_flips` random weight flips over an `n_inputs × n_neurons`
+/// crossbar to `overlay`; every other flip repeats its cell with either
+/// the same bit (the pair cancels) or the next one (the pair merges).
+fn add_random_flips(
+    overlay: &mut NeuronFaultOverlay,
+    n_inputs: usize,
+    n_neurons: usize,
+    n_flips: usize,
+    seed: u64,
+) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    for i in 0..n_flips {
+        let row = rng.gen_range(0..n_inputs) as u32;
+        let col = rng.gen_range(0..n_neurons) as u32;
+        let bit = rng.gen_range(0_u8..8);
+        overlay.push_weight_flip(row, col, bit);
+        if i % 2 == 0 {
+            let again = if rng.gen_bool(0.5) {
+                bit
+            } else {
+                (bit + 1) % 8
+            };
+            overlay.push_weight_flip(row, col, again);
+        }
+    }
+}
+
 /// Asserts the event backend matches the dense engine sample for sample
 /// under a given path/guard pair, including the guard's latch state.
 fn assert_sample_equivalence<P: WeightReadPath>(
@@ -220,10 +247,13 @@ proptest! {
         assert_sample_equivalence(&mut dense, &mut event, &trains, &as_table, window, "table");
     }
 
-    /// Batch and multi-map equivalence through the [`EngineBackend`]
-    /// trait over [`AnyBackend`] — the exact dispatch surface a
-    /// deployment (and every grid shard cloned from it) evaluates
-    /// through.
+    /// Batch, multi-map and per-sample-maps equivalence through the
+    /// [`EngineBackend`] trait over [`AnyBackend`] — the exact dispatch
+    /// surface a deployment (and every grid shard cloned from it)
+    /// evaluates through. Overlays carry weight flips (duplicated cells
+    /// included) over installed stuck-at bits: the dense backend adds
+    /// them as drive corrections, the event backend's per-map fallback
+    /// flips them in and back out.
     #[test]
     fn any_backend_batch_and_multi_map_match(
         net_seed in any::<u64>(),
@@ -231,11 +261,22 @@ proptest! {
         threshold in any::<u8>(),
         default in any::<u8>(),
         n_bit_flips in 0_usize..30,
+        n_map_flips in 0_usize..10,
+        stuck in any::<bool>(),
         k in 1_usize..6,
         window in 1_u8..4,
         silent_fraction in 0.0_f64..0.9,
     ) {
-        let engine = random_faulted_engine(24, 10, net_seed, fault_seed, n_bit_flips, 2);
+        let mut engine = random_faulted_engine(24, 10, net_seed, fault_seed, n_bit_flips, 2);
+        if stuck {
+            let site = snn_hw::engine::StuckWeightBit {
+                row: (fault_seed % 24) as usize,
+                col: (net_seed % 10) as usize,
+                bit: (fault_seed % 8) as u8,
+                stuck_at: fault_seed & 1 == 0,
+            };
+            engine.install_stuck_bits(&[site]).expect("in range");
+        }
         let mut dense = AnyBackend::dense(engine.clone());
         let mut event = AnyBackend::dense(engine);
         event.set_kind(EngineBackendKind::Event);
@@ -246,7 +287,8 @@ proptest! {
         let maps: Vec<NeuronFaultOverlay> = (0..k)
             .map(|m| {
                 let mut overlay = random_overlay(10, m % 3, fault_seed ^ (0x20 + m as u64));
-                overlay.push(((m % 10) as u32, NeuronOp::VmemReset));
+                overlay.push_neuron_op((m % 10) as u32, NeuronOp::VmemReset);
+                add_random_flips(&mut overlay, 24, 10, (m * n_map_flips) / k, fault_seed ^ (0x40 + m as u64));
                 overlay
             })
             .collect();
@@ -259,11 +301,31 @@ proptest! {
         event.run_batch_into(&trains, &bound, &monitor, &mut out_b);
         prop_assert_eq!(&out_a, &out_b, "batch diverged");
 
+        let codes = dense.engine().crossbar().codes();
+        let as_table = RandomBoundAsTable { threshold, default };
         let mut mm_a = MultiMapResult::new();
         let mut mm_b = MultiMapResult::new();
+        dense.run_batch_multi_map(&trains, &maps, &DirectRead, &monitor, &mut mm_a);
+        event.run_batch_multi_map(&trains, &maps, &DirectRead, &monitor, &mut mm_b);
+        prop_assert_eq!(&mm_a, &mm_b, "direct multi-map diverged");
         dense.run_batch_multi_map(&trains, &maps, &bound, &monitor, &mut mm_a);
         event.run_batch_multi_map(&trains, &maps, &bound, &monitor, &mut mm_b);
-        prop_assert_eq!(&mm_a, &mm_b, "multi-map diverged");
+        prop_assert_eq!(&mm_a, &mm_b, "bounded multi-map diverged");
+        dense.run_batch_multi_map(&trains, &maps, &as_table, &monitor, &mut mm_a);
+        event.run_batch_multi_map(&trains, &maps, &as_table, &monitor, &mut mm_b);
+        prop_assert_eq!(&mm_a, &mm_b, "table multi-map diverged");
+
+        // Per-sample maps: sample s under maps s·k' .. (s + 1)·k', with
+        // the k maps reused round-robin so every sample gets its own set.
+        let per_sample = k.min(3);
+        let own: Vec<NeuronFaultOverlay> = (0..trains.len() * per_sample)
+            .map(|i| maps[(i * 7 + 1) % k].clone())
+            .collect();
+        dense.run_batch_per_sample_maps(&trains, per_sample, &own, &bound, &monitor, &mut mm_a);
+        event.run_batch_per_sample_maps(&trains, per_sample, &own, &bound, &monitor, &mut mm_b);
+        prop_assert_eq!(&mm_a, &mm_b, "per-sample maps diverged");
+        prop_assert_eq!(dense.engine().crossbar().codes(), codes.clone(), "dense crossbar moved");
+        prop_assert_eq!(event.engine().crossbar().codes(), codes, "event crossbar not restored");
 
         // Multi-map restores pre-call fault state on both backends: a
         // plain batch afterwards must still agree (and see no overlays).

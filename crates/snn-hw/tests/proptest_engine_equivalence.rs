@@ -15,7 +15,7 @@ use rand::rngs::StdRng;
 use rand::{Rng as _, SeedableRng};
 use snn_hw::engine::{
     ComputeEngine, DirectRead, MultiMapResult, NeuronFaultOverlay, NoGuard, SpikeGuard,
-    WeightReadPath, MAX_LANES,
+    StuckWeightBit, WeightReadPath, MAX_LANES,
 };
 use snn_hw::kernels::{AccumKernel, EngineTuning, RowBlock};
 use snn_hw::neuron_unit::NeuronOp;
@@ -154,9 +154,9 @@ fn assert_batch_matches_reference<P: WeightReadPath, G: SpikeGuard + Clone>(
 /// Asserts `run_batch_multi_map` over `(trains, maps)` matches, plane for
 /// plane, the engine's retained per-map scalar oracle
 /// (`run_batch_multi_map_reference`) *and* a hand-rolled per-map loop that
-/// injects each overlay into a fresh engine clone and runs the optimized
-/// single-sample path — so the multi-map pass is pinned against both
-/// formulations at once.
+/// injects each overlay (weight flips and neuron sites) into a fresh
+/// engine clone and runs the optimized single-sample path — so the
+/// multi-map pass is pinned against both formulations at once.
 fn assert_multi_map_matches_reference<P: WeightReadPath, G: SpikeGuard + Clone>(
     fast: &mut ComputeEngine,
     slow: &mut ComputeEngine,
@@ -174,7 +174,12 @@ fn assert_multi_map_matches_reference<P: WeightReadPath, G: SpikeGuard + Clone>(
     assert_eq!(batched, reference, "{label}: diverged from scalar oracle");
     for (m, map) in maps.iter().enumerate() {
         let mut injected = slow.clone();
-        for &(j, op) in map {
+        for &(row, col, bit) in map.weight_flips() {
+            injected
+                .flip_weight_bit(row as usize, col as usize, bit)
+                .expect("in range");
+        }
+        for &(j, op) in map.neuron_ops() {
             injected.neurons_mut()[j as usize].faults.set(op);
         }
         for (s, train) in trains.iter().enumerate() {
@@ -199,6 +204,81 @@ fn random_overlay(n_neurons: usize, n_sites: usize, seed: u64) -> NeuronFaultOve
             )
         })
         .collect()
+}
+
+/// Adds `n_flips` random weight flips over an `n_inputs × n_neurons`
+/// crossbar to `overlay`, drawn from a few rows so cells repeat. Every
+/// third flip is followed by a second flip of the same cell: the same
+/// bit again (the two cancel) or another bit (the two merge).
+fn add_random_flips(
+    overlay: &mut NeuronFaultOverlay,
+    n_inputs: usize,
+    n_neurons: usize,
+    n_flips: usize,
+    seed: u64,
+) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    for i in 0..n_flips {
+        let row = rng.gen_range(0..n_inputs.min(6)) as u32;
+        let col = rng.gen_range(0..n_neurons) as u32;
+        let bit = rng.gen_range(0_u8..8);
+        overlay.push_weight_flip(row, col, bit);
+        if i % 3 == 0 {
+            let again = if rng.gen_bool(0.5) {
+                bit
+            } else {
+                (bit + 1) % 8
+            };
+            overlay.push_weight_flip(row, col, again);
+        }
+    }
+}
+
+/// Installs `n` random stuck-at bits on `engine` (they survive reloads
+/// and sit underneath every overlay).
+fn install_random_stuck_bits(engine: &mut ComputeEngine, n: usize, seed: u64) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let sites: Vec<StuckWeightBit> = (0..n)
+        .map(|_| StuckWeightBit {
+            row: rng.gen_range(0..engine.n_inputs()),
+            col: rng.gen_range(0..engine.n_neurons()),
+            bit: rng.gen_range(0_u8..8),
+            stuck_at: rng.gen_bool(0.5),
+        })
+        .collect();
+    engine.install_stuck_bits(&sites).expect("in range");
+}
+
+/// Asserts `run_batch_per_sample_maps` over `(trains, maps)` (non-empty
+/// `trains`, `k = maps.len() / trains.len()` maps each) matches, for every
+/// sample `s` and map `j`, the scalar oracle run on sample `s` alone under
+/// its own maps `maps[s·k .. (s + 1)·k]`.
+fn assert_per_sample_maps_match_reference<P: WeightReadPath, G: SpikeGuard + Clone>(
+    fast: &mut ComputeEngine,
+    slow: &mut ComputeEngine,
+    trains: &[SpikeTrain],
+    maps: &[NeuronFaultOverlay],
+    path: &P,
+    guard: &G,
+    label: &str,
+) {
+    let k = maps.len() / trains.len();
+    let mut lanes = MultiMapResult::new();
+    fast.run_batch_per_sample_maps(trains, k, maps, path, guard, &mut lanes);
+    assert_eq!(lanes.n_maps(), k, "{label}: maps per sample");
+    assert_eq!(lanes.n_samples(), trains.len(), "{label}: sample count");
+    for (s, train) in trains.iter().enumerate() {
+        let own = &maps[s * k..(s + 1) * k];
+        let reference =
+            slow.run_batch_multi_map_reference(std::slice::from_ref(train), own, path, guard);
+        for j in 0..k {
+            assert_eq!(
+                lanes.counts(j, s),
+                reference.counts(j, 0),
+                "{label}: sample {s} map {j} diverged from scalar oracle"
+            );
+        }
+    }
 }
 
 /// A random spike train over `n_inputs` channels.
@@ -454,6 +534,8 @@ proptest! {
         default in any::<u8>(),
         n_bit_flips in 0_usize..30,
         n_base_op_faults in 0_usize..3,
+        n_stuck in 0_usize..4,
+        n_map_flips in 0_usize..12,
         k in 1_usize..10,
         n_clean in 0_usize..3,
         n_samples in 1_usize..4,
@@ -462,22 +544,26 @@ proptest! {
     ) {
         let bound = RandomBound { threshold, default };
         let as_table = RandomBoundAsTable { threshold, default };
-        // Base faults include register bit flips: the maps themselves are
-        // neuron-only, but the shared crossbar may be (persistently)
-        // faulted — the drive is still identical across maps.
+        // Base faults include register bit flips and installed stuck-at
+        // bits: the shared crossbar may be (persistently) faulted, and the
+        // maps' own flips land on top of it.
         let mut fast =
             random_faulted_engine(24, 10, net_seed, fault_seed, n_bit_flips, n_base_op_faults);
+        install_random_stuck_bits(&mut fast, n_stuck, fault_seed ^ 0x57ac);
         let mut slow = fast.clone();
         // Randomized tuning on the fast path; the reference is
         // formulation-independent by construction.
         fast.set_tuning(random_tuning(net_seed ^ fault_seed ^ 0x7a9e));
         // Ragged overlays: map m carries m % 4 random sites plus one
-        // forced vr burst so suppression paths light up.
+        // forced vr burst so suppression paths light up, and (m + 1)·F / k
+        // weight flips, duplicated cells included.
         let mut maps: Vec<NeuronFaultOverlay> = (0..k)
             .map(|m| {
                 let mut overlay = random_overlay(10, m % 4, fault_seed ^ (m as u64 + 1));
                 let mut rng = StdRng::seed_from_u64(fault_seed ^ (0x5eed_0000 + m as u64));
-                overlay.push((rng.gen_range(0..10_u32), snn_hw::neuron_unit::NeuronOp::VmemReset));
+                overlay.push_neuron_op(rng.gen_range(0..10_u32), NeuronOp::VmemReset);
+                let flips = (m + 1) * n_map_flips / k;
+                add_random_flips(&mut overlay, 24, 10, flips, fault_seed ^ (0xf11_0000 + m as u64));
                 overlay
             })
             .collect();
@@ -531,12 +617,59 @@ proptest! {
         let monitor = ResetMonitor::new(10, window);
         let batched = engine.run_batch(&trains, &bound, &monitor);
         let mut one_map = MultiMapResult::new();
-        engine.run_batch_multi_map(&trains, &[vec![]], &bound, &monitor, &mut one_map);
+        let empty = [NeuronFaultOverlay::new()];
+        engine.run_batch_multi_map(&trains, &empty, &bound, &monitor, &mut one_map);
         prop_assert_eq!(one_map.n_maps(), 1);
         prop_assert_eq!(one_map.n_samples(), batched.n_samples());
         for s in 0..trains.len() {
             prop_assert_eq!(one_map.counts(0, s), batched.counts(s), "sample {}", s);
         }
+    }
+
+    /// The per-sample-maps pass (the re-execution shape: every sample
+    /// under its own k maps) against the scalar oracle run one sample at
+    /// a time, across all three kernels, both guard classes, installed
+    /// stuck-at bits, weight-flip overlays with duplicated cells, empty
+    /// overlays, and any tuning.
+    #[test]
+    fn run_batch_per_sample_maps_matches_reference(
+        net_seed in any::<u64>(),
+        fault_seed in any::<u64>(),
+        threshold in any::<u8>(),
+        default in any::<u8>(),
+        n_stuck in 0_usize..4,
+        n_map_flips in 0_usize..10,
+        k in 0_usize..6,
+        n_samples in 1_usize..7,
+        window in 1_u8..4,
+        density in 0.1_f64..0.7,
+    ) {
+        let bound = RandomBound { threshold, default };
+        let as_table = RandomBoundAsTable { threshold, default };
+        let mut fast = random_faulted_engine(24, 10, net_seed, fault_seed, 6, 1);
+        install_random_stuck_bits(&mut fast, n_stuck, fault_seed ^ 0x57ad);
+        let mut slow = fast.clone();
+        fast.set_tuning(random_tuning(net_seed ^ fault_seed ^ 0x9e5a));
+        // Overlay i carries i % 3 neuron sites and i % (F + 1) flips, so
+        // some are empty.
+        let maps: Vec<NeuronFaultOverlay> = (0..n_samples * k)
+            .map(|i| {
+                let mut overlay = random_overlay(10, i % 3, fault_seed ^ (0x300 + i as u64));
+                let flips = i % (n_map_flips + 1);
+                add_random_flips(&mut overlay, 24, 10, flips, fault_seed ^ (0x400 + i as u64));
+                overlay
+            })
+            .collect();
+        let trains: Vec<SpikeTrain> = (0..n_samples)
+            .map(|s| random_train(24, 8 + (s * 5) % 17, fault_seed ^ (0x500 + s as u64), density))
+            .collect();
+        let monitor = ResetMonitor::new(10, window);
+        assert_per_sample_maps_match_reference(
+            &mut fast, &mut slow, &trains, &maps, &DirectRead, &NoGuard, "direct/noguard");
+        assert_per_sample_maps_match_reference(
+            &mut fast, &mut slow, &trains, &maps, &bound, &monitor, "bounded/monitored");
+        assert_per_sample_maps_match_reference(
+            &mut fast, &mut slow, &trains, &maps, &as_table, &monitor, "table/monitored");
     }
 
     /// Identical samples inside a batch (the shared-accumulate fast path:
@@ -641,13 +774,14 @@ fn run_batch_multi_map_chunk_boundaries_match_reference() {
         let mut slow = fast.clone();
         let maps: Vec<NeuronFaultOverlay> = (0..k)
             .map(|m| {
-                vec![
-                    ((m % 10) as u32, snn_hw::neuron_unit::NeuronOp::VmemReset),
-                    (
-                        ((m * 3 + 1) % 10) as u32,
-                        snn_hw::neuron_unit::NeuronOp::ALL[m % 4],
-                    ),
+                let mut overlay: NeuronFaultOverlay = [
+                    ((m % 10) as u32, NeuronOp::VmemReset),
+                    (((m * 3 + 1) % 10) as u32, NeuronOp::ALL[m % 4]),
                 ]
+                .into_iter()
+                .collect();
+                overlay.push_weight_flip((m % 24) as u32, ((m * 7) % 10) as u32, (m % 8) as u8);
+                overlay
             })
             .collect();
         let trains: Vec<snn_sim::spike::SpikeTrain> = (0..2)
@@ -666,6 +800,43 @@ fn run_batch_multi_map_chunk_boundaries_match_reference() {
             &bound,
             &monitor,
             &format!("multi-map chunk-boundary k={k}"),
+        );
+    }
+}
+
+/// Deterministic maps-per-sample counts the per-sample chunking must get
+/// right: one map per sample, k dividing the lane width or not, exactly
+/// the width, and one past it (a sample's lanes split across chunks).
+#[test]
+fn run_batch_per_sample_maps_chunk_boundaries_match_reference() {
+    for &k in &[1_usize, 3, 5, MAX_LANES, MAX_LANES + 1] {
+        let mut fast = random_faulted_engine(24, 10, 0xfeed, 0xbeef, 15, 1);
+        let mut slow = fast.clone();
+        let trains: Vec<SpikeTrain> = (0..7)
+            .map(|s| random_train(24, 16, 700 + s as u64, 0.4))
+            .collect();
+        let maps: Vec<NeuronFaultOverlay> = (0..trains.len() * k)
+            .map(|i| {
+                let mut overlay: NeuronFaultOverlay = [((i % 10) as u32, NeuronOp::ALL[i % 4])]
+                    .into_iter()
+                    .collect();
+                add_random_flips(&mut overlay, 24, 10, i % 5, 900 + i as u64);
+                overlay
+            })
+            .collect();
+        let bound = RandomBound {
+            threshold: 90,
+            default: 7,
+        };
+        let monitor = ResetMonitor::new(10, 2);
+        assert_per_sample_maps_match_reference(
+            &mut fast,
+            &mut slow,
+            &trains,
+            &maps,
+            &bound,
+            &monitor,
+            &format!("per-sample chunk-boundary k={k}"),
         );
     }
 }
@@ -689,12 +860,11 @@ fn run_batch_multi_map_word_straddling_engine_matches_reference() {
     let mut fast = ComputeEngine::for_network(&qn).expect("deployable");
     let mut slow = fast.clone();
     let maps: Vec<NeuronFaultOverlay> = vec![
-        vec![(0, snn_hw::neuron_unit::NeuronOp::VmemReset)],
-        vec![
-            (63, snn_hw::neuron_unit::NeuronOp::VmemReset),
-            (64, snn_hw::neuron_unit::NeuronOp::SpikeGeneration),
-        ],
-        vec![(69, snn_hw::neuron_unit::NeuronOp::VmemLeak)],
+        [(0, NeuronOp::VmemReset)].into_iter().collect(),
+        [(63, NeuronOp::VmemReset), (64, NeuronOp::SpikeGeneration)]
+            .into_iter()
+            .collect(),
+        [(69, NeuronOp::VmemLeak)].into_iter().collect(),
     ];
     let trains: Vec<snn_sim::spike::SpikeTrain> = (0..3)
         .map(|s| random_train(24, 25, 2000 + s as u64, 0.5))

@@ -6,13 +6,13 @@ use crate::bounding::{BoundedRead, BoundingConfig};
 use crate::mitigation::{majority_vote, Technique};
 use crate::protection::{ResetMonitor, PAPER_WINDOW};
 use snn_faults::fault_map::FaultMap;
-use snn_faults::injector::inject;
-use snn_faults::location::{FaultDomain, FaultSite, FaultSpace};
+use snn_faults::injector::lower_overlay;
+use snn_faults::location::{FaultDomain, FaultSpace};
 pub use snn_hw::backend::EngineBackendKind;
 use snn_hw::backend::{AnyBackend, EngineBackend};
 use snn_hw::engine::{
-    BatchResult, ComputeEngine, DirectRead, MultiMapResult, NeuronFaultOverlay, NoGuard,
-    SpikeGuard, WeightReadPath,
+    ComputeEngine, DirectRead, MultiMapResult, NeuronFaultOverlay, NoGuard, SpikeGuard,
+    WeightReadPath, MAX_LANES,
 };
 use snn_hw::error::HwError;
 use snn_sim::assignment::Assignment;
@@ -452,7 +452,7 @@ impl SoftSnnDeployment {
     ///
     /// Encoding consumes `rng` in sample order (bit-identical to the
     /// historical interleaved form); evaluation then runs through the
-    /// engine's batched pass with a fresh monitor clone per sample, like
+    /// engine's trial-group pass with a fresh monitor clone per sample, like
     /// the BnP arm of [`evaluate`](Self::evaluate).
     ///
     /// # Errors
@@ -582,19 +582,19 @@ impl SoftSnnDeployment {
     ///
     /// Results are **bit-identical** to calling
     /// [`evaluate_encoded`](Self::evaluate_encoded) once per scenario;
-    /// the difference is cost. When every scenario's fault map strikes
-    /// only neuron operations (clean scenarios count as empty maps) and
-    /// the technique persists faults across the set (No-Mitigation or
-    /// BnP), the whole group runs through the engine's multi-map pass
-    /// ([`ComputeEngine::run_batch_multi_map`]): parameters are reloaded
-    /// once, and each timestep's synaptic drive is accumulated once for
-    /// all K maps instead of once per map — weight reads are identical
-    /// when maps don't touch the crossbar, so sharing the drive phase is
-    /// exact, and the equivalence is property-tested at the engine layer.
-    /// Any group containing a weight-bit site falls back to the
-    /// per-scenario loop, and a re-execution technique (whose
-    /// per-execution maps defeat sharing) always takes it. Either way,
-    /// each scenario's fault map is generated at most once.
+    /// the difference is cost. A technique that persists faults across
+    /// the set (No-Mitigation or BnP) runs the whole group through the
+    /// engine's multi-map pass ([`ComputeEngine::run_batch_multi_map`]):
+    /// parameters are reloaded once, each scenario's map is lowered to an
+    /// overlay (clean scenarios lower to empty ones), and each timestep's
+    /// synaptic drive is accumulated once for all K maps. Maps that flip
+    /// weight bits read that shared drive plus their own per-row
+    /// corrections, which is exact integer arithmetic, so weight-bearing
+    /// groups share the drive too; the equivalence is property-tested at
+    /// the engine layer. Re-execution runs each sample's executions as
+    /// lanes of one pass instead (see
+    /// [`evaluate`](Self::evaluate) for its semantics). Either way, each
+    /// fault map is generated once.
     ///
     /// # Errors
     ///
@@ -613,9 +613,8 @@ impl SoftSnnDeployment {
     /// arm per technique over already-encoded spike trains, one
     /// [`EvalResult`] per scenario. No-Mitigation and BnP persist faults
     /// across the set ([`evaluate_persistent`](Self::evaluate_persistent));
-    /// Re-execution cannot batch across samples — every execution draws
-    /// its own fault map and reloads parameters — and keeps the
-    /// per-sample loop.
+    /// Re-execution draws a fresh map per execution
+    /// ([`evaluate_reexecution`](Self::evaluate_reexecution)).
     fn evaluate_scenarios(
         &mut self,
         technique: Technique,
@@ -646,17 +645,13 @@ impl SoftSnnDeployment {
         }
     }
 
-    /// The No-Mitigation / BnP arm: per scenario, reload parameters
-    /// (healing through `guard`), inject the scenario's map once, and run
-    /// the whole set through the engine's batched pass over the persisted
-    /// faults, each sample with its own clone of `guard`. A group of
-    /// several neuron-only maps instead reloads once and runs as one
-    /// multi-map pass (see
-    /// [`evaluate_encoded_group`](Self::evaluate_encoded_group)).
-    ///
-    /// Each map is generated once: maps are lowered in scenario order
-    /// until the first weight-bearing one, and the fallback reuses every
-    /// map already generated.
+    /// The No-Mitigation / BnP arm: reload parameters once (healing
+    /// through `guard`), lower every scenario's map to an overlay, and
+    /// run the whole group — any K, one scenario included — as one
+    /// multi-map pass over the persisted faults, each (map, sample) lane
+    /// with its own clone of `guard` (see
+    /// [`evaluate_encoded_group`](Self::evaluate_encoded_group)). Each
+    /// map is generated once and dropped as soon as it is lowered.
     fn evaluate_persistent<P: WeightReadPath, G: SpikeGuard + Clone>(
         &mut self,
         path: &P,
@@ -665,56 +660,34 @@ impl SoftSnnDeployment {
         trains: &[SpikeTrain],
         labels: &[usize],
     ) -> Result<Vec<EvalResult>, MethodologyError> {
-        let mut maps: Vec<Option<FaultMap>> = Vec::with_capacity(scenarios.len());
-        let mut shared_drive = scenarios.len() > 1;
-        for scenario in scenarios {
-            let map = self.scenario_map(scenario);
-            let weight_bits = map.as_ref().is_some_and(|m| m.n_weight_bits() > 0);
-            maps.push(map);
-            if weight_bits {
-                shared_drive = false;
-                break;
-            }
-        }
-        if shared_drive {
-            // Lowering consumes the maps, so none outlives its overlay.
-            let overlays: Vec<NeuronFaultOverlay> = maps
-                .into_iter()
-                .map(|map| map.as_ref().map(neuron_overlay).unwrap_or_default())
-                .collect();
-            self.engine.reload_parameters(&mut guard);
-            let mut out = MultiMapResult::new();
-            self.engine
-                .run_batch_multi_map(trains, &overlays, path, &guard, &mut out);
-            return Ok((0..overlays.len())
-                .map(|m| self.score((0..labels.len()).map(|s| out.counts(m, s)), labels))
-                .collect());
-        }
-        let mut batch = BatchResult::new();
-        let mut results = Vec::with_capacity(scenarios.len());
-        for (i, scenario) in scenarios.iter().enumerate() {
-            let map = match maps.get_mut(i) {
-                Some(map) => map.take(),
-                None => self.scenario_map(scenario),
-            };
-            self.engine.reload_parameters(&mut guard);
-            // The map is dropped once injected, before the pass allocates.
-            if let Some(map) = map {
-                inject(self.engine.engine_mut(), &map)?;
-            }
-            self.engine.run_batch_into(trains, path, &guard, &mut batch);
-            results.push(self.score(batch.iter(), labels));
-        }
-        Ok(results)
+        let overlays = scenarios
+            .iter()
+            .map(|scenario| self.scenario_overlay(scenario, scenario.rate, scenario.seed))
+            .collect::<Result<Vec<_>, _>>()?;
+        self.engine.reload_parameters(&mut guard);
+        let mut out = MultiMapResult::new();
+        self.engine
+            .run_batch_multi_map(trains, &overlays, path, &guard, &mut out);
+        Ok((0..overlays.len())
+            .map(|m| self.score((0..out.n_samples()).map(|s| out.counts(m, s)), labels))
+            .collect())
     }
 
-    /// The scenario's fault map, or `None` for a clean scenario
-    /// (injecting nothing).
-    fn scenario_map(&self, scenario: &FaultScenario) -> Option<FaultMap> {
-        (!scenario.is_clean()).then(|| {
-            let space = scenario.space(self.qn.n_inputs, self.qn.n_neurons);
-            FaultMap::generate(&space, scenario.rate, scenario.seed)
-        })
+    /// The overlay of `scenario`'s space at `rate` and `seed`: empty for
+    /// a clean scenario or a zero rate, else the generated map lowered
+    /// against the engine ([`lower_overlay`]).
+    fn scenario_overlay(
+        &self,
+        scenario: &FaultScenario,
+        rate: f64,
+        seed: u64,
+    ) -> Result<NeuronFaultOverlay, MethodologyError> {
+        if scenario.is_clean() || rate == 0.0 {
+            return Ok(NeuronFaultOverlay::new());
+        }
+        let space = scenario.space(self.qn.n_inputs, self.qn.n_neurons);
+        let map = FaultMap::generate(&space, rate, seed);
+        Ok(lower_overlay(self.engine.engine(), &map)?)
     }
 
     /// Decodes per-sample spike counts and scores them against `labels`.
@@ -727,7 +700,12 @@ impl SoftSnnDeployment {
     }
 
     /// The Re-execution ×`runs` arm for one scenario (see
-    /// [`evaluate`](Self::evaluate)).
+    /// [`evaluate`](Self::evaluate)). Every execution reloads parameters
+    /// and faces its own map, so after one reload each sample runs its
+    /// `runs` executions as lanes of one per-sample-maps pass
+    /// ([`ComputeEngine::run_batch_per_sample_maps`]), `MAX_LANES / runs`
+    /// samples per call; maps are generated and lowered one call at a
+    /// time, so at most one call's maps are alive.
     fn evaluate_reexecution(
         &mut self,
         runs: u32,
@@ -735,28 +713,42 @@ impl SoftSnnDeployment {
         trains: &[SpikeTrain],
         labels: &[usize],
     ) -> Result<EvalResult, MethodologyError> {
-        let space = scenario.space(self.qn.n_inputs, self.qn.n_neurons);
         let mut result = EvalResult::new(self.assignment.n_classes());
-        // Each execution reloads parameters (healing accumulated faults)
-        // and is only exposed to the strikes landing within its own
-        // window — see DEFAULT_REEXEC_EXPOSURE.
+        // Each execution is only exposed to the strikes landing within
+        // its own window — see DEFAULT_REEXEC_EXPOSURE.
         let exec_rate = scenario.rate * self.reexec_exposure;
-        for (sample_idx, (train, &label)) in trains.iter().zip(labels).enumerate() {
-            let mut votes = Vec::with_capacity(runs as usize);
-            for k in 0..runs {
-                self.engine.reload_parameters(&mut NoGuard);
-                if !scenario.is_clean() && exec_rate > 0.0 {
-                    let exec_seed =
-                        derive_seed(scenario.seed, (sample_idx as u64) * runs as u64 + k as u64);
-                    let map = FaultMap::generate(&space, exec_rate, exec_seed);
-                    inject(self.engine.engine_mut(), &map)?;
+        let runs = runs as usize;
+        let per_call = (MAX_LANES / runs.max(1)).max(1);
+        self.engine.reload_parameters(&mut NoGuard);
+        let mut maps = Vec::with_capacity(per_call * runs);
+        let mut out = MultiMapResult::new();
+        let mut votes = Vec::with_capacity(runs);
+        for (call, (chunk, chunk_labels)) in trains
+            .chunks(per_call)
+            .zip(labels.chunks(per_call))
+            .enumerate()
+        {
+            maps.clear();
+            for i in 0..chunk.len() {
+                let sample_idx = (call * per_call + i) as u64;
+                for k in 0..runs as u64 {
+                    let exec_seed = derive_seed(scenario.seed, sample_idx * runs as u64 + k);
+                    maps.push(self.scenario_overlay(scenario, exec_rate, exec_seed)?);
                 }
-                let counts = self
-                    .engine
-                    .run_sample_into(train, &DirectRead, &mut NoGuard);
-                votes.push(self.assignment.predict(counts));
             }
-            result.record(majority_vote(&votes), label);
+            self.engine.run_batch_per_sample_maps(
+                chunk,
+                runs,
+                &maps,
+                &DirectRead,
+                &NoGuard,
+                &mut out,
+            );
+            for (s, &label) in chunk_labels.iter().enumerate() {
+                votes.clear();
+                votes.extend((0..runs).map(|k| self.assignment.predict(out.counts(k, s))));
+                result.record(majority_vote(&votes), label);
+            }
         }
         Ok(result)
     }
@@ -814,21 +806,6 @@ impl SoftSnnDeployment {
     ) -> Result<EncodedTestSet, MethodologyError> {
         EncodedTestSet::encode(&self.qn, images, labels, base_seed)
     }
-}
-
-/// Lowers a neuron-only fault map to the engine's overlay shape.
-///
-/// # Panics
-///
-/// Panics if the map strikes a weight bit (callers check first).
-fn neuron_overlay(map: &FaultMap) -> NeuronFaultOverlay {
-    map.sites()
-        .iter()
-        .map(|site| match *site {
-            FaultSite::NeuronOp { neuron, op } => (neuron, op),
-            FaultSite::WeightBit { .. } => unreachable!("callers lower neuron-only maps"),
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -1120,6 +1097,102 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// Scenarios for the lane-vs-loop tests: every paper rate plus two
+    /// dense ones (the toy engine has 48 fault locations, so the paper
+    /// rates strike few, and only dense maps move its predictions), each
+    /// in the compute-engine domain, and a clean scenario.
+    fn rate_sweep() -> Vec<FaultScenario> {
+        snn_faults::rate::PAPER_RATES
+            .iter()
+            .chain(&[0.3, 0.6])
+            .enumerate()
+            .map(|(i, &rate)| FaultScenario {
+                domain: FaultDomain::ComputeEngine,
+                rate,
+                seed: 300 + i as u64,
+            })
+            .chain([FaultScenario::clean()])
+            .collect()
+    }
+
+    /// Re-execution through lanes equals the per-execution loop it
+    /// replaced — reload, inject a fresh map, run the sample through the
+    /// reference formulation, majority-vote — at every rate, clean, and
+    /// under both the default and full exposure.
+    #[test]
+    fn reexecution_lanes_match_per_execution_loop() {
+        use snn_faults::injector::inject;
+        let (mut d, images, labels) = tiny_deployment();
+        let set = d.encode_test_set(&images, &labels, 55).unwrap();
+        let runs = 3_u32;
+        for exposure in [DEFAULT_REEXEC_EXPOSURE, 1.0] {
+            d.set_reexec_exposure(exposure);
+            for scenario in rate_sweep() {
+                let technique = Technique::ReExecution { runs };
+                let got = d.evaluate_encoded(technique, &scenario, &set).unwrap();
+                let mut oracle = d.clone();
+                let space = scenario.space(8, 4);
+                let rate = scenario.rate * exposure;
+                let mut want = EvalResult::new(2);
+                for (s, (train, &label)) in set.trains().iter().zip(set.labels()).enumerate() {
+                    let votes: Vec<Option<usize>> = (0..runs as u64)
+                        .map(|k| {
+                            let engine = oracle.engine_mut();
+                            engine.reload_parameters(&mut NoGuard);
+                            if !scenario.is_clean() && rate > 0.0 {
+                                let seed = derive_seed(scenario.seed, s as u64 * runs as u64 + k);
+                                inject(engine, &FaultMap::generate(&space, rate, seed)).unwrap();
+                            }
+                            let counts =
+                                engine.run_sample_reference(train, &DirectRead, &mut NoGuard);
+                            oracle.assignment().predict(&counts)
+                        })
+                        .collect();
+                    want.record(majority_vote(&votes), label);
+                }
+                assert_eq!(got, want, "exposure {exposure}, rate {}", scenario.rate);
+            }
+        }
+    }
+
+    /// A No-Mitigation / BnP group of weight-bearing maps (one multi-map
+    /// pass) equals the per-scenario loop it replaced — reload, inject,
+    /// run every sample through the reference formulation with a fresh
+    /// guard clone.
+    #[test]
+    fn persistent_group_matches_per_scenario_inject_loop() {
+        use snn_faults::injector::inject;
+        let (mut d, images, labels) = tiny_deployment();
+        let set = d.encode_test_set(&images, &labels, 56).unwrap();
+        let group = rate_sweep();
+        let grouped = d
+            .evaluate_encoded_group(Technique::NoMitigation, &group, &set)
+            .unwrap();
+        let bnp = Technique::Bnp(BnpVariant::Bnp3);
+        let grouped_bnp = d.evaluate_encoded_group(bnp, &group, &set).unwrap();
+        let path = BoundedRead::new(d.bounding_for(BnpVariant::Bnp3));
+        let monitor = ResetMonitor::new(4, PAPER_WINDOW);
+        let mut oracle = d.clone();
+        for (i, scenario) in group.iter().enumerate() {
+            let mut want = EvalResult::new(2);
+            let mut want_bnp = EvalResult::new(2);
+            let engine = oracle.engine_mut();
+            engine.reload_parameters(&mut NoGuard);
+            if !scenario.is_clean() {
+                let map = FaultMap::generate(&scenario.space(8, 4), scenario.rate, scenario.seed);
+                inject(engine, &map).unwrap();
+            }
+            for (train, &label) in set.trains().iter().zip(set.labels()) {
+                let counts = engine.run_sample_reference(train, &DirectRead, &mut NoGuard);
+                want.record(d.assignment().predict(&counts), label);
+                let counts = engine.run_sample_reference(train, &path, &mut monitor.clone());
+                want_bnp.record(d.assignment().predict(&counts), label);
+            }
+            assert_eq!(grouped[i], want, "no-mitigation, rate {}", scenario.rate);
+            assert_eq!(grouped_bnp[i], want_bnp, "BnP3, rate {}", scenario.rate);
         }
     }
 

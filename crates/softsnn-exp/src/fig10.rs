@@ -137,9 +137,8 @@ pub fn combined_grid_spec() -> GridSpec {
     .with_offsets(9, 0, 2)
 }
 
-/// Panel (b): whole-engine fault maps strike weight bits, so points run
-/// per-scenario (no drive sharing is possible); the runner still shards
-/// them across cores with one deployment clone per point.
+/// Panel (b): whole-engine fault maps, one evaluate call per point; the
+/// runner shards them across cores with one deployment clone per point.
 fn run_combined(bench: &Bench) -> Result<Vec<OpAccuracyPoint>, Box<dyn std::error::Error>> {
     let runner = GridRunner::new(combined_grid_spec());
     let results = runner.run_grouped(&bench.deployment, |deployment, points| {

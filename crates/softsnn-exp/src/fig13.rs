@@ -98,7 +98,7 @@ pub fn grid_spec(profile: Profile) -> GridSpec {
 /// (technique, rate) cell — healed between trials by the campaign-trial
 /// reload cycle — instead of one per point, with each cell's trials
 /// handed to [`SoftSnnDeployment::evaluate_encoded_group`] together so
-/// neuron-only trial groups share one engine drive phase. All trials
+/// each cell's trial group shares one engine drive phase. All trials
 /// reuse the bench's pre-encoded test set: they differ only in their
 /// fault map, never in their input spikes.
 ///
@@ -160,8 +160,8 @@ pub fn cells_from_results(
 ///
 /// A shard holds whole cells, so consecutive points share their
 /// technique; each same-technique run goes to the deployment as one trial
-/// group (the engine's multi-map pass shares the drive phase when the
-/// group is neuron-only).
+/// group (the engine's multi-map pass shares the drive phase across its
+/// maps).
 ///
 /// # Errors
 ///
@@ -177,9 +177,9 @@ pub fn evaluate_shard(
 /// [`evaluate_shard`] with an explicit fault domain for every scenario.
 /// Fig. 13 proper injects into [`FaultDomain::ComputeEngine`] (weight
 /// cells *and* neuron ops); restricted domains such as
-/// `FaultDomain::Neurons(None)` keep every map neuron-only, which is
-/// what lets a trial group ride the engine's multi-map drive phase —
-/// the datapath the lookahead benchmarks measure.
+/// `FaultDomain::Neurons(None)` keep every map neuron-only, so a trial
+/// group's lanes read the shared drive with no weight corrections — the
+/// shape the lookahead benchmarks measure.
 ///
 /// # Errors
 ///
