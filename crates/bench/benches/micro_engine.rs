@@ -384,23 +384,20 @@ fn bench_run_weight_multi_map(c: &mut Criterion) {
 }
 
 fn bench_engine_accumulate(c: &mut Criterion) {
-    // The accumulate kernels in isolation at N400 paper scale: one
+    // The accumulate kernel in isolation at N400 paper scale: one
     // cycle's drive phase over the fixture crossbar image (784 × 400
     // codes) with a realistic Poisson-encoded active-row set. The
-    // scalar row-at-a-time formulation (the historical
-    // `accumulate_cached_rows` shape: one accumulator pass per row) is
-    // the baseline; the lane-explicit chunked kernel runs at the
-    // historical fixed quad block, and `autotuned` runs whatever
-    // `EngineTuning::autotune` picked for this host at fixture
-    // construction. All variants are bit-identical (property-tested);
+    // baseline is the scalar zero-then-add row-at-a-time formulation
+    // (the historical `accumulate_cached_rows` shape: one accumulator
+    // pass per row); `chunked_quad` is the engine's one lane-explicit,
+    // four-row-blocked kernel. Both are bit-identical (property-tested);
     // the ratio is pure formulation cost.
-    use snn_hw::kernels::{accumulate_rows, write_rows_blocked, AccumKernel, RowBlock};
+    use snn_hw::kernels::write_rows_blocked;
 
     let (engine, _path, _monitor, trains) = paper_scale_campaign_fixture();
     let n = 400_usize;
     let src: Vec<u8> = engine.crossbar().codes_slice().to_vec();
     let active: Vec<u32> = trains[0].step(0).to_vec();
-    let tuned = engine.tuning();
     let mut acc = vec![0_i32; n];
 
     let mut group = c.benchmark_group("engine_accumulate");
@@ -408,27 +405,18 @@ fn bench_engine_accumulate(c: &mut Criterion) {
     group.bench_function("scalar_rows", |b| {
         b.iter(|| {
             acc.fill(0);
-            accumulate_rows(AccumKernel::Scalar, &src, n, &active, &mut acc);
+            for &row in &active {
+                let base = row as usize * n;
+                for (a, &c) in acc.iter_mut().zip(&src[base..base + n]) {
+                    *a += c as i32;
+                }
+            }
             black_box(acc[0])
         });
     });
     group.bench_function("chunked_quad", |b| {
-        // The fixed-quad escape-hatch shape (`EngineTuning::fixed()`).
         b.iter(|| {
-            write_rows_blocked(
-                AccumKernel::Lanes8,
-                RowBlock::R4,
-                &src,
-                n,
-                &active,
-                &mut acc,
-            );
-            black_box(acc[0])
-        });
-    });
-    group.bench_function("autotuned", |b| {
-        b.iter(|| {
-            write_rows_blocked(tuned.kernel, tuned.row_block, &src, n, &active, &mut acc);
+            write_rows_blocked(&src, n, &active, &mut acc);
             black_box(acc[0])
         });
     });
@@ -670,13 +658,13 @@ fn emit_derived_metrics(c: &mut Criterion) {
             c.add_metric("weight_multi_map_speedup", per_map / multi);
         }
     }
-    // Kernel headline: the host-autotuned accumulate vs the scalar
+    // Kernel headline: the engine's blocked accumulate vs the scalar
     // row-at-a-time formulation on the same N400 drive phase.
     let scalar = c.ns_per_iter("engine_accumulate", "scalar_rows");
-    let autotuned = c.ns_per_iter("engine_accumulate", "autotuned");
-    if let (Some(scalar), Some(autotuned)) = (scalar, autotuned) {
-        if autotuned > 0.0 {
-            c.add_metric("accum_speedup", scalar / autotuned);
+    let quad = c.ns_per_iter("engine_accumulate", "chunked_quad");
+    if let (Some(scalar), Some(quad)) = (scalar, quad) {
+        if quad > 0.0 {
+            c.add_metric("accum_speedup", scalar / quad);
         }
     }
     // Sparse-workload headline: the event-driven backend vs the dense

@@ -21,7 +21,7 @@ pub mod collection {
     use rand::Rng as _;
     use std::ops::{Range, RangeInclusive};
 
-    /// Size specification for [`vec`]: an exact length or a range.
+    /// Size specification for [`vec()`]: an exact length or a range.
     #[derive(Debug, Clone, Copy)]
     pub struct SizeRange {
         lo: usize,

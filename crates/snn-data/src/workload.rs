@@ -6,6 +6,7 @@ use crate::synth_digits::SynthDigits;
 use crate::synth_fashion::SynthFashion;
 use std::fmt;
 use std::path::Path;
+use std::str::FromStr;
 
 /// The two workloads of the paper's evaluation (Sec. 4).
 ///
@@ -80,6 +81,19 @@ impl Workload {
         }
         let (train, test) = self.generate(n_train, n_test, seed);
         Ok((train, test, false))
+    }
+}
+
+impl FromStr for Workload {
+    type Err = String;
+
+    /// Parses a [`name`](Workload::name), case-insensitively.
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        let s = s.to_ascii_lowercase();
+        Workload::ALL
+            .into_iter()
+            .find(|w| w.name() == s)
+            .ok_or_else(|| format!("unknown workload `{s}` (expected mnist|fashion)"))
     }
 }
 

@@ -579,8 +579,8 @@ pub enum CellPolicy {
 
 impl CellPolicy {
     /// The policy for a grid with `spec_trials` trials per cell:
-    /// [`Fixed`](Self::Fixed) without a stop rule, [`Adaptive`]
-    /// (Self::Adaptive) with one. The lookahead is checked either way.
+    /// [`Fixed`](Self::Fixed) without a stop rule,
+    /// [`Adaptive`](Self::Adaptive) with one. The lookahead is checked either way.
     ///
     /// # Errors
     ///

@@ -27,6 +27,7 @@ use crate::engine::{
 };
 use crate::event::EventEngine;
 use snn_sim::spike::SpikeTrain;
+use std::str::FromStr;
 
 /// The evaluate entry points every engine backend provides. All methods
 /// keep the dense engine's contracts: sample runs reset state on entry,
@@ -243,6 +244,32 @@ pub enum EngineBackendKind {
     Event,
 }
 
+impl EngineBackendKind {
+    /// Every backend.
+    pub const ALL: [Self; 2] = [Self::Dense, Self::Event];
+
+    /// Short name used on command lines and in job configs.
+    pub fn name(self) -> &'static str {
+        match self {
+            Self::Dense => "dense",
+            Self::Event => "event",
+        }
+    }
+}
+
+impl FromStr for EngineBackendKind {
+    type Err = String;
+
+    /// Parses a [`name`](EngineBackendKind::name), case-insensitively.
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        let s = s.to_ascii_lowercase();
+        Self::ALL
+            .into_iter()
+            .find(|k| k.name() == s)
+            .ok_or_else(|| format!("unknown backend `{s}` (expected dense|event)"))
+    }
+}
+
 /// A closed-world backend container: one of the concrete backends,
 /// switchable in place. Deployment owners hold this so backend choice
 /// is a runtime knob, not a type parameter.
@@ -274,7 +301,7 @@ impl AnyBackend {
     }
 
     /// Switches the active backend in place, preserving the wrapped
-    /// engine (state, faults, crossbar, tuning) exactly. Dropping back
+    /// engine (state, faults, crossbar) exactly. Dropping back
     /// to [`EngineBackendKind::Dense`] discards delay configuration.
     pub fn set_kind(&mut self, kind: EngineBackendKind) {
         if self.kind() == kind {

@@ -8,15 +8,12 @@
 //! Weight codes are stored as one flat, row-major `Vec<u8>` rather than a
 //! vector of register structs. [`WeightRegister`] is `#[repr(transparent)]`
 //! over `u8`, so a register *view* of any cell is a free copy
-//! ([`Crossbar::register`]), while the accumulation hot path
-//! ([`Crossbar::accumulate_row_direct`], [`Crossbar::accumulate_row_lut`])
-//! runs over a contiguous byte slice through the shared lane-explicit
-//! bodies of [`crate::kernels`] — the same code the engine's blocked
-//! drive phases use, so the per-row and blocked formulations cannot
-//! drift apart.
+//! ([`Crossbar::register`]), while the engine's accumulate hot path
+//! borrows the whole image as one contiguous byte slice
+//! ([`Crossbar::codes_slice`]) and runs it through the lane-explicit
+//! kernel of [`crate::kernels`].
 
 use crate::error::HwError;
-use crate::kernels::{self, AccumKernel};
 use crate::weight_register::WeightRegister;
 
 /// An M×N crossbar of 8-bit weight registers, row-major
@@ -181,10 +178,11 @@ impl Crossbar {
     /// column adder (identity for the baseline engine, bounding logic for
     /// the BnP-enhanced engine).
     ///
-    /// This is the *reference* per-element formulation; the engine's hot
-    /// path uses [`accumulate_row_direct`](Self::accumulate_row_direct) and
-    /// [`accumulate_row_lut`](Self::accumulate_row_lut), which are proven
-    /// equivalent by property tests.
+    /// This is the *reference* per-element formulation, in `i64`. The
+    /// engine's hot path instead accumulates in `i32` from a resolved read
+    /// image through [`crate::kernels`] (exact: a full column sums to at
+    /// most `rows × 255`), and the engine equivalence proptests pin it
+    /// against the reference steps built on this method.
     ///
     /// # Panics
     ///
@@ -195,60 +193,6 @@ impl Crossbar {
         for (a, &c) in acc.iter_mut().zip(self.row_codes(row)) {
             *a += read_path(c) as i64;
         }
-    }
-
-    /// Accumulates `row` with the identity read path (baseline engine):
-    /// a pure widening add over a contiguous byte slice, which the
-    /// compiler autovectorizes.
-    ///
-    /// The fast kernels accumulate in `i32` (twice the SIMD width of
-    /// `i64`): a full sample's column sum is bounded by `rows × 255`, so
-    /// `i32` is exact for any crossbar under ~8.4M rows — orders of
-    /// magnitude beyond the 784-input engines this workspace builds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row` is out of range or `acc.len() != cols`.
-    #[inline]
-    pub fn accumulate_row_direct(&self, row: usize, acc: &mut [i32]) {
-        assert!(row < self.rows, "row index");
-        assert_eq!(acc.len(), self.cols, "accumulator width");
-        kernels::accumulate_row_direct(AccumKernel::Lanes8, self.row_codes(row), acc);
-    }
-
-    /// Accumulates `row` through a precomputed 256-entry read-path table
-    /// (see [`crate::engine::WeightReadPath::table`]) — one indexed load
-    /// per element instead of a closure call.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row` is out of range or `acc.len() != cols`.
-    #[inline]
-    pub fn accumulate_row_lut(&self, row: usize, lut: &[u8; 256], acc: &mut [i32]) {
-        assert!(row < self.rows, "row index");
-        assert_eq!(acc.len(), self.cols, "accumulator width");
-        kernels::accumulate_row_lut(AccumKernel::Lanes8, self.row_codes(row), lut, acc);
-    }
-
-    /// Accumulates `row` through a comparator+mux read path (`code >
-    /// threshold → default`, the shape of every BnP bounding variant) —
-    /// a branchless compare/select the compiler vectorizes, unlike the
-    /// general table gather.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row` is out of range or `acc.len() != cols`.
-    #[inline]
-    pub fn accumulate_row_bounded(&self, row: usize, threshold: u8, default: u8, acc: &mut [i32]) {
-        assert!(row < self.rows, "row index");
-        assert_eq!(acc.len(), self.cols, "accumulator width");
-        kernels::accumulate_row_bounded(
-            AccumKernel::Lanes8,
-            self.row_codes(row),
-            threshold,
-            default,
-            acc,
-        );
     }
 
     /// The codes of one row as a contiguous slice.
@@ -292,73 +236,6 @@ mod tests {
         xbar.accumulate_row(0, |c| c, &mut acc);
         xbar.accumulate_row(1, |c| c, &mut acc);
         assert_eq!(acc, vec![11, 22, 33]);
-    }
-
-    #[test]
-    fn direct_and_lut_paths_match_reference() {
-        let codes: Vec<u8> = (0..=255).chain(0..=255).collect();
-        let xbar = Crossbar::from_codes(4, 128, &codes).unwrap();
-        let clamp = |c: u8| if c >= 128 { 7 } else { c };
-        let mut lut = [0_u8; 256];
-        for (i, slot) in lut.iter_mut().enumerate() {
-            *slot = clamp(i as u8);
-        }
-        for row in 0..4 {
-            let mut reference = vec![0_i64; 128];
-            let mut via_lut = vec![0_i32; 128];
-            let mut via_bounded = vec![0_i32; 128];
-            xbar.accumulate_row(row, clamp, &mut reference);
-            xbar.accumulate_row_lut(row, &lut, &mut via_lut);
-            xbar.accumulate_row_bounded(row, 127, 7, &mut via_bounded);
-            let widened: Vec<i64> = via_lut.iter().map(|&a| a as i64).collect();
-            assert_eq!(reference, widened, "lut row {row}");
-            assert_eq!(via_lut, via_bounded, "bounded row {row}");
-
-            let mut ref_direct = vec![0_i64; 128];
-            let mut direct = vec![0_i32; 128];
-            xbar.accumulate_row(row, |c| c, &mut ref_direct);
-            xbar.accumulate_row_direct(row, &mut direct);
-            let widened: Vec<i64> = direct.iter().map(|&a| a as i64).collect();
-            assert_eq!(ref_direct, widened, "direct row {row}");
-        }
-    }
-
-    #[test]
-    fn row_kernels_match_closure_oracle_on_ragged_widths() {
-        // The per-row kernels route through the shared lane-explicit
-        // bodies in `crate::kernels`; pin them against the closure-based
-        // `accumulate_row` oracle across every column-count residue of
-        // the lane width (including the widths that exercise the Lanes8
-        // scalar tail).
-        let clamp = |c: u8| if c > 96 { 6 } else { c };
-        let mut lut = [0_u8; 256];
-        for (i, slot) in lut.iter_mut().enumerate() {
-            *slot = clamp(i as u8);
-        }
-        for cols in 1..=17_usize {
-            let codes: Vec<u8> = (0..3 * cols).map(|i| ((i * 41 + 93) % 256) as u8).collect();
-            let xbar = Crossbar::from_codes(3, cols, &codes).unwrap();
-            for row in 0..3 {
-                let mut oracle_id = vec![0_i64; cols];
-                let mut oracle_clamp = vec![0_i64; cols];
-                xbar.accumulate_row(row, |c| c, &mut oracle_id);
-                xbar.accumulate_row(row, clamp, &mut oracle_clamp);
-                let mut direct = vec![0_i32; cols];
-                let mut via_lut = vec![0_i32; cols];
-                let mut via_bounded = vec![0_i32; cols];
-                xbar.accumulate_row_direct(row, &mut direct);
-                xbar.accumulate_row_lut(row, &lut, &mut via_lut);
-                xbar.accumulate_row_bounded(row, 96, 6, &mut via_bounded);
-                let widen = |v: &[i32]| v.iter().map(|&a| a as i64).collect::<Vec<_>>();
-                assert_eq!(widen(&direct), oracle_id, "direct cols={cols} row={row}");
-                assert_eq!(widen(&via_lut), oracle_clamp, "lut cols={cols} row={row}");
-                assert_eq!(
-                    widen(&via_bounded),
-                    oracle_clamp,
-                    "bounded cols={cols} row={row}"
-                );
-            }
-        }
     }
 
     #[test]

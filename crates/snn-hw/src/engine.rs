@@ -44,10 +44,9 @@
 //! at most [`MAX_LANES`] at a time: the transformed-crossbar image stays
 //! hot across every lane of a timestep, the drive is accumulated once
 //! per distinct active-row set among the chunk's samples (every map lane
-//! of a sample shares it), and the accumulate kernel is row-blocked with
-//! the lane formulation and block size the engine's
-//! [`crate::kernels::EngineTuning`] measured at construction (every
-//! choice is bit-identical — see [`crate::kernels`]).
+//! of a sample shares it), and the accumulate sums four active rows per
+//! pass ([`crate::kernels::write_rows_blocked`], bit-identical to the
+//! row-at-a-time sum — see [`crate::kernels`]).
 //!
 //! A map is a [`NeuronFaultOverlay`]: neuron-op sites, which the lane
 //! imports into its fault masks, and weight-register flips, which never
@@ -84,7 +83,7 @@
 
 use crate::crossbar::Crossbar;
 use crate::error::HwError;
-use crate::kernels::{self, EngineTuning};
+use crate::kernels;
 use crate::neuron_lanes::{n_words, NeuronLanes};
 use crate::neuron_unit::{NeuronHwParams, NeuronOp, NeuronUnit, OpFaults};
 use crate::params::EngineConfig;
@@ -565,9 +564,8 @@ impl WeightDeltas {
 /// while keeping the transformed-crossbar image hot across the whole
 /// chunk at each timestep. [`ComputeEngine::run_batch_into`] and
 /// [`ComputeEngine::run_batch_multi_map`] accept any number of samples
-/// and maps and chunk internally (the last chunk may be ragged); the
-/// effective chunk width is the engine's measured
-/// [`EngineTuning::lane_chunk`], clamped to this cap.
+/// and maps and chunk internally, every chunk this wide except a
+/// ragged last one.
 pub const MAX_LANES: usize = 16;
 
 /// Per-sample spike-count planes written by
@@ -889,11 +887,6 @@ pub struct ComputeEngine {
     /// reload-heal or an injected fault can never be served from a stale
     /// compilation.
     mutation_epoch: u64,
-    /// Accumulate-kernel and chunk-width tuning (see
-    /// [`crate::kernels::EngineTuning`]): measured at construction by
-    /// default, inherited by campaign clones. Bit-identical for every
-    /// value — tuning trades time, never results.
-    tuning: EngineTuning,
     // Scratch buffers reused across steps/samples (the hot path never
     // allocates).
     acc: Vec<i32>,
@@ -915,36 +908,14 @@ impl ComputeEngine {
         Self::with_config(EngineConfig::PAPER, qn)
     }
 
-    /// Builds an engine with an explicit physical geometry, autotuning
-    /// the accumulate kernels for this host (see
-    /// [`EngineTuning::autotune`]); [`with_tuning`](Self::with_tuning) is
-    /// the fixed-choice escape hatch.
+    /// Builds an engine with an explicit physical geometry. Every engine
+    /// runs the one accumulate shape of [`crate::kernels`] and chunks
+    /// trial groups [`MAX_LANES`] lanes wide.
     ///
     /// # Errors
     ///
     /// Returns [`HwError::InvalidNetwork`] if the network fails validation.
     pub fn with_config(physical: EngineConfig, qn: &QuantizedNetwork) -> Result<Self, HwError> {
-        Self::with_tuning(
-            physical,
-            qn,
-            EngineTuning::autotune(qn.n_inputs, qn.n_neurons),
-        )
-    }
-
-    /// Builds an engine with an explicit physical geometry and an
-    /// explicit [`EngineTuning`] — no construction-time measurement.
-    /// Results are bit-identical for every tuning value (only timings
-    /// differ), so this exists for deterministic construction cost and
-    /// for the tuning-invariance regression tests, not for correctness.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HwError::InvalidNetwork`] if the network fails validation.
-    pub fn with_tuning(
-        physical: EngineConfig,
-        qn: &QuantizedNetwork,
-        tuning: EngineTuning,
-    ) -> Result<Self, HwError> {
         qn.validate().map_err(|e| HwError::InvalidNetwork {
             detail: e.to_string(),
         })?;
@@ -975,7 +946,6 @@ impl ComputeEngine {
             crossbar_dirty: false,
             cache_stats: ReadCacheStats::default(),
             mutation_epoch: 0,
-            tuning,
             acc: vec![0; qn.n_neurons],
             fired: Vec::with_capacity(qn.n_neurons),
             words: CycleWords::new(n_words(qn.n_neurons)),
@@ -997,18 +967,6 @@ impl ComputeEngine {
     /// Physical engine geometry (for the cost models).
     pub fn physical(&self) -> EngineConfig {
         self.physical
-    }
-
-    /// The accumulate tuning this engine runs with.
-    pub fn tuning(&self) -> EngineTuning {
-        self.tuning
-    }
-
-    /// Replaces the accumulate tuning. Outputs are bit-identical for
-    /// every value (the tuning-invariance tests pin that); this is a
-    /// timing knob and a test hook, not a behavioural setting.
-    pub fn set_tuning(&mut self, tuning: EngineTuning) {
-        self.tuning = tuning;
     }
 
     /// The weight crossbar (fault injection reads/writes registers here).
@@ -1345,21 +1303,15 @@ impl ComputeEngine {
             ReadKernel::Direct => self.crossbar.codes_slice(),
             ReadKernel::Bounded { .. } | ReadKernel::Table => &self.read_cache,
         };
-        // The per-step API accumulates row-at-a-time through the tuned
-        // lane formulation (the historical shape, now shared with every
-        // other datapath via `kernels`); row-*blocking* the drive phase
-        // is the batched passes' lever — `run_batch_into` and
-        // `run_batch_multi_map` amortize it across samples/maps, which
-        // is exactly what the `batch_speedup`/`multi_map_speedup`
-        // trajectory metrics measure against this path.
+        // The per-step API accumulates row-at-a-time through the one
+        // lane-explicit body every datapath shares (`kernels`);
+        // row-*blocking* the drive phase is the batched passes' lever —
+        // `run_batch_into` and `run_batch_multi_map` amortize it across
+        // samples/maps, which is exactly what the
+        // `batch_speedup`/`multi_map_speedup` trajectory metrics measure
+        // against this path.
         self.acc.fill(0);
-        kernels::accumulate_rows(
-            self.tuning.kernel,
-            src,
-            self.n_neurons,
-            active_rows,
-            &mut self.acc,
-        );
+        kernels::accumulate_rows(src, self.n_neurons, active_rows, &mut self.acc);
     }
 
     /// Drive phase of one timestep from an external pre-resolved weight
@@ -1370,13 +1322,7 @@ impl ComputeEngine {
     pub(crate) fn accumulate_image_rows(&mut self, src: &[u8], active_rows: &[u32]) {
         self.ensure_lanes();
         self.acc.fill(0);
-        kernels::accumulate_rows(
-            self.tuning.kernel,
-            src,
-            self.n_neurons,
-            active_rows,
-            &mut self.acc,
-        );
+        kernels::accumulate_rows(src, self.n_neurons, active_rows, &mut self.acc);
     }
 
     /// Adds an externally accumulated drive plane (matured delayed
@@ -1468,7 +1414,6 @@ impl ComputeEngine {
             crossbar_dirty: false,
             cache_stats: ReadCacheStats::default(),
             mutation_epoch: 0,
-            tuning: EngineTuning::fixed(),
             acc: Vec::new(),
             fired: Vec::new(),
             words: CycleWords::new(0),
@@ -1585,8 +1530,8 @@ impl ComputeEngine {
     /// [`run_sample_reference`](Self::run_sample_reference) across kernels,
     /// guards, and fault maps). Trains may have ragged lengths; samples
     /// past their last timestep simply sit out the remaining cycles.
-    /// Internally the batch is processed in chunks of the engine's tuned
-    /// width (at most [`MAX_LANES`] samples). Persisted faults apply to
+    /// Internally the batch is processed in chunks of [`MAX_LANES`]
+    /// samples. Persisted faults apply to
     /// every sample, per the paper's semantics; the engine's own membrane
     /// state is left reset.
     ///
@@ -1664,8 +1609,8 @@ impl ComputeEngine {
     /// (property-tested against
     /// [`run_batch_multi_map_reference`](Self::run_batch_multi_map_reference)
     /// across kernels, guards, weight flips, vr-burst maps, empty maps,
-    /// and ragged map counts). Maps are processed in chunks of the
-    /// engine's tuned width (at most [`MAX_LANES`]); the maps are never
+    /// and ragged map counts). Maps are processed in chunks of
+    /// [`MAX_LANES`]; the maps are never
     /// installed, so the engine's fault state, crossbar, read cache and
     /// mutation epoch are left untouched, and its membrane state is left
     /// reset.
@@ -1721,7 +1666,7 @@ impl ComputeEngine {
     /// every (sample, overlay) pair runs in its own lane of the lane bank
     /// and counts into one plane of `out`.
     ///
-    /// Lanes run in chunks of at most the tuned lane width W, and each
+    /// Lanes run in chunks of at most W = [`MAX_LANES`], and each
     /// chunk's overlays are lowered to weight deltas once, against the
     /// current registers. Under [`Pairing::Every`] a chunk of K overlays
     /// runs W / K samples at a time — a plain batch is W samples × 1 map,
@@ -1749,13 +1694,12 @@ impl ComputeEngine {
         // them current once so every lane imports the same base.
         self.ensure_units();
         self.ensure_read_cache(path);
-        let width = self.tuning.clamped_lane_chunk();
         let mut scratch = std::mem::take(&mut self.trial);
         match pairing {
             Pairing::Every => {
-                for (chunk_idx, maps) in overlays.chunks(width).enumerate() {
+                for (chunk_idx, maps) in overlays.chunks(MAX_LANES).enumerate() {
                     self.lower_deltas(&mut scratch, maps, path);
-                    let per_map = width / maps.len();
+                    let per_map = MAX_LANES / maps.len();
                     for first in (0..trains.len()).step_by(per_map) {
                         let samples = first..(first + per_map).min(trains.len());
                         scratch.jobs.clear();
@@ -1763,7 +1707,7 @@ impl ComputeEngine {
                             scratch.jobs.extend(samples.clone().map(|s| LaneJob {
                                 sample: s,
                                 slot: m,
-                                plane: (chunk_idx * width + m, s),
+                                plane: (chunk_idx * MAX_LANES + m, s),
                                 drive: 0,
                             }));
                         }
@@ -1773,10 +1717,10 @@ impl ComputeEngine {
             }
             Pairing::PerSample(k) => {
                 // Whole samples per chunk where their k lanes fit.
-                let chunk = if k == 0 || k > width {
-                    width
+                let chunk = if k == 0 || k > MAX_LANES {
+                    MAX_LANES
                 } else {
-                    width - width % k
+                    MAX_LANES - MAX_LANES % k
                 };
                 for (chunk_idx, maps) in overlays.chunks(chunk).enumerate() {
                     self.lower_deltas(&mut scratch, maps, path);
@@ -1897,14 +1841,7 @@ impl ComputeEngine {
                 let acc = &mut rest[..n];
                 match shared {
                     Some(p) => acc.copy_from_slice(&done[p * n..p * n + n]),
-                    None => kernels::write_rows_blocked(
-                        self.tuning.kernel,
-                        self.tuning.row_block,
-                        src,
-                        n,
-                        rows,
-                        acc,
-                    ),
+                    None => kernels::write_rows_blocked(src, n, rows, acc),
                 }
             }
             // Neuron phase of every lane whose sample is still live.

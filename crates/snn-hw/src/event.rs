@@ -13,14 +13,14 @@
 //!   observes one all-zero comparator word per skipped cycle (so
 //!   guard-state evolution is cycle-for-cycle identical to dense), and
 //!   the next processed cycle first flushes the lag through
-//!   [`NeuronLanes::advance_silent`] — refractory countdown plus a
+//!   [`NeuronLanes::advance_silent`](crate::neuron_lanes::NeuronLanes::advance_silent) — refractory countdown plus a
 //!   `k`-step leak collapsed to one subtraction via a precomputed
 //!   cumulative [`LeakTable`]. The collapse is bit-identical to `k`
 //!   sequential floored leak steps (`max(v − k·d, 0)` = `k` folds of
 //!   `max(v − d, 0)` for `d ≥ 0`), proptest-pinned.
 //! * **Shared processed-cycle kernels.** Cycles that *are* processed run
-//!   the very same [`ComputeEngine::accumulate_active_rows`] /
-//!   [`ComputeEngine::neuron_phase`] code the dense per-step path is
+//!   the very same crate-private `ComputeEngine::accumulate_active_rows`
+//!   / `ComputeEngine::neuron_phase` code the dense per-step path is
 //!   built from, so on delay-free workloads the two backends are
 //!   bit-identical by construction — spikes, counts, and guard decisions
 //!   (`tests/proptest_backend_equivalence.rs` pins it under `NoGuard`,

@@ -69,7 +69,6 @@ pub use crossbar::Crossbar;
 pub use engine::{ComputeEngine, DirectRead, NoGuard, ResolvedPath, SpikeGuard, WeightReadPath};
 pub use error::HwError;
 pub use event::{EventEngine, LeakTable};
-pub use kernels::{AccumKernel, EngineTuning, RowBlock};
 pub use mapping::Tiling;
 pub use neuron_lanes::NeuronLanes;
 pub use neuron_unit::{NeuronOp, NeuronUnit, OpFaults};

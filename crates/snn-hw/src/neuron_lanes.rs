@@ -399,7 +399,7 @@ impl NeuronLanes {
     /// subtraction via the precomputed cumulative
     /// [`LeakTable`](crate::event::LeakTable) — `max(v − k·d, 0)` equals
     /// `k` sequential `max(v − d, 0)` folds for any `d ≥ 0`, which the
-    /// lazy-leak proptest pins against sequential [`step_fused`] cycles.
+    /// lazy-leak proptest pins against sequential [`step_fused`](Self::step_fused) cycles.
     /// Leak-faulty (`vl`) lanes hold their membrane, mirroring
     /// [`NeuronUnit::step`]'s faulty path with zero drive.
     ///

@@ -17,7 +17,6 @@ use snn_hw::engine::{
     ComputeEngine, DirectRead, MultiMapResult, NeuronFaultOverlay, NoGuard, SpikeGuard,
     StuckWeightBit, WeightReadPath, MAX_LANES,
 };
-use snn_hw::kernels::{AccumKernel, EngineTuning, RowBlock};
 use snn_hw::neuron_unit::NeuronOp;
 use snn_sim::config::SnnConfig;
 use snn_sim::network::Network;
@@ -105,20 +104,6 @@ fn random_faulted_engine(
         engine.neurons_mut()[j].faults.set(op);
     }
     engine
-}
-
-/// An arbitrary `EngineTuning` drawn from `seed` — every kernel/block
-/// pair and chunk widths across (and past) the clamp range. The batched
-/// properties force the fast engine onto one of these, so equivalence
-/// holds under *any* tuning an autotune pass could pick, not just the
-/// one this host measured.
-fn random_tuning(seed: u64) -> EngineTuning {
-    let mut rng = StdRng::seed_from_u64(seed);
-    EngineTuning {
-        kernel: AccumKernel::ALL[rng.gen_range(0..AccumKernel::ALL.len())],
-        row_block: RowBlock::ALL[rng.gen_range(0_usize..3)],
-        lane_chunk: rng.gen_range(0..2 * MAX_LANES),
-    }
 }
 
 /// Asserts `run_batch_into` over `trains` matches, sample for sample, the
@@ -495,9 +480,6 @@ proptest! {
             fast.neurons_mut()[j].faults.set(NeuronOp::VmemReset);
         }
         let mut slow = fast.clone();
-        // Equivalence must hold under any accumulate tuning, not just
-        // the one this host's autotune measured.
-        fast.set_tuning(random_tuning(net_seed ^ fault_seed));
         // Ragged lengths: sample s runs 10..35 steps, so late cycles see
         // a shrinking active batch.
         let trains: Vec<SpikeTrain> = (0..batch)
@@ -521,8 +503,9 @@ proptest! {
     /// Multi-map-vs-reference equivalence across the cross-product the
     /// acceptance criteria name: both guard classes (`NoGuard`, stateful
     /// `ResetMonitor`), vr-burst-heavy overlays so the monitor actually
-    /// latches, ragged map counts `K` (including 1 and chunk-straddling
-    /// values via the standalone test below), all three accumulation
+    /// latches, ragged map counts `K` (1 up to two full chunks plus a
+    /// ragged last chunk; fixed boundary values in the standalone test
+    /// below), all three accumulation
     /// kernels, persisted base faults underneath the overlays, empty
     /// overlays (what a clean scenario lowers to), and multiple samples
     /// per trial group.
@@ -536,7 +519,7 @@ proptest! {
         n_base_op_faults in 0_usize..3,
         n_stuck in 0_usize..4,
         n_map_flips in 0_usize..12,
-        k in 1_usize..10,
+        k in 1_usize..=2 * MAX_LANES + 1,
         n_clean in 0_usize..3,
         n_samples in 1_usize..4,
         window in 1_u8..4,
@@ -551,9 +534,6 @@ proptest! {
             random_faulted_engine(24, 10, net_seed, fault_seed, n_bit_flips, n_base_op_faults);
         install_random_stuck_bits(&mut fast, n_stuck, fault_seed ^ 0x57ac);
         let mut slow = fast.clone();
-        // Randomized tuning on the fast path; the reference is
-        // formulation-independent by construction.
-        fast.set_tuning(random_tuning(net_seed ^ fault_seed ^ 0x7a9e));
         // Ragged overlays: map m carries m % 4 random sites plus one
         // forced vr burst so suppression paths light up, and (m + 1)·F / k
         // weight flips, duplicated cells included.
@@ -594,7 +574,7 @@ proptest! {
 
     /// The batched pass is the one-map case of the multi-map pass: one
     /// empty overlay over the same trains gives the very same counts,
-    /// under any tuning, guard class, and persisted base faults.
+    /// under any guard class and persisted base faults.
     #[test]
     fn run_batch_is_the_one_empty_map_case(
         net_seed in any::<u64>(),
@@ -610,7 +590,6 @@ proptest! {
         let bound = RandomBound { threshold, default };
         let mut engine =
             random_faulted_engine(24, 10, net_seed, fault_seed, n_bit_flips, n_op_faults);
-        engine.set_tuning(random_tuning(net_seed ^ fault_seed ^ 0x0e3a));
         let trains: Vec<SpikeTrain> = (0..batch)
             .map(|s| random_train(24, 10 + (s * 3) % 20, fault_seed ^ (0x200 + s as u64), density))
             .collect();
@@ -629,8 +608,8 @@ proptest! {
     /// The per-sample-maps pass (the re-execution shape: every sample
     /// under its own k maps) against the scalar oracle run one sample at
     /// a time, across all three kernels, both guard classes, installed
-    /// stuck-at bits, weight-flip overlays with duplicated cells, empty
-    /// overlays, and any tuning.
+    /// stuck-at bits, weight-flip overlays with duplicated cells, and
+    /// empty overlays.
     #[test]
     fn run_batch_per_sample_maps_matches_reference(
         net_seed in any::<u64>(),
@@ -649,7 +628,6 @@ proptest! {
         let mut fast = random_faulted_engine(24, 10, net_seed, fault_seed, 6, 1);
         install_random_stuck_bits(&mut fast, n_stuck, fault_seed ^ 0x57ad);
         let mut slow = fast.clone();
-        fast.set_tuning(random_tuning(net_seed ^ fault_seed ^ 0x9e5a));
         // Overlay i carries i % 3 neuron sites and i % (F + 1) flips, so
         // some are empty.
         let maps: Vec<NeuronFaultOverlay> = (0..n_samples * k)

@@ -97,11 +97,7 @@ fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Args, String> {
         match arg.as_str() {
             "--root" => parsed.root = it.next().ok_or("--root needs a value")?,
             "--workload" => {
-                parsed.workload = match it.next().ok_or("--workload needs a value")?.as_str() {
-                    "mnist" => Workload::Mnist,
-                    "fashion" => Workload::FashionMnist,
-                    other => return Err(format!("unknown workload `{other}` (mnist|fashion)")),
-                };
+                parsed.workload = it.next().ok_or("--workload needs a value")?.parse()?;
             }
             "--size" => {
                 let v = it.next().ok_or("--size needs a value")?;
@@ -111,11 +107,7 @@ fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Args, String> {
                 parsed.profile = it.next().ok_or("--profile needs a value")?.parse()?;
             }
             "--backend" => {
-                parsed.backend = match it.next().ok_or("--backend needs a value")?.as_str() {
-                    "dense" => EngineBackendKind::Dense,
-                    "event" => EngineBackendKind::Event,
-                    other => return Err(format!("unknown backend `{other}` (dense|event)")),
-                };
+                parsed.backend = it.next().ok_or("--backend needs a value")?.parse()?;
             }
             "--max-cells" => {
                 let v = it.next().ok_or("--max-cells needs a value")?;
@@ -360,5 +352,39 @@ fn dispatch(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
             Ok(())
         }
         other => Err(format!("unknown command `{other}`; {USAGE}").into()),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use softsnn_exp::profile::CliArgs;
+
+    fn args(v: &[&str]) -> Vec<String> {
+        v.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn names_round_trip_and_both_parsers_agree() {
+        for w in Workload::ALL {
+            assert_eq!(w.name().parse::<Workload>(), Ok(w));
+            assert_eq!(w.name().to_uppercase().parse::<Workload>(), Ok(w));
+        }
+        for k in EngineBackendKind::ALL {
+            assert_eq!(k.name().parse::<EngineBackendKind>(), Ok(k));
+            assert_eq!(k.name().to_uppercase().parse::<EngineBackendKind>(), Ok(k));
+        }
+        // campaignd and the figure binaries share one name table: the
+        // same spellings parse and the same bad value fails in both.
+        let daemon = parse_args(args(&["submit", "j", "--backend", "EVENT"])).unwrap();
+        let figure = CliArgs::parse(args(&["--backend", "EVENT"])).unwrap();
+        assert_eq!(daemon.backend, EngineBackendKind::Event);
+        assert_eq!(daemon.backend, figure.backend);
+        let daemon = parse_args(args(&["submit", "j", "--backend", "gpu"]))
+            .err()
+            .expect("campaignd rejects it");
+        let figure = CliArgs::parse(args(&["--backend", "gpu"])).unwrap_err();
+        assert_eq!(daemon, figure);
+        assert!(parse_args(args(&["submit", "j", "--workload", "cifar"])).is_err());
     }
 }

@@ -16,13 +16,15 @@ fn main() {
         }
     };
     let workloads: Vec<Workload> = match args.workload.as_deref() {
-        None | Some("both") => Workload::ALL.to_vec(),
-        Some("mnist") => vec![Workload::Mnist],
-        Some("fashion") => vec![Workload::FashionMnist],
-        Some(other) => {
-            eprintln!("unknown workload `{other}` (mnist|fashion|both)");
-            std::process::exit(2);
-        }
+        None => Workload::ALL.to_vec(),
+        Some(v) if v.eq_ignore_ascii_case("both") => Workload::ALL.to_vec(),
+        Some(v) => match v.parse() {
+            Ok(w) => vec![w],
+            Err(_) => {
+                eprintln!("unknown workload `{v}` (expected mnist|fashion|both)");
+                std::process::exit(2);
+            }
+        },
     };
     eprintln!(
         "[fig13] profile={} workloads={:?}",

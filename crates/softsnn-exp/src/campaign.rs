@@ -1,11 +1,12 @@
 //! Fig. 13-shaped jobs over the checkpointed campaign service.
 //!
 //! [`snn_faults::service`] knows how to checkpoint and resume an abstract
-//! [`GridSpec`]; this module binds it to the figure harness: a job is one
-//! (workload, size, profile, backend) bench evaluated over the Fig. 13
-//! technique × rate × trial grid, with the bench itself coming from the
-//! **cross-job cache** ([`workbench::prepare_cached`]) so N submitted jobs
-//! over one configuration train and encode exactly once.
+//! [`GridSpec`](snn_faults::grid::GridSpec); this module binds it to the
+//! figure harness: a job is one (workload, size, profile, backend) bench
+//! evaluated over the Fig. 13 technique × rate × trial grid, with the
+//! bench itself coming from the **cross-job cache**
+//! ([`workbench::prepare_cached`]) so N submitted jobs over one
+//! configuration train and encode exactly once.
 //!
 //! Job lifecycle (the `campaignd` binary drives this):
 //!
@@ -56,35 +57,23 @@ impl JsonCodec for JobConfig {
             ("workload", Json::from(self.workload.name())),
             ("n_neurons", Json::from(self.n_neurons)),
             ("profile", Json::from(self.profile.to_string())),
-            (
-                "backend",
-                Json::from(match self.backend {
-                    EngineBackendKind::Dense => "dense",
-                    EngineBackendKind::Event => "event",
-                }),
-            ),
+            ("backend", Json::from(self.backend.name())),
         ])
     }
 
     fn from_json(json: &Json) -> Result<Self, JsonError> {
-        let workload = match json.str_field("workload")? {
-            "mnist" => Workload::Mnist,
-            "fashion" => Workload::FashionMnist,
-            other => {
-                return Err(JsonError::decode(format!("unknown workload `{other}`")));
-            }
-        };
+        let workload = json
+            .str_field("workload")?
+            .parse::<Workload>()
+            .map_err(JsonError::decode)?;
         let profile = json
             .str_field("profile")?
             .parse::<Profile>()
             .map_err(JsonError::decode)?;
-        let backend = match json.str_field("backend")? {
-            "dense" => EngineBackendKind::Dense,
-            "event" => EngineBackendKind::Event,
-            other => {
-                return Err(JsonError::decode(format!("unknown backend `{other}`")));
-            }
-        };
+        let backend = json
+            .str_field("backend")?
+            .parse::<EngineBackendKind>()
+            .map_err(JsonError::decode)?;
         Ok(Self {
             workload,
             n_neurons: json.usize_field("n_neurons")?,

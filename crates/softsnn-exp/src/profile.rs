@@ -163,16 +163,7 @@ impl CliArgs {
                     parsed.out_dir = it.next().ok_or("--out needs a value")?;
                 }
                 "--backend" => {
-                    let v = it.next().ok_or("--backend needs a value")?;
-                    parsed.backend = match v.to_ascii_lowercase().as_str() {
-                        "dense" => EngineBackendKind::Dense,
-                        "event" => EngineBackendKind::Event,
-                        other => {
-                            return Err(format!(
-                                "unknown backend `{other}` (expected dense|event)"
-                            ))
-                        }
-                    };
+                    parsed.backend = it.next().ok_or("--backend needs a value")?.parse()?;
                 }
                 other => {
                     return Err(format!(
