@@ -1,21 +1,20 @@
-//! Micro-benchmarks of the compute-engine datapath: single steps and
-//! whole-sample runs, with the baseline and the bounded read path.
+//! Micro-benchmarks of the compute-engine datapath: whole-sample runs,
+//! batches and trial groups, with the baseline and the bounded read path.
 //!
-//! Every group benches the optimized hot path (`step`/`run_sample_into`,
-//! SoA lanes + batched guard, allocation-free) side by side with the
-//! retained pre-optimization reference (`step_reference`/
-//! `run_sample_reference`, per-element closure reads, per-neuron guard
-//! calls, per-call allocations), so the speedup is measured inside the
-//! same binary on the same fixture.
+//! The single-sample group benches the optimized hot path
+//! (`run_sample_into`: the one-lane trial group, SoA lanes + batched
+//! guard, allocation-free) side by side with the retained
+//! pre-optimization reference (`run_sample_reference`, per-element
+//! closure reads, per-neuron guard calls, per-call allocations), so the
+//! speedup is measured inside the same binary on the same fixture.
 //!
-//! `engine_step_guarded` crosses all three accumulation kernels
+//! `engine_run_sample` crosses all three accumulation kernels
 //! (direct/bounded/LUT) with both guards (NoGuard/ResetMonitor), so
-//! guard overhead is visible per kernel at step granularity — not only
-//! at whole-sample granularity. A trailing pseudo-group derives
+//! guard overhead is visible per kernel. A trailing pseudo-group derives
 //! `guard_overhead` (monitored / unguarded sample cost) and
 //! `monitored_speedup_vs_reference` for the JSON perf trajectory.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 use snn_faults::grid::{CellPolicy, GridPointCtx, GridRunner, GridSpec};
 use snn_faults::location::FaultDomain;
 use snn_faults::stats::{Lookahead, StopRule};
@@ -38,40 +37,11 @@ impl WeightReadPath for LutRead {
     }
 }
 
-fn bench_engine_step(c: &mut Criterion) {
+fn bench_run_sample(c: &mut Criterion) {
+    // Every accumulation kernel (direct add / bounded compare-select /
+    // LUT gather) × every guard (NoGuard / paper ResetMonitor), plus the
+    // reference formulation at both ends of the crossing.
     let f = fixture();
-    let mut group = c.benchmark_group("engine_step");
-    group.sample_size(20);
-    for n_active in [8_usize, 64, 256] {
-        let active: Vec<u32> = (0..n_active as u32).collect();
-        group.bench_with_input(
-            BenchmarkId::new("direct", n_active),
-            &active,
-            |b, active| {
-                let mut deployment = f.deployment.clone();
-                let engine = deployment.engine_mut();
-                b.iter(|| black_box(engine.step(active, &DirectRead, &mut NoGuard).len()));
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("reference", n_active),
-            &active,
-            |b, active| {
-                let mut deployment = f.deployment.clone();
-                let engine = deployment.engine_mut();
-                b.iter(|| black_box(engine.step_reference(active, &DirectRead, &mut NoGuard)));
-            },
-        );
-    }
-    group.finish();
-}
-
-fn bench_engine_step_guarded(c: &mut Criterion) {
-    // Step-level guard overhead per accumulation kernel: every kernel
-    // (direct add / bounded compare-select / LUT gather) × every guard
-    // (NoGuard / paper ResetMonitor), 64 active rows each.
-    let f = fixture();
-    let active: Vec<u32> = (0..64).collect();
     let n = f.deployment.quantized().n_neurons;
     let bounded = BoundedRead::new(f.deployment.bounding_for(BnpVariant::Bnp3));
     let lut = LutRead(BoundedRead::new(
@@ -82,113 +52,57 @@ fn bench_engine_step_guarded(c: &mut Criterion) {
         group: &mut criterion::BenchmarkGroup<'_>,
         name: &str,
         fixture: &softsnn_bench::Fixture,
-        active: &[u32],
         path: &P,
-        mut make_guard: impl FnMut() -> G,
+        mut guard: G,
     ) {
         group.bench_function(name, |b| {
             let mut deployment = fixture.deployment.clone();
             let engine = deployment.engine_mut();
-            let mut guard = make_guard();
-            b.iter(|| black_box(engine.step(active, path, &mut guard).len()));
+            let train = &fixture.trains[0];
+            b.iter(|| black_box(engine.run_sample_into(train, path, &mut guard).len()));
         });
     }
 
-    let mut group = c.benchmark_group("engine_step_guarded");
-    group.sample_size(20);
-    bench_kernel(
-        &mut group,
-        "direct_noguard",
-        f,
-        &active,
-        &DirectRead,
-        || NoGuard,
-    );
-    bench_kernel(
-        &mut group,
-        "direct_monitored",
-        f,
-        &active,
-        &DirectRead,
-        || ResetMonitor::paper(n),
-    );
-    bench_kernel(&mut group, "bounded_noguard", f, &active, &bounded, || {
-        NoGuard
-    });
-    bench_kernel(
-        &mut group,
-        "bounded_monitored",
-        f,
-        &active,
-        &bounded,
-        || ResetMonitor::paper(n),
-    );
-    bench_kernel(&mut group, "lut_noguard", f, &active, &lut, || NoGuard);
-    bench_kernel(&mut group, "lut_monitored", f, &active, &lut, || {
-        ResetMonitor::paper(n)
-    });
-    group.finish();
-}
+    fn bench_reference<P: WeightReadPath, G: SpikeGuard>(
+        group: &mut criterion::BenchmarkGroup<'_>,
+        name: &str,
+        fixture: &softsnn_bench::Fixture,
+        path: &P,
+        mut guard: G,
+    ) {
+        group.bench_function(name, |b| {
+            let mut deployment = fixture.deployment.clone();
+            let engine = deployment.engine_mut();
+            let train = &fixture.trains[0];
+            b.iter(|| black_box(engine.run_sample_reference(train, path, &mut guard)));
+        });
+    }
 
-fn bench_run_sample(c: &mut Criterion) {
-    let f = fixture();
     let mut group = c.benchmark_group("engine_run_sample");
     group.sample_size(20);
-    group.bench_function("direct_noguard", |b| {
-        let mut deployment = f.deployment.clone();
-        let engine = deployment.engine_mut();
-        b.iter(|| {
-            black_box(
-                engine
-                    .run_sample_into(&f.trains[0], &DirectRead, &mut NoGuard)
-                    .len(),
-            )
-        });
-    });
-    group.bench_function("direct_noguard_reference", |b| {
-        let mut deployment = f.deployment.clone();
-        let engine = deployment.engine_mut();
-        b.iter(|| black_box(engine.run_sample_reference(&f.trains[0], &DirectRead, &mut NoGuard)));
-    });
-    group.bench_function("bounded_noguard", |b| {
-        // Same BnP3 read path without the monitor: the denominator that
-        // isolates guard cost from the kernel change.
-        let mut deployment = f.deployment.clone();
-        let bounding = deployment.bounding_for(BnpVariant::Bnp3);
-        let path = BoundedRead::new(bounding);
-        let engine = deployment.engine_mut();
-        b.iter(|| {
-            black_box(
-                engine
-                    .run_sample_into(&f.trains[0], &path, &mut NoGuard)
-                    .len(),
-            )
-        });
-    });
-    group.bench_function("bounded_monitored", |b| {
-        let mut deployment = f.deployment.clone();
-        let bounding = deployment.bounding_for(BnpVariant::Bnp3);
-        let path = BoundedRead::new(bounding);
-        let n = deployment.quantized().n_neurons;
-        let engine = deployment.engine_mut();
-        let mut monitor = ResetMonitor::paper(n);
-        b.iter(|| {
-            black_box(
-                engine
-                    .run_sample_into(&f.trains[0], &path, &mut monitor)
-                    .len(),
-            )
-        });
-    });
-    group.bench_function("bounded_monitored_reference", |b| {
-        let mut deployment = f.deployment.clone();
-        let bounding = deployment.bounding_for(BnpVariant::Bnp3);
-        let path = BoundedRead::new(bounding);
-        let n = deployment.quantized().n_neurons;
-        let engine = deployment.engine_mut();
-        let mut monitor = ResetMonitor::paper(n);
-        b.iter(|| black_box(engine.run_sample_reference(&f.trains[0], &path, &mut monitor)));
-    });
+    bench_kernel(&mut group, "direct_noguard", f, &DirectRead, NoGuard);
+    bench_reference(
+        &mut group,
+        "direct_noguard_reference",
+        f,
+        &DirectRead,
+        NoGuard,
+    );
+    let monitor = || ResetMonitor::paper(n);
+    bench_kernel(&mut group, "direct_monitored", f, &DirectRead, monitor());
+    // Same BnP3 read path without the monitor: the denominator that
+    // isolates guard cost from the kernel change.
+    bench_kernel(&mut group, "bounded_noguard", f, &bounded, NoGuard);
+    bench_kernel(&mut group, "bounded_monitored", f, &bounded, monitor());
+    bench_reference(
+        &mut group,
+        "bounded_monitored_reference",
+        f,
+        &bounded,
+        monitor(),
+    );
+    bench_kernel(&mut group, "lut_noguard", f, &lut, NoGuard);
+    bench_kernel(&mut group, "lut_monitored", f, &lut, monitor());
     group.finish();
 }
 
@@ -241,10 +155,11 @@ fn bench_run_batch(c: &mut Criterion) {
     // configuration (BnP3-shaped bounding + reset monitor) batched
     // through `run_batch_into` vs the per-sample loop with the same
     // per-sample guard-cloning semantics. The two paths produce
-    // bit-identical counts (property-tested), so this measures pure
-    // throughput; at N400 the transformed-crossbar image is ~306 KiB, so
-    // keeping each cycle's active rows hot across the whole batch is
-    // where interleaving pays.
+    // bit-identical counts (property-tested) and run the same lane pass —
+    // a single sample is its one-lane case — so this measures sample
+    // interleaving alone; at N400 the transformed-crossbar image is
+    // ~306 KiB, so keeping each cycle's active rows hot across the whole
+    // batch is where interleaving pays.
     let (mut engine, path, monitor, trains) = paper_scale_campaign_fixture();
 
     let mut group = c.benchmark_group("engine_run_batch");
@@ -701,8 +616,6 @@ fn emit_derived_metrics(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_engine_step,
-    bench_engine_step_guarded,
     bench_run_sample,
     bench_run_batch,
     bench_run_multi_map,

@@ -37,11 +37,11 @@ impl InjectionSummary {
 /// Weight sites are applied first, through
 /// [`ComputeEngine::flip_weight_bit`], which patches the engine's
 /// transformed-crossbar image in place — an injection costs O(sites), not
-/// an O(rows × cols) image rebuild at the next step. A map that touches
+/// an O(rows × cols) image rebuild at the next run. A map that touches
 /// only neuron sites leaves the crossbar (and therefore the cached image)
 /// entirely alone. Then all neuron sites are applied through a single
-/// [`ComputeEngine::neurons_mut`] borrow — the AoS ↔ SoA neuron-state
-/// synchronization happens once per injected map, not once per site.
+/// [`ComputeEngine::neurons_mut`] borrow, into the units every run
+/// imports its fault flags from.
 ///
 /// # Errors
 ///

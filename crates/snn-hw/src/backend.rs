@@ -11,16 +11,18 @@
 //! [`AnyBackend::set_kind`] swaps representations in place while
 //! preserving engine state, faults, and delay-free results exactly.
 //!
-//! Picking a backend: the dense [`ComputeEngine`] wins when most cycles
-//! carry input (its batched/multi-map passes amortize the drive phase
-//! across samples and fault maps, weight-bearing maps included); the
-//! [`EventEngine`] wins when most cycles are silent (it skips the whole
-//! neuron phase on provably-silent cycles and lazily replays leak), and
-//! it is the only backend that can express per-synapse delays. It runs
-//! fault maps through an explicit per-map fallback — apply the map, run
-//! each sample, restore — at one sample run per (map, sample). On
-//! delay-free workloads both produce bit-identical spikes, counts, and
-//! guard decisions.
+//! Picking a backend: the two differ only in single samples and delays.
+//! Every delay-free trial group — batch, multi-map, per-sample maps —
+//! runs the dense [`ComputeEngine`]'s lane pass on either backend, which
+//! amortizes the drive phase across samples and fault maps,
+//! weight-bearing maps included. For single samples, the
+//! [`EventEngine`] skips the whole neuron phase on provably-silent
+//! cycles and lazily replays leak, which wins when most cycles are
+//! silent. It is also the only backend that can express per-synapse
+//! delays; a delayed engine runs fault maps through an explicit per-map
+//! fallback — apply the map, run each sample, restore — at one sample
+//! run per (map, sample). On delay-free workloads both produce
+//! bit-identical spikes, counts, and guard decisions.
 
 use crate::engine::{
     BatchResult, ComputeEngine, MultiMapResult, NeuronFaultOverlay, SpikeGuard, WeightReadPath,
@@ -30,10 +32,10 @@ use snn_sim::spike::SpikeTrain;
 use std::str::FromStr;
 
 /// The evaluate entry points every engine backend provides. All methods
-/// keep the dense engine's contracts: sample runs reset state on entry,
-/// batch/multi-map runs are per-sample-guard-clone equivalent and reset
-/// state on exit, and `reload_parameters` is the heal-on-entry point
-/// that makes shard-level state reuse sound.
+/// keep the dense engine's contracts: every sample starts from rest,
+/// batch/multi-map runs are per-sample-guard-clone equivalent, and
+/// `reload_parameters` is the heal-on-entry point that makes
+/// shard-level state reuse sound.
 pub trait EngineBackend {
     /// Presents one encoded sample; returns per-neuron output spike
     /// counts borrowed from the backend's scratch (valid until the next

@@ -9,11 +9,12 @@
 //!
 //! # Hot path
 //!
-//! [`ComputeEngine::step`] and [`ComputeEngine::run_sample_into`] are the
-//! simulation hot path of every fault-injection campaign, and are built to
-//! be allocation-free and autovectorizable:
+//! The engine has one datapath — the trial-group lane pass below — and
+//! every optimized entry point runs through it; a single sample
+//! ([`ComputeEngine::run_sample_into`]) is its one-lane case. It is
+//! built to be allocation-free in steady state and autovectorizable:
 //!
-//! * weight reads go through a kernel resolved once per step or sample
+//! * weight reads go through a kernel resolved once per call
 //!   ([`ResolvedPath`]) — a pure widening add, a branchless
 //!   compare/select, or a 256-entry lookup table — instead of a
 //!   per-element closure call; non-identity kernels additionally
@@ -28,9 +29,13 @@
 //!   spike guards observe a whole cycle at once
 //!   ([`SpikeGuard::observe_cycle`]) instead of one call per neuron, and
 //!   lateral inhibition and spike counting are driven by the fired mask;
-//! * the `fired` list, inhibition, accumulators, and per-neuron spike
-//!   counters are scratch buffers owned by the engine and reused across
-//!   steps and samples.
+//! * the lane bank, drive planes and count planes are scratch owned by
+//!   the engine and reused across calls.
+//!
+//! The architectural [`NeuronUnit`]s are the one home of the fault flags
+//! (the injection surface) and of the reference path's neuron state;
+//! lanes are configured from them at rest for each run and never write
+//! back.
 //!
 //! # Trial groups
 //!
@@ -38,8 +43,9 @@
 //! set of encoded samples in one pass,
 //! [`ComputeEngine::run_batch_per_sample_maps`] gives each sample its own
 //! maps (the re-execution shape), and [`ComputeEngine::run_batch_into`]
-//! is the one-map case (a single empty overlay). All three run through
-//! one private executor over a bank of
+//! is the one-map case (a single empty overlay), as is
+//! [`ComputeEngine::run_sample_into`] with one sample. All four run
+//! through one private executor over a bank of
 //! [`crate::neuron_lanes::NeuronLanes`], one lane per (sample, map) pair,
 //! at most [`MAX_LANES`] at a time: the transformed-crossbar image stays
 //! hot across every lane of a timestep, the drive is accumulated once
@@ -60,7 +66,8 @@
 //! and the mutation epoch are the same after the pass as before it.
 //!
 //! Each lane is evaluated *independently* — state reset first, spike
-//! guard cloned from the caller's prototype — so a trial group is
+//! guard cloned from the caller's prototype (a single sample drives the
+//! caller's guard itself) — so a trial group is
 //! spike-for-spike identical to per-sample
 //! [`run_sample_reference`](ComputeEngine::run_sample_reference) calls
 //! on an engine with the map injected, cloning the guard the same way
@@ -133,7 +140,7 @@ pub trait WeightReadPath {
 }
 
 /// The accumulation kernel resolved from a [`WeightReadPath`], once per
-/// step or sample (not per element).
+/// call (not per element).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum ReadKernel {
     /// Identity path: pure widening add.
@@ -150,28 +157,31 @@ pub(crate) enum ReadKernel {
     Table,
 }
 
-/// A [`WeightReadPath`] lowered to its accumulation kernel once, for reuse
-/// across many [`ComputeEngine::step_resolved`] calls.
-///
-/// [`ComputeEngine::step`] resolves the path on every call — cheap for
-/// identity/bounded paths, but a 256-entry `read` sweep for table paths.
-/// Per-step drivers (workbench-style loops presenting one timestep at a
-/// time) should resolve once and reuse:
+/// A [`WeightReadPath`] lowered to its accumulation kernel once per call
+/// — cheap for identity/bounded paths, a 256-entry `read` sweep for
+/// table paths — so no kernel ever calls `read` per element. Every
+/// evaluate entry point resolves its path this way:
 ///
 /// ```
 /// use snn_hw::engine::{ComputeEngine, DirectRead, NoGuard, ResolvedPath};
 /// use snn_sim::{config::SnnConfig, network::Network, rng::seeded_rng};
 /// use snn_sim::quant::QuantizedNetwork;
+/// use snn_sim::spike::SpikeTrain;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let cfg = SnnConfig::builder().n_inputs(8).n_neurons(2).build()?;
 /// let net = Network::new(cfg, &mut seeded_rng(1));
 /// let qn = QuantizedNetwork::from_network_default(&net);
 /// let mut engine = ComputeEngine::for_network(&qn)?;
-/// let resolved = ResolvedPath::new(&DirectRead);
+/// let mut train = SpikeTrain::new(8, 10);
 /// for _ in 0..10 {
-///     engine.step_resolved(&[0, 3, 5], &resolved, &mut NoGuard);
+///     train.push_step(vec![0, 3, 5]);
 /// }
+/// // What `run_sample_into` does first: `DirectRead` resolves to the
+/// // pure widening add, once for the whole sample.
+/// let _resolved = ResolvedPath::new(&DirectRead);
+/// let counts = engine.run_sample_into(&train, &DirectRead, &mut NoGuard);
+/// assert_eq!(counts.len(), 2);
 /// # Ok(())
 /// # }
 /// ```
@@ -304,24 +314,13 @@ impl SpikeGuard for NoGuard {
     }
 }
 
-/// Which representation currently holds the authoritative neuron
-/// *state* (membrane + refractory). Fault flags are always authoritative
-/// in the architectural units — nothing else mutates them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum StateHome {
-    /// The SoA lanes are current (after optimized steps).
-    Lanes,
-    /// The `Vec<NeuronUnit>` view is current (after injection /
-    /// reference steps).
-    Units,
-}
-
 /// Which read-path transform the engine's transformed-crossbar image
 /// currently holds. Read paths are pure combinational logic, so the
 /// transformed codes only change when the transform or the register
 /// contents change — the cache is invalidated at the crossbar mutation
 /// boundary ([`ComputeEngine::crossbar_mut`] / parameter reload), and
-/// non-identity kernels then accumulate at direct-add speed.
+/// non-identity kernels then accumulate at direct-add speed (see
+/// `ComputeEngine::drive_image`).
 ///
 /// For [`ReadKernel::Table`] kernels the cached transform additionally
 /// includes the table contents, kept in
@@ -720,8 +719,8 @@ impl StuckWeightBit {
 /// The per-cycle bitmask words of one neuron phase — comparator,
 /// internal spike, guard allow, and output spike (`spike & allow`) —
 /// reused across cycles and lanes so the hot path never allocates.
-#[derive(Debug, Clone)]
-struct CycleWords {
+#[derive(Debug, Clone, Default)]
+pub(crate) struct CycleWords {
     cmp: Vec<u64>,
     spike: Vec<u64>,
     allow: Vec<u64>,
@@ -729,7 +728,9 @@ struct CycleWords {
 }
 
 impl CycleWords {
-    fn new(words: usize) -> Self {
+    /// Word buffers for `n_neurons` neurons.
+    pub(crate) fn new(n_neurons: usize) -> Self {
+        let words = n_words(n_neurons);
         Self {
             cmp: vec![0; words],
             spike: vec![0; words],
@@ -741,11 +742,11 @@ impl CycleWords {
     /// The neuron phase of one lane over its already-filled drive `acc`:
     /// fused LIF step, guard observation over the comparator words,
     /// output-spike words (left in `self.fired`), per-neuron spike
-    /// counts, and lateral inhibition driven by the output spikes. The
-    /// single-sample step and every lane of the trial-group pass run
-    /// through this one copy. Returns whether any comparator fired this
-    /// cycle (pre-guard).
-    fn lane_phase<G: SpikeGuard>(
+    /// counts, and lateral inhibition driven by the output spikes. Every
+    /// lane of the trial-group pass and the event backend's sample loop
+    /// run through this one copy. Returns whether any comparator fired
+    /// this cycle (pre-guard).
+    pub(crate) fn lane_phase<G: SpikeGuard>(
         &mut self,
         lane: &mut NeuronLanes,
         acc: &[i32],
@@ -793,13 +794,42 @@ enum Pairing {
     PerSample(usize),
 }
 
+/// Where the lanes of a trial group get their spike guards.
+enum LaneGuards<'g, G> {
+    /// Every lane starts from its own clone of the prototype (the
+    /// trial-group contract); the function is `G::clone`, supplied by the
+    /// entry points that carry the `Clone` bound.
+    Cloned(&'g G, fn(&G) -> G),
+    /// The one lane of a single sample drives the caller's guard.
+    Caller(&'g mut G),
+}
+
+impl<G> LaneGuards<'_, G> {
+    /// The guards of a chunk of `n` lanes; `bank` holds the clones.
+    fn for_lanes<'a>(&'a mut self, n: usize, bank: &'a mut Vec<G>) -> &'a mut [G] {
+        match self {
+            Self::Cloned(proto, clone) => {
+                bank.clear();
+                bank.extend((0..n).map(|_| clone(proto)));
+                bank
+            }
+            Self::Caller(guard) => {
+                debug_assert_eq!(n, 1, "a caller's guard drives one lane");
+                std::slice::from_mut(&mut **guard)
+            }
+        }
+    }
+}
+
 /// The trial-group pass's scratch (sized on first use, at most
-/// [`MAX_LANES`] lanes): the lane bank, the chunk's lane jobs, its
-/// distinct samples and their drive planes, one lane's corrected drive,
-/// and the lowered weight deltas of the chunk's overlays.
+/// [`MAX_LANES`] lanes): the lane bank and its cycle words, the chunk's
+/// lane jobs, its distinct samples and their drive planes, one lane's
+/// corrected drive, and the lowered weight deltas of the chunk's
+/// overlays.
 #[derive(Debug, Clone, Default)]
 struct TrialScratch {
     lanes: Vec<NeuronLanes>,
+    words: CycleWords,
     jobs: Vec<LaneJob>,
     samples: Vec<usize>,
     drive: Vec<i32>,
@@ -828,13 +858,17 @@ fn for_each_set_bit(words: &[u64], mut f: impl FnMut(usize)) {
 /// use snn_hw::engine::{ComputeEngine, DirectRead, NoGuard};
 /// use snn_sim::{config::SnnConfig, network::Network, rng::seeded_rng};
 /// use snn_sim::quant::QuantizedNetwork;
+/// use snn_sim::spike::SpikeTrain;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let cfg = SnnConfig::builder().n_inputs(8).n_neurons(2).build()?;
 /// let net = Network::new(cfg, &mut seeded_rng(1));
 /// let qn = QuantizedNetwork::from_network_default(&net);
 /// let mut engine = ComputeEngine::for_network(&qn)?;
-/// engine.step(&[0, 3, 5], &DirectRead, &mut NoGuard);
+/// let mut train = SpikeTrain::new(8, 1);
+/// train.push_step(vec![0, 3, 5]);
+/// let counts = engine.run_sample_into(&train, &DirectRead, &mut NoGuard);
+/// assert!(counts.iter().all(|&c| c <= 1));
 /// # Ok(())
 /// # }
 /// ```
@@ -846,14 +880,10 @@ pub struct ComputeEngine {
     crossbar: Crossbar,
     v_thresh: Vec<i32>,
     hw: NeuronHwParams,
-    /// Architectural per-neuron view: the fault-injection API and the
-    /// state store of the reference path. Membrane/refractory values here
-    /// are refreshed from the lanes at the injection boundary
-    /// ([`neurons_mut`](Self::neurons_mut)) — see [`StateHome`].
+    /// Architectural per-neuron view: the one home of the fault flags
+    /// (the injection surface, which every lane imports) and of the
+    /// reference path's neuron state.
     neurons: Vec<NeuronUnit>,
-    /// SoA hot-path state (see [`crate::neuron_lanes`]).
-    lanes: NeuronLanes,
-    state_home: StateHome,
     clean_codes: Vec<u8>,
     /// Row-major image of the crossbar codes after the current
     /// non-identity read-path transform (see [`ReadCacheKey`]). Allocated
@@ -887,14 +917,11 @@ pub struct ComputeEngine {
     /// reload-heal or an injected fault can never be served from a stale
     /// compilation.
     mutation_epoch: u64,
-    // Scratch buffers reused across steps/samples (the hot path never
-    // allocates).
-    acc: Vec<i32>,
-    fired: Vec<u32>,
-    words: CycleWords,
-    counts: Vec<u32>,
     /// The trial-group pass's scratch (see [`TrialScratch`]).
     trial: TrialScratch,
+    /// The one-plane result [`run_sample_into`](Self::run_sample_into)
+    /// borrows its counts from.
+    sample: MultiMapResult,
 }
 
 impl ComputeEngine {
@@ -933,8 +960,6 @@ impl ComputeEngine {
                 v_inh: qn.neuron.v_inh,
             },
             neurons: vec![NeuronUnit::new(); qn.n_neurons],
-            lanes: NeuronLanes::new(qn.n_neurons),
-            state_home: StateHome::Lanes,
             clean_codes: qn.codes.clone(),
             read_cache: Vec::new(),
             read_cache_key: ReadCacheKey::Invalid,
@@ -946,11 +971,11 @@ impl ComputeEngine {
             crossbar_dirty: false,
             cache_stats: ReadCacheStats::default(),
             mutation_epoch: 0,
-            acc: vec![0; qn.n_neurons],
-            fired: Vec::with_capacity(qn.n_neurons),
-            words: CycleWords::new(n_words(qn.n_neurons)),
-            counts: vec![0; qn.n_neurons],
-            trial: TrialScratch::default(),
+            trial: TrialScratch {
+                words: CycleWords::new(qn.n_neurons),
+                ..TrialScratch::default()
+            },
+            sample: MultiMapResult::new(),
         })
     }
 
@@ -1117,27 +1142,18 @@ impl ComputeEngine {
         self.cache_stats
     }
 
-    /// The neuron units (fault injection reads op-fault flags here).
-    ///
-    /// Fault flags in this view are always current. Membrane/refractory
-    /// values reflect the last synchronization point (a
-    /// [`neurons_mut`](Self::neurons_mut) call or a reference-path step);
-    /// after optimized steps, read live membrane state through
-    /// [`membranes`](Self::membranes) instead.
+    /// The neuron units: the one home of the op-fault flags, and of the
+    /// neuron state the reference path
+    /// ([`step_reference`](Self::step_reference)) advances. The optimized
+    /// entry points import the fault flags into lanes at rest and never
+    /// write the units back.
     pub fn neurons(&self) -> &[NeuronUnit] {
         &self.neurons
     }
 
-    /// Mutable neuron access for fault injection.
-    ///
-    /// This is the AoS ↔ SoA synchronization boundary: the architectural
-    /// view is refreshed from the hot-path lanes before being returned,
-    /// and the lanes re-import it (including fault masks and the sparse
-    /// faulty-neuron list) on the next optimized step — once per
-    /// injection, not per step.
+    /// Mutable neuron access for fault injection; the next run imports
+    /// whatever flags it leaves.
     pub fn neurons_mut(&mut self) -> &mut [NeuronUnit] {
-        self.ensure_units();
-        self.state_home = StateHome::Units;
         &mut self.neurons
     }
 
@@ -1149,22 +1165,6 @@ impl ComputeEngine {
     /// Shared integer neuron parameters.
     pub fn hw_params(&self) -> NeuronHwParams {
         self.hw
-    }
-
-    /// Makes the architectural units current (export lanes state).
-    fn ensure_units(&mut self) {
-        if self.state_home == StateHome::Lanes {
-            self.lanes.sync_to_units(&mut self.neurons);
-            self.state_home = StateHome::Units;
-        }
-    }
-
-    /// Makes the SoA lanes current (import units state + fault masks).
-    fn ensure_lanes(&mut self) {
-        if self.state_home == StateHome::Units {
-            self.lanes.sync_from_units(&self.neurons);
-            self.state_home = StateHome::Lanes;
-        }
     }
 
     /// Parameter replacement: rewrites every weight register from the
@@ -1212,171 +1212,17 @@ impl ComputeEngine {
             n.clear_faults();
             n.reset_state();
         }
-        self.state_home = StateHome::Units;
         guard.on_param_reload();
     }
 
-    /// Clears membrane/refractory state (between samples). Persisted
-    /// faults — flipped register bits and stuck neuron ops — remain, per
-    /// the paper's persistence semantics.
+    /// Clears the units' membrane/refractory state (between reference
+    /// samples; every optimized run starts its lanes at rest anyway).
+    /// Persisted faults — flipped register bits and stuck neuron ops —
+    /// remain, per the paper's persistence semantics.
     pub fn reset_state(&mut self) {
-        // Cleared in both representations, so whichever is current stays
-        // consistent without forcing a sync.
         for n in &mut self.neurons {
             n.reset_state();
         }
-        self.lanes.reset_state();
-    }
-
-    /// Advances the engine one timestep.
-    ///
-    /// `active_rows` lists the input channels spiking this cycle. Returns
-    /// the indices of neurons that emitted an *output* spike (after
-    /// spike-generation faults and the guard's veto). Lateral inhibition
-    /// is driven by output spikes, so a neuron whose spike generator is
-    /// faulty (or vetoed) does not inhibit its neighbours.
-    ///
-    /// The returned slice borrows the engine's scratch buffer and is valid
-    /// until the next `step`/`run_sample` call; copy it out
-    /// (`.to_vec()`) if you need it longer.
-    ///
-    /// Resolves `path` on every call; per-step drivers should resolve once
-    /// with [`ResolvedPath::new`] and use
-    /// [`step_resolved`](Self::step_resolved).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any row index is out of range.
-    pub fn step<P: WeightReadPath, G: SpikeGuard>(
-        &mut self,
-        active_rows: &[u32],
-        path: &P,
-        guard: &mut G,
-    ) -> &[u32] {
-        let resolved = ResolvedPath::new(path);
-        self.step_resolved(active_rows, &resolved, guard)
-    }
-
-    /// [`step`](Self::step) with a pre-resolved read path — the
-    /// allocation-free, resolve-free form for per-step drivers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any row index is out of range.
-    pub fn step_resolved<G: SpikeGuard>(
-        &mut self,
-        active_rows: &[u32],
-        path: &ResolvedPath,
-        guard: &mut G,
-    ) -> &[u32] {
-        self.step_into(active_rows, path, guard);
-        &self.fired
-    }
-
-    /// The engine-internal step: accumulate active rows through the
-    /// resolved kernel, advance all neuron lanes, run the guard over the
-    /// comparator bitmask, apply lateral inhibition through the fired
-    /// bitmask. Leaves the fired indices in `self.fired`.
-    fn step_into<G: SpikeGuard>(
-        &mut self,
-        active_rows: &[u32],
-        path: &ResolvedPath,
-        guard: &mut G,
-    ) {
-        self.accumulate_active_rows(active_rows, path);
-        self.neuron_phase(guard);
-    }
-
-    /// Drive phase of one timestep: zeroes the accumulators and
-    /// accumulates `active_rows` through the resolved read path. Shared
-    /// verbatim between the dense per-step path and the event backend's
-    /// delay-free processed cycles, so both drive the very same kernel.
-    pub(crate) fn accumulate_active_rows(&mut self, active_rows: &[u32], path: &ResolvedPath) {
-        self.ensure_lanes();
-        // Non-identity kernels accumulate from the transformed-crossbar
-        // image at direct-add speed; the image is rebuilt only when the
-        // transform or the register contents changed.
-        if !matches!(path.kernel, ReadKernel::Direct) {
-            self.ensure_read_cache(path);
-        }
-        let src: &[u8] = match path.kernel {
-            ReadKernel::Direct => self.crossbar.codes_slice(),
-            ReadKernel::Bounded { .. } | ReadKernel::Table => &self.read_cache,
-        };
-        // The per-step API accumulates row-at-a-time through the one
-        // lane-explicit body every datapath shares (`kernels`);
-        // row-*blocking* the drive phase is the batched passes' lever —
-        // `run_batch_into` and `run_batch_multi_map` amortize it across
-        // samples/maps, which is exactly what the
-        // `batch_speedup`/`multi_map_speedup` trajectory metrics measure
-        // against this path.
-        self.acc.fill(0);
-        kernels::accumulate_rows(src, self.n_neurons, active_rows, &mut self.acc);
-    }
-
-    /// Drive phase of one timestep from an external pre-resolved weight
-    /// image (row-major, same shape as the crossbar). The event backend's
-    /// delayed path accumulates its zero-delay "immediate" image this way
-    /// and then adds matured ring-buffer events via
-    /// [`acc_add`](Self::acc_add).
-    pub(crate) fn accumulate_image_rows(&mut self, src: &[u8], active_rows: &[u32]) {
-        self.ensure_lanes();
-        self.acc.fill(0);
-        kernels::accumulate_rows(src, self.n_neurons, active_rows, &mut self.acc);
-    }
-
-    /// Adds an externally accumulated drive plane (matured delayed
-    /// events) into the current cycle's accumulators. Plain `i32`
-    /// addition, so contribution order cannot change results.
-    pub(crate) fn acc_add(&mut self, extra: &[i32]) {
-        debug_assert_eq!(extra.len(), self.acc.len());
-        for (a, &e) in self.acc.iter_mut().zip(extra) {
-            *a += e;
-        }
-    }
-
-    /// Neuron phase of one timestep over the already-filled accumulators
-    /// ([`CycleWords::lane_phase`] on the engine's own lanes, counting
-    /// into the single-sample counters), plus extraction of the fired
-    /// indices. Returns whether any comparator fired this cycle (`cmp`,
-    /// pre-guard) — the event backend's hot-neuron gate.
-    pub(crate) fn neuron_phase<G: SpikeGuard>(&mut self, guard: &mut G) -> bool {
-        self.ensure_lanes();
-        let cmp_any = self.words.lane_phase(
-            &mut self.lanes,
-            &self.acc,
-            &self.v_thresh,
-            &self.hw,
-            guard,
-            &mut self.counts,
-        );
-        self.fired.clear();
-        for_each_set_bit(&self.words.fired, |j| self.fired.push(j as u32));
-        cmp_any
-    }
-
-    /// Output spikes of the last processed cycle (indices into the neuron
-    /// range), as left by [`neuron_phase`](Self::neuron_phase).
-    pub(crate) fn last_fired(&self) -> &[u32] {
-        &self.fired
-    }
-
-    /// Whether any lane's membrane currently sits at or above its
-    /// threshold — the event backend's skip-safety check after a cycle
-    /// whose comparators fired.
-    pub(crate) fn lanes_any_at_or_above(&mut self) -> bool {
-        self.ensure_lanes();
-        self.lanes.any_at_or_above(&self.v_thresh)
-    }
-
-    /// Applies `k` drive-free cycles to every lane in one catch-up pass
-    /// (refractory countdown first, then `k − r` floored leak steps) —
-    /// the event backend's lazy-leak flush. Bit-identical to `k`
-    /// sequential silent fused steps; see
-    /// [`NeuronLanes::advance_silent`].
-    pub(crate) fn advance_lanes_silent(&mut self, k: u32, leak: &crate::event::LeakTable) {
-        self.ensure_lanes();
-        self.lanes.advance_silent(k, leak);
     }
 
     /// Monotone counter of crossbar-affecting mutations (see the field
@@ -1401,8 +1247,6 @@ impl ComputeEngine {
                 v_inh: 0,
             },
             neurons: Vec::new(),
-            lanes: NeuronLanes::new(0),
-            state_home: StateHome::Lanes,
             clean_codes: Vec::new(),
             read_cache: Vec::new(),
             read_cache_key: ReadCacheKey::Invalid,
@@ -1414,36 +1258,47 @@ impl ComputeEngine {
             crossbar_dirty: false,
             cache_stats: ReadCacheStats::default(),
             mutation_epoch: 0,
-            acc: Vec::new(),
-            fired: Vec::new(),
-            words: CycleWords::new(0),
-            counts: Vec::new(),
             trial: TrialScratch::default(),
+            sample: MultiMapResult::new(),
         }
     }
 
-    /// Presents one encoded sample (membrane state is cleared first) and
+    /// Presents one encoded sample (membrane state starts from rest) and
     /// returns per-neuron output spike counts as a borrow of the engine's
-    /// scratch counter buffer — the allocation-free form of
-    /// [`run_sample`](Self::run_sample). The slice is valid until the next
-    /// `step`/`run_sample` call.
+    /// scratch — the allocation-free form of
+    /// [`run_sample`](Self::run_sample), valid until the next run.
+    ///
+    /// This is the one-lane trial group: one sample, one empty overlay,
+    /// and the caller's `guard` driving the lane, so the guard's state
+    /// afterwards is what the sample left it in. Each cycle accumulates
+    /// the active rows through the resolved read path, then runs every
+    /// neuron through the fused LIF step, the guard and lateral
+    /// inhibition (see the module docs).
+    ///
+    /// # Panics
+    ///
+    /// Panics if any active-row index is out of range for this engine.
     pub fn run_sample_into<P: WeightReadPath, G: SpikeGuard>(
         &mut self,
         train: &SpikeTrain,
         path: &P,
         guard: &mut G,
     ) -> &[u32] {
-        self.reset_state();
-        // The neuron phase counts every output spike into `counts`.
-        self.counts.fill(0);
         let resolved = ResolvedPath::new(path);
-        for step_idx in 0..train.n_steps() {
-            self.step_into(train.step(step_idx), &resolved, guard);
-        }
-        &self.counts
+        let mut sample = std::mem::take(&mut self.sample);
+        self.run_trial_group(
+            std::slice::from_ref(train),
+            &[NeuronFaultOverlay::new()],
+            Pairing::Every,
+            &resolved,
+            LaneGuards::Caller(guard),
+            &mut sample,
+        );
+        self.sample = sample;
+        self.sample.counts(0, 0)
     }
 
-    /// Presents one encoded sample (membrane state is cleared first) and
+    /// Presents one encoded sample (membrane state starts from rest) and
     /// returns per-neuron output spike counts as an owned vector.
     pub fn run_sample<P: WeightReadPath, G: SpikeGuard>(
         &mut self,
@@ -1454,34 +1309,28 @@ impl ComputeEngine {
         self.run_sample_into(train, path, guard).to_vec()
     }
 
-    /// Makes the transformed-crossbar image current for a non-identity
-    /// kernel, rebuilding it only when the transform or the register
-    /// contents changed. A rebuild over clean registers also captures the
-    /// clean image, so later parameter reloads restore by copy.
-    fn ensure_read_cache(&mut self, path: &ResolvedPath) {
-        let current = match path.kernel {
-            ReadKernel::Direct => return,
+    /// The resolved drive image every accumulate reads: the registers
+    /// themselves for the identity kernel, else the transformed-crossbar
+    /// image of `path`, made current first — rebuilt only when the
+    /// transform or the register contents changed. A rebuild over clean
+    /// registers also captures the clean image, so later parameter
+    /// reloads restore by copy.
+    pub(crate) fn drive_image(&mut self, path: &ResolvedPath) -> &[u8] {
+        let key = match path.kernel {
+            ReadKernel::Direct => return self.crossbar.codes_slice(),
             ReadKernel::Bounded { threshold, default } => {
-                self.read_cache_key == ReadCacheKey::Bounded { threshold, default }
+                ReadCacheKey::Bounded { threshold, default }
             }
-            ReadKernel::Table => {
-                self.read_cache_key == ReadCacheKey::Table && self.read_cache_table == path.table
-            }
+            ReadKernel::Table => ReadCacheKey::Table,
         };
-        if current {
-            return;
+        let current = self.read_cache_key == key
+            && (key != ReadCacheKey::Table || self.read_cache_table == path.table);
+        if !current {
+            self.read_cache_key = key;
+            self.read_cache_table = path.table;
+            self.rebuild_current_image();
         }
-        match path.kernel {
-            ReadKernel::Direct => unreachable!("early-returned above"),
-            ReadKernel::Bounded { threshold, default } => {
-                self.read_cache_key = ReadCacheKey::Bounded { threshold, default };
-            }
-            ReadKernel::Table => {
-                self.read_cache_key = ReadCacheKey::Table;
-                self.read_cache_table = path.table;
-            }
-        }
-        self.rebuild_current_image();
+        &self.read_cache
     }
 
     /// Rebuilds the transformed image for the *current* cache key over the
@@ -1531,9 +1380,8 @@ impl ComputeEngine {
     /// guards, and fault maps). Trains may have ragged lengths; samples
     /// past their last timestep simply sit out the remaining cycles.
     /// Internally the batch is processed in chunks of [`MAX_LANES`]
-    /// samples. Persisted faults apply to
-    /// every sample, per the paper's semantics; the engine's own membrane
-    /// state is left reset.
+    /// samples. Persisted faults apply to every sample, per the paper's
+    /// semantics; the neuron units are left untouched.
     ///
     /// # Panics
     ///
@@ -1547,15 +1395,13 @@ impl ComputeEngine {
         out: &mut BatchResult,
     ) {
         let resolved = ResolvedPath::new(path);
-        let no_overlay = [NeuronFaultOverlay::new()];
-        let planes = &mut out.planes;
         self.run_trial_group(
             trains,
-            &no_overlay,
+            &[NeuronFaultOverlay::new()],
             Pairing::Every,
             &resolved,
-            guard,
-            planes,
+            LaneGuards::Cloned(guard, G::clone),
+            &mut out.planes,
         );
     }
 
@@ -1611,9 +1457,8 @@ impl ComputeEngine {
     /// across kernels, guards, weight flips, vr-burst maps, empty maps,
     /// and ragged map counts). Maps are processed in chunks of
     /// [`MAX_LANES`]; the maps are never
-    /// installed, so the engine's fault state, crossbar, read cache and
-    /// mutation epoch are left untouched, and its membrane state is left
-    /// reset.
+    /// installed, so the engine's neuron units, crossbar, read cache and
+    /// mutation epoch are left untouched.
     ///
     /// # Panics
     ///
@@ -1628,7 +1473,8 @@ impl ComputeEngine {
         out: &mut MultiMapResult,
     ) {
         let resolved = ResolvedPath::new(path);
-        self.run_trial_group(trains, maps, Pairing::Every, &resolved, guard, out);
+        let guards = LaneGuards::Cloned(guard, G::clone);
+        self.run_trial_group(trains, maps, Pairing::Every, &resolved, guards, out);
     }
 
     /// Evaluates every sample under its own `maps_per_sample` fault maps
@@ -1656,15 +1502,18 @@ impl ComputeEngine {
     ) {
         let resolved = ResolvedPath::new(path);
         let pairing = Pairing::PerSample(maps_per_sample);
-        self.run_trial_group(trains, maps, pairing, &resolved, guard, out);
+        let guards = LaneGuards::Cloned(guard, G::clone);
+        self.run_trial_group(trains, maps, pairing, &resolved, guards, out);
     }
 
     /// The one trial-group executor behind
+    /// [`run_sample_into`](Self::run_sample_into),
     /// [`run_batch_into`](Self::run_batch_into),
     /// [`run_batch_multi_map`](Self::run_batch_multi_map) and
     /// [`run_batch_per_sample_maps`](Self::run_batch_per_sample_maps):
-    /// every (sample, overlay) pair runs in its own lane of the lane bank
-    /// and counts into one plane of `out`.
+    /// every (sample, overlay) pair runs in its own lane of the lane bank,
+    /// driving its own guard from `guards`, and counts into one plane of
+    /// `out`.
     ///
     /// Lanes run in chunks of at most W = [`MAX_LANES`], and each
     /// chunk's overlays are lowered to weight deltas once, against the
@@ -1673,13 +1522,13 @@ impl ComputeEngine {
     /// a full multi-map chunk 1 sample × W maps; under
     /// [`Pairing::PerSample`] a chunk holds whole samples' overlay sets
     /// where they fit.
-    fn run_trial_group<G: SpikeGuard + Clone>(
+    fn run_trial_group<G: SpikeGuard>(
         &mut self,
         trains: &[SpikeTrain],
         overlays: &[NeuronFaultOverlay],
         pairing: Pairing,
         path: &ResolvedPath,
-        guard: &G,
+        mut guards: LaneGuards<'_, G>,
         out: &mut MultiMapResult,
     ) {
         let n_maps = match pairing {
@@ -1690,11 +1539,8 @@ impl ComputeEngine {
             }
         };
         out.reset(self.n_neurons, trains.len(), n_maps);
-        // Fault flags are authoritative in the architectural units; make
-        // them current once so every lane imports the same base.
-        self.ensure_units();
-        self.ensure_read_cache(path);
         let mut scratch = std::mem::take(&mut self.trial);
+        let mut bank = Vec::new();
         match pairing {
             Pairing::Every => {
                 for (chunk_idx, maps) in overlays.chunks(MAX_LANES).enumerate() {
@@ -1711,7 +1557,8 @@ impl ComputeEngine {
                                 drive: 0,
                             }));
                         }
-                        self.run_lane_chunk(&mut scratch, trains, maps, path, guard, out);
+                        let lane_guards = guards.for_lanes(scratch.jobs.len(), &mut bank);
+                        self.run_lane_chunk(&mut scratch, trains, maps, path, lane_guards, out);
                     }
                 }
             }
@@ -1734,15 +1581,12 @@ impl ComputeEngine {
                             drive: 0,
                         }
                     }));
-                    self.run_lane_chunk(&mut scratch, trains, maps, path, guard, out);
+                    let lane_guards = guards.for_lanes(scratch.jobs.len(), &mut bank);
+                    self.run_lane_chunk(&mut scratch, trains, maps, path, lane_guards, out);
                 }
             }
         }
         self.trial = scratch;
-        // The trial-group pass bypasses the single-sample state; leave the
-        // engine at rest in both representations so a later step/sample
-        // starts from a well-defined point.
-        self.reset_state();
     }
 
     /// Lowers each of `maps`' weight flips into delta slot `i` of
@@ -1770,29 +1614,26 @@ impl ComputeEngine {
         }
     }
 
-    /// Runs one chunk of lanes (`scratch.jobs`; slot `i` is `maps[i]`,
-    /// already lowered into `scratch.deltas[i]`) over their samples.
-    /// Per cycle, the drive is accumulated once per distinct active-row
-    /// set among the chunk's samples, then each live lane runs
-    /// [`CycleWords::lane_phase`] on its sample's drive, corrected by its
-    /// overlay's weight deltas on the active rows.
-    fn run_lane_chunk<G: SpikeGuard + Clone>(
+    /// Runs one chunk of lanes (`scratch.jobs`, lane `i` driving
+    /// `guards[i]`; slot `i` is `maps[i]`, already lowered into
+    /// `scratch.deltas[i]`) over their samples. Per cycle, the drive is
+    /// accumulated once per distinct active-row set among the chunk's
+    /// samples, then each live lane runs [`CycleWords::lane_phase`] on
+    /// its sample's drive, corrected by its overlay's weight deltas on
+    /// the active rows.
+    fn run_lane_chunk<G: SpikeGuard>(
         &mut self,
         scratch: &mut TrialScratch,
         trains: &[SpikeTrain],
         maps: &[NeuronFaultOverlay],
         path: &ResolvedPath,
-        guard: &G,
+        guards: &mut [G],
         out: &mut MultiMapResult,
     ) {
         let n = self.n_neurons;
-        let src: &[u8] = match path.kernel {
-            ReadKernel::Direct => self.crossbar.codes_slice(),
-            // Nothing below mutates registers or the transform.
-            ReadKernel::Bounded { .. } | ReadKernel::Table => &self.read_cache,
-        };
         let TrialScratch {
             lanes,
+            words,
             jobs,
             samples,
             drive,
@@ -1814,7 +1655,6 @@ impl ComputeEngine {
                 }
             };
         }
-        let mut guards: Vec<G> = jobs.iter().map(|_| guard.clone()).collect();
         drive.clear();
         drive.resize(samples.len() * n, 0);
         lane_drive.resize(n, 0);
@@ -1828,6 +1668,7 @@ impl ComputeEngine {
             // across the chunk's samples this cycle; duplicates are
             // copied. The image rows touched at cycle `t` stay hot across
             // every lane of the chunk.
+            let src = self.drive_image(path);
             for (d, &s) in samples.iter().enumerate() {
                 let train = &trains[s];
                 if t >= train.n_steps() {
@@ -1845,7 +1686,7 @@ impl ComputeEngine {
                 }
             }
             // Neuron phase of every lane whose sample is still live.
-            for ((lane, job), guard_l) in lanes.iter_mut().zip(jobs.iter()).zip(&mut guards) {
+            for ((lane, job), guard) in lanes.iter_mut().zip(jobs.iter()).zip(guards.iter_mut()) {
                 let train = &trains[job.sample];
                 if t >= train.n_steps() {
                     continue;
@@ -1856,12 +1697,12 @@ impl ComputeEngine {
                 } else {
                     shared
                 };
-                self.words.lane_phase(
+                words.lane_phase(
                     lane,
                     acc,
                     &self.v_thresh,
                     &self.hw,
-                    guard_l,
+                    guard,
                     out.counts_mut(job.plane.0, job.plane.1),
                 );
             }
@@ -1889,7 +1730,6 @@ impl ComputeEngine {
     ) -> MultiMapResult {
         let mut out = MultiMapResult::new();
         out.reset(self.n_neurons, trains.len(), maps.len());
-        self.ensure_units();
         let baseline: Vec<OpFaults> = self.neurons.iter().map(|u| u.faults).collect();
         for (m, map) in maps.iter().enumerate() {
             self.flip_overlay_bits(map);
@@ -1927,17 +1767,19 @@ impl ComputeEngine {
         }
     }
 
-    /// Reference (pre-optimization) formulation of [`step`](Self::step):
-    /// per-element closure reads, per-neuron branch-chain stepping, and
-    /// one guard call per neuron. Kept as the behavioral oracle for the
-    /// equivalence property tests; not a hot path.
+    /// Reference (pre-optimization) formulation of one timestep of the
+    /// lane pass, on the units' own state: per-element closure reads,
+    /// per-neuron branch-chain stepping, and one guard call per neuron.
+    /// Returns the neurons that emitted an output spike (after faults and
+    /// the guard's veto); lateral inhibition is driven by those. Kept as
+    /// the behavioral oracle for the equivalence property tests; not a
+    /// hot path.
     pub fn step_reference<P: WeightReadPath, G: SpikeGuard>(
         &mut self,
         active_rows: &[u32],
         path: &P,
         guard: &mut G,
     ) -> Vec<u32> {
-        self.ensure_units();
         let mut acc = vec![0_i64; self.n_neurons];
         for &row in active_rows {
             self.crossbar
@@ -1983,15 +1825,6 @@ impl ComputeEngine {
         }
         counts
     }
-
-    /// Per-neuron membrane potentials (for trajectory equivalence tests),
-    /// read from whichever representation is current.
-    pub fn membranes(&self) -> Vec<i32> {
-        match self.state_home {
-            StateHome::Lanes => self.lanes.vmem().to_vec(),
-            StateHome::Units => self.neurons.iter().map(|n| n.vmem).collect(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -2024,24 +1857,29 @@ mod tests {
         sites.iter().copied().collect()
     }
 
+    /// A train presenting `rows` on each of `n_steps` cycles.
+    fn constant_train(rows: &[u32], n_steps: usize) -> SpikeTrain {
+        let mut train = SpikeTrain::new(8, n_steps);
+        for _ in 0..n_steps {
+            train.push_step(rows.to_vec());
+        }
+        train
+    }
+
     #[test]
     fn saturating_input_elicits_spikes() {
         let mut e = small_engine();
-        let mut total = 0;
-        for _ in 0..20 {
-            total += e
-                .step(&[0, 1, 2, 3, 4, 5, 6, 7], &DirectRead, &mut NoGuard)
-                .len();
-        }
-        assert!(total > 0);
+        let train = constant_train(&[0, 1, 2, 3, 4, 5, 6, 7], 20);
+        let counts = e.run_sample_into(&train, &DirectRead, &mut NoGuard);
+        assert!(counts.iter().sum::<u32>() > 0);
     }
 
     #[test]
     fn silent_input_no_spikes() {
         let mut e = small_engine();
-        for _ in 0..20 {
-            assert!(e.step(&[], &DirectRead, &mut NoGuard).is_empty());
-        }
+        let train = constant_train(&[], 20);
+        let counts = e.run_sample_into(&train, &DirectRead, &mut NoGuard);
+        assert!(counts.iter().all(|&c| c == 0));
     }
 
     #[test]
@@ -2109,13 +1947,9 @@ mod tests {
             }
         }
         let mut e = small_engine();
-        let mut total = 0;
-        for _ in 0..20 {
-            total += e
-                .step(&[0, 1, 2, 3, 4, 5, 6, 7], &DirectRead, &mut MuteAll)
-                .len();
-        }
-        assert_eq!(total, 0);
+        let train = constant_train(&[0, 1, 2, 3, 4, 5, 6, 7], 20);
+        let counts = e.run_sample_into(&train, &DirectRead, &mut MuteAll);
+        assert!(counts.iter().all(|&c| c == 0));
     }
 
     #[test]
@@ -2150,7 +1984,7 @@ mod tests {
 
     #[test]
     fn optimized_step_matches_reference() {
-        // Same engine state, same inputs: the SoA fused step and the
+        // Same engine state, same inputs: the SoA lane pass and the
         // per-neuron reference must agree spike for spike.
         struct Clamp;
         impl WeightReadPath for Clamp {
@@ -2162,39 +1996,15 @@ mod tests {
                 }
             }
         }
-        let mut fast = small_engine();
-        let mut slow = small_engine();
-        fast.crossbar_mut().flip_bit(3, 1, 7).unwrap();
-        slow.crossbar_mut().flip_bit(3, 1, 7).unwrap();
-        for t in 0..40 {
-            let rows: Vec<u32> = (0..8).filter(|r| (t + r) % 3 != 0).collect();
-            let a = fast.step(&rows, &Clamp, &mut NoGuard).to_vec();
-            let b = slow.step_reference(&rows, &Clamp, &mut NoGuard);
-            assert_eq!(a, b, "step {t}");
-            assert_eq!(fast.membranes(), slow.membranes(), "step {t}");
+        let mut e = small_engine();
+        e.crossbar_mut().flip_bit(3, 1, 7).unwrap();
+        let mut train = SpikeTrain::new(8, 40);
+        for t in 0..40_u32 {
+            train.push_step((0..8).filter(|r| (t + r) % 3 != 0).collect());
         }
-    }
-
-    #[test]
-    fn step_resolved_matches_step() {
-        struct Clamp;
-        impl WeightReadPath for Clamp {
-            fn read(&self, code: u8) -> u8 {
-                code.saturating_sub(40)
-            }
-        }
-        let mut by_path = small_engine();
-        let mut by_handle = small_engine();
-        let resolved = ResolvedPath::new(&Clamp);
-        for t in 0..30 {
-            let rows: Vec<u32> = (0..8).filter(|r| (t + r) % 2 == 0).collect();
-            let a = by_path.step(&rows, &Clamp, &mut NoGuard).to_vec();
-            let b = by_handle
-                .step_resolved(&rows, &resolved, &mut NoGuard)
-                .to_vec();
-            assert_eq!(a, b, "step {t}");
-            assert_eq!(by_path.membranes(), by_handle.membranes(), "step {t}");
-        }
+        let reference = e.run_sample_reference(&train, &Clamp, &mut NoGuard);
+        let fast = e.run_sample_into(&train, &Clamp, &mut NoGuard);
+        assert_eq!(fast, reference.as_slice());
     }
 
     #[test]
@@ -2236,26 +2046,6 @@ mod tests {
             .to_vec();
         assert_eq!(owned, reference);
         assert_eq!(owned, into);
-    }
-
-    #[test]
-    fn mixed_reference_and_optimized_steps_share_state() {
-        // Interleaving the two formulations on one engine must stay
-        // coherent: state is handed between representations at each
-        // switch, never lost.
-        let mut mixed = small_engine();
-        let mut oracle = small_engine();
-        for t in 0..30 {
-            let rows: Vec<u32> = (0..8).filter(|r| (t + r) % 3 != 0).collect();
-            let a = if t % 2 == 0 {
-                mixed.step(&rows, &DirectRead, &mut NoGuard).to_vec()
-            } else {
-                mixed.step_reference(&rows, &DirectRead, &mut NoGuard)
-            };
-            let b = oracle.step_reference(&rows, &DirectRead, &mut NoGuard);
-            assert_eq!(a, b, "step {t}");
-            assert_eq!(mixed.membranes(), oracle.membranes(), "step {t}");
-        }
     }
 
     #[test]
@@ -2559,7 +2349,7 @@ mod tests {
         e.run_batch_per_sample_maps(
             &[train.clone()],
             1,
-            &[weighty],
+            &[weighty.clone()],
             &Bound90,
             &NoGuard,
             &mut out,
@@ -2572,6 +2362,19 @@ mod tests {
         assert_eq!(e.crossbar().codes(), codes_before);
         assert_eq!(e.read_cache, image_before);
         assert_eq!(e.mutation_epoch(), epoch_before);
+        // A delay-free event backend runs its trial groups through the
+        // same lane pass, so none of its three entries installs a map.
+        let mut ev = crate::event::EventEngine::new(e.clone());
+        let maps = [ops(&[(0, NeuronOp::VmemReset)]), weighty.clone()];
+        let mut batch = BatchResult::new();
+        ev.run_batch_into(&[train.clone()], &Bound90, &NoGuard, &mut batch);
+        ev.run_batch_multi_map(&[train.clone()], &maps, &Bound90, &NoGuard, &mut out);
+        ev.run_batch_per_sample_maps(&[train], 2, &maps, &Bound90, &NoGuard, &mut out);
+        let inner = ev.engine();
+        assert_eq!(inner.read_cache_stats(), stats_before, "event backend");
+        assert_eq!(inner.crossbar().codes(), codes_before);
+        assert_eq!(inner.read_cache, image_before);
+        assert_eq!(inner.mutation_epoch(), epoch_before);
     }
 
     #[test]

@@ -18,13 +18,16 @@
 //!   cumulative [`LeakTable`]. The collapse is bit-identical to `k`
 //!   sequential floored leak steps (`max(v − k·d, 0)` = `k` folds of
 //!   `max(v − d, 0)` for `d ≥ 0`), proptest-pinned.
-//! * **Shared processed-cycle kernels.** Cycles that *are* processed run
-//!   the very same crate-private `ComputeEngine::accumulate_active_rows`
-//!   / `ComputeEngine::neuron_phase` code the dense per-step path is
-//!   built from, so on delay-free workloads the two backends are
-//!   bit-identical by construction — spikes, counts, and guard decisions
-//!   (`tests/proptest_backend_equivalence.rs` pins it under `NoGuard`,
-//!   `ResetMonitor`, and injected fault maps).
+//! * **Shared processed-cycle kernels.** The sample loop owns its state:
+//!   one [`NeuronLanes`] set up at rest per sample from the wrapped
+//!   engine's units, its own drive buffer, and the very kernels of the
+//!   dense lane pass — the blocked accumulate
+//!   ([`kernels::write_rows_blocked`]) over the wrapped engine's resolved
+//!   drive image, and the same crate-private neuron phase every
+//!   trial-group lane runs. On delay-free workloads the two backends are
+//!   therefore bit-identical by construction — spikes, counts, and guard
+//!   decisions (`tests/proptest_backend_equivalence.rs` pins it under
+//!   `NoGuard`, `ResetMonitor`, and injected fault maps).
 //! * **Synaptic delays.** Per-synapse integer delays (a scenario class
 //!   the dense engine cannot express — temporal coding, recurrent
 //!   motifs) compile the crossbar's *resolved* read path into per-input
@@ -37,6 +40,13 @@
 //!   `(cycle, neuron)` slot accumulate by plain `i32` addition, so
 //!   arrival order cannot change results.
 //!
+//! Trial groups (batches, multi-map and per-sample-maps passes) of a
+//! delay-free engine run the wrapped engine's lane pass: skipping only
+//! pays per single sample, and the lane pass shares the drive across
+//! samples and maps without installing any overlay. Only a delayed
+//! engine — the lane pass has no delay ring — falls back to one sample
+//! run per (map, sample): apply the map, run the sample, restore.
+//!
 //! Compiled adjacency state is keyed on the resolved read path *and* the
 //! engine's mutation epoch ([`ComputeEngine`] bumps it on
 //! `crossbar_mut`, `flip_weight_bit`, and `reload_parameters`), so the
@@ -44,13 +54,13 @@
 //! recompiles the adjacency lists from the healed crossbar image instead
 //! of serving a stale compilation.
 
-use crate::engine::ComputeEngine;
 use crate::engine::{
-    BatchResult, MultiMapResult, NeuronFaultOverlay, ReadKernel, ResolvedPath, SpikeGuard,
-    WeightReadPath,
+    BatchResult, ComputeEngine, CycleWords, MultiMapResult, NeuronFaultOverlay, ReadKernel,
+    ResolvedPath, SpikeGuard, WeightReadPath,
 };
 use crate::error::HwError;
-use crate::neuron_lanes::n_words;
+use crate::kernels;
+use crate::neuron_lanes::{n_words, NeuronLanes};
 use crate::neuron_unit::OpFaults;
 use snn_sim::spike::SpikeTrain;
 
@@ -100,10 +110,11 @@ impl LeakTable {
 type DelayedSynapse = (u32, u8, u16);
 
 /// The event-driven sparse backend (see the module docs). Wraps a dense
-/// [`ComputeEngine`] — the wrapped engine remains the state store, the
-/// fault-injection surface, and the kernel provider, which is what makes
-/// delay-free bit-identity a construction property rather than a
-/// re-implementation hazard.
+/// [`ComputeEngine`] — the wrapped engine remains the fault-injection
+/// surface, the drive-image provider and the trial-group executor of
+/// delay-free engines, and the sample loop steps the same kernels, which
+/// is what makes delay-free bit-identity a construction property rather
+/// than a re-implementation hazard.
 #[derive(Debug, Clone)]
 pub struct EventEngine {
     inner: ComputeEngine,
@@ -141,10 +152,17 @@ pub struct EventEngine {
     /// Per-slot count of scheduled events (a slot with zero live events
     /// is skippable without touching its plane).
     ring_live: Vec<u32>,
+    /// The sample loop's neuron state, set up at rest per sample from the
+    /// wrapped engine's units.
+    lane: NeuronLanes,
+    /// The drive of the cycle in flight.
+    acc: Vec<i32>,
+    /// The neuron phase's per-cycle bitmask words.
+    words: CycleWords,
     /// All-zero comparator words handed to the guard on skipped cycles.
     zero_words: Vec<u64>,
-    /// Guard allow-word scratch for skipped cycles (the dense scratch is
-    /// busy holding the last processed cycle's decisions).
+    /// Guard allow-word scratch for skipped cycles (decisions over an
+    /// all-zero comparator word are discarded).
     allow_scratch: Vec<u64>,
     /// Per-neuron output spike counts of the sample in flight.
     counts: Vec<u32>,
@@ -176,6 +194,9 @@ impl EventEngine {
             compiled_key: None,
             ring: Vec::new(),
             ring_live: Vec::new(),
+            lane: NeuronLanes::new(0),
+            acc: vec![0; inner.n_neurons()],
+            words: CycleWords::new(inner.n_neurons()),
             zero_words: vec![0; n_words(inner.n_neurons())],
             allow_scratch: vec![0; n_words(inner.n_neurons())],
             counts: vec![0; inner.n_neurons()],
@@ -290,11 +311,12 @@ impl EventEngine {
         self.run_sample_into(train, path, guard).to_vec()
     }
 
-    /// Runs every sample through [`run_sample_into`](Self::run_sample_into)
-    /// with a fresh clone of `guard`, exactly the per-sample semantics
-    /// the dense batched pass is specified (and property-tested)
-    /// against. Engine state is reset after the batch, as on the dense
-    /// path.
+    /// Evaluates a batch with the per-sample semantics of
+    /// [`ComputeEngine::run_batch_into`]. A delay-free engine runs the
+    /// wrapped engine's lane pass itself; a delayed one runs every sample
+    /// through [`run_sample_into`](Self::run_sample_into) with a fresh
+    /// clone of `guard`, exactly the semantics the lane pass is specified
+    /// (and property-tested) against.
     pub fn run_batch_into<P: WeightReadPath, G: SpikeGuard + Clone>(
         &mut self,
         trains: &[SpikeTrain],
@@ -302,6 +324,9 @@ impl EventEngine {
         guard: &G,
         out: &mut BatchResult,
     ) {
+        if self.max_delay == 0 {
+            return self.inner.run_batch_into(trains, path, guard, out);
+        }
         let resolved = ResolvedPath::new(path);
         out.reset(self.inner.n_neurons(), trains.len());
         for (s, train) in trains.iter().enumerate() {
@@ -309,16 +334,16 @@ impl EventEngine {
             self.run_sample_resolved(train, &resolved, &mut g);
             out.counts_mut(s).copy_from_slice(&self.counts);
         }
-        self.reset_state();
     }
 
-    /// Evaluates every (fault map, sample) pair with this backend's
-    /// sample runner. This is the event backend's explicit per-map
-    /// fallback for the dense shared-drive pass: apply map `m` (weight
-    /// flips and neuron sites) over the current fault state, run each
-    /// sample with a fresh guard clone, restore the state exactly, repeat
-    /// — the dense multi-map reference semantics, at the cost of one
-    /// sample run per (map, sample).
+    /// Evaluates every (fault map, sample) pair with the semantics of
+    /// [`ComputeEngine::run_batch_multi_map`]. A delay-free engine runs
+    /// the wrapped engine's lane pass itself, which never installs a map.
+    /// A delayed one takes the explicit per-map fallback: apply map `m`
+    /// (weight flips and neuron sites) over the current fault state, run
+    /// each sample with a fresh guard clone, restore the state exactly,
+    /// repeat — the dense multi-map reference semantics, at the cost of
+    /// one sample run per (map, sample).
     pub fn run_batch_multi_map<P: WeightReadPath, G: SpikeGuard + Clone>(
         &mut self,
         trains: &[SpikeTrain],
@@ -327,6 +352,11 @@ impl EventEngine {
         guard: &G,
         out: &mut MultiMapResult,
     ) {
+        if self.max_delay == 0 {
+            return self
+                .inner
+                .run_batch_multi_map(trains, maps, path, guard, out);
+        }
         let resolved = ResolvedPath::new(path);
         out.reset(self.inner.n_neurons(), trains.len(), maps.len());
         let baseline = self.fault_baseline();
@@ -338,14 +368,14 @@ impl EventEngine {
             }
             self.restore_overlay(map, &baseline);
         }
-        self.reset_state();
     }
 
     /// Evaluates each sample under its own `maps_per_sample` fault maps
-    /// (see [`ComputeEngine::run_batch_per_sample_maps`]) through the
-    /// same explicit per-map fallback as
-    /// [`run_batch_multi_map`](Self::run_batch_multi_map): apply the map,
-    /// run its sample with a fresh guard clone, restore.
+    /// (see [`ComputeEngine::run_batch_per_sample_maps`]). As in
+    /// [`run_batch_multi_map`](Self::run_batch_multi_map), a delay-free
+    /// engine runs the wrapped engine's lane pass, and a delayed one the
+    /// per-map fallback: apply the map, run its sample with a fresh guard
+    /// clone, restore.
     ///
     /// # Panics
     ///
@@ -360,6 +390,12 @@ impl EventEngine {
         guard: &G,
         out: &mut MultiMapResult,
     ) {
+        if self.max_delay == 0 {
+            let k = maps_per_sample;
+            return self
+                .inner
+                .run_batch_per_sample_maps(trains, k, maps, path, guard, out);
+        }
         assert_eq!(
             maps.len(),
             trains.len() * maps_per_sample,
@@ -375,7 +411,6 @@ impl EventEngine {
             out.counts_mut(j, s).copy_from_slice(&self.counts);
             self.restore_overlay(map, &baseline);
         }
-        self.reset_state();
     }
 
     /// The wrapped engine's current neuron fault flags.
@@ -409,7 +444,8 @@ impl EventEngine {
         guard: &mut G,
     ) -> &[u32] {
         let n = self.inner.n_neurons();
-        self.inner.reset_state();
+        let hw = self.inner.hw_params();
+        self.lane.configure(self.inner.neurons(), &[]);
         self.counts.clear();
         self.counts.resize(n, 0);
         let delayed = self.max_delay > 0;
@@ -444,11 +480,11 @@ impl EventEngine {
             }
             if lag > 0 {
                 self.leak.ensure(lag);
-                self.inner.advance_lanes_silent(lag, &self.leak);
+                self.lane.advance_silent(lag, &self.leak);
                 lag = 0;
             }
             if delayed {
-                self.inner.accumulate_image_rows(&self.immediate, rows);
+                kernels::write_rows_blocked(&self.immediate, n, rows, &mut self.acc);
                 for &row in rows {
                     for &(col, w, d) in &self.delayed_rows[row as usize] {
                         let target = (t + d as usize) % len;
@@ -457,24 +493,29 @@ impl EventEngine {
                     }
                 }
                 if slot_live {
-                    let plane = &self.ring[slot * n..(slot + 1) * n];
-                    self.inner.acc_add(plane);
-                    self.ring[slot * n..(slot + 1) * n].fill(0);
+                    // Matured delayed events: plain `i32` addition, so
+                    // contribution order cannot change results.
+                    let plane = &mut self.ring[slot * n..(slot + 1) * n];
+                    for (a, p) in self.acc.iter_mut().zip(plane.iter_mut()) {
+                        *a += std::mem::take(p);
+                    }
                     self.ring_live[slot] = 0;
                 }
             } else {
-                self.inner.accumulate_active_rows(rows, resolved);
+                let image = self.inner.drive_image(resolved);
+                kernels::write_rows_blocked(image, n, rows, &mut self.acc);
             }
-            let cmp_any = self.inner.neuron_phase(guard);
-            for &j in self.inner.last_fired() {
-                self.counts[j as usize] += 1;
-            }
+            let v_thresh = self.inner.thresholds();
+            let cmp_any = self.words.lane_phase(
+                &mut self.lane,
+                &self.acc,
+                v_thresh,
+                &hw,
+                guard,
+                &mut self.counts,
+            );
             self.processed_cycles += 1;
-            hot = cmp_any && self.inner.lanes_any_at_or_above();
-        }
-        if lag > 0 {
-            self.leak.ensure(lag);
-            self.inner.advance_lanes_silent(lag, &self.leak);
+            hot = cmp_any && self.lane.any_at_or_above(v_thresh);
         }
         &self.counts
     }

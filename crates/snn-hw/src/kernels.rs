@@ -1,13 +1,12 @@
 //! The lane-explicit accumulate kernel.
 //!
 //! The widening `u8 → i32` accumulate over active crossbar rows is the
-//! innermost loop of every engine datapath — the single-sample step, the
-//! event backend's immediate image, and the trial-group pass behind the
-//! batched and multi-map entry points. This module is the one place that
-//! loop exists: one lane-explicit body behind two entry points,
-//! [`accumulate_rows`] (one row per pass, adding onto the accumulators)
-//! and [`write_rows_blocked`] (four rows per pass, overwriting them), so
-//! the datapaths cannot drift apart.
+//! innermost loop of every engine datapath — the trial-group lane pass
+//! behind every dense entry point, and the event backend's sample loop.
+//! This module is the one place that loop exists: one lane-explicit body
+//! behind one entry point, [`write_rows_blocked`] (four rows per pass,
+//! overwriting the accumulators, with the ragged remainder added a row
+//! at a time), so the datapaths cannot drift apart.
 //!
 //! # Lane-explicit, not `std::simd`
 //!
@@ -45,8 +44,8 @@ fn hoist<const K: usize>(rows: [&[u8]; K], n: usize) -> [&[u8]; K] {
 }
 
 /// Sums `K` rows column-wise into `acc`, storing (`STORE = true`) or
-/// accumulating (`STORE = false`) — the one body behind both entry
-/// points.
+/// accumulating (`STORE = false`) — the one body behind the blocked
+/// entry point and its row-at-a-time remainder.
 #[inline]
 fn pass<const K: usize, const STORE: bool>(rows: [&[u8]; K], acc: &mut [i32]) {
     let rows = hoist(rows, acc.len());
@@ -92,11 +91,10 @@ fn image_row(src: &[u8], cols: usize, row: u32) -> &[u8] {
 }
 
 /// Widening-adds the given rows of a row-major code image into the
-/// per-column accumulators, one row per pass (the unblocked form used by
-/// the per-step path, the event backend and the blocked form's
-/// remainder). Prior contents of `acc` are kept.
+/// per-column accumulators, one row per pass — the blocked form's
+/// remainder. Prior contents of `acc` are kept.
 #[inline]
-pub fn accumulate_rows(src: &[u8], cols: usize, active_rows: &[u32], acc: &mut [i32]) {
+fn accumulate_rows(src: &[u8], cols: usize, active_rows: &[u32], acc: &mut [i32]) {
     for &row in active_rows {
         pass::<1, false>([image_row(src, cols, row)], acc);
     }
@@ -132,8 +130,8 @@ pub fn write_rows_blocked(src: &[u8], cols: usize, active_rows: &[u32], acc: &mu
 mod tests {
     use super::*;
 
-    /// The scalar zero-then-add row-at-a-time oracle both entry points
-    /// must match bit for bit.
+    /// The scalar zero-then-add row-at-a-time oracle the entry point and
+    /// its remainder form must match bit for bit.
     fn oracle(src: &[u8], cols: usize, active_rows: &[u32], acc: &mut [i32]) {
         acc.fill(0);
         for &row in active_rows {

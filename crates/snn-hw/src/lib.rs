@@ -30,6 +30,7 @@
 //! ```
 //! use snn_hw::engine::{ComputeEngine, DirectRead, NoGuard};
 //! use snn_sim::quant::QuantizedNetwork;
+//! use snn_sim::spike::SpikeTrain;
 //! use snn_sim::{config::SnnConfig, network::Network, rng::seeded_rng};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -37,8 +38,10 @@
 //! let net = Network::new(cfg, &mut seeded_rng(0));
 //! let qn = QuantizedNetwork::from_network_default(&net);
 //! let mut engine = ComputeEngine::for_network(&qn)?;
-//! let fired = engine.step(&[0, 1, 2], &DirectRead, &mut NoGuard);
-//! assert!(fired.len() <= 4);
+//! let mut train = SpikeTrain::new(16, 1);
+//! train.push_step(vec![0, 1, 2]);
+//! let counts = engine.run_sample_into(&train, &DirectRead, &mut NoGuard);
+//! assert_eq!(counts.len(), 4);
 //! # Ok(())
 //! # }
 //! ```

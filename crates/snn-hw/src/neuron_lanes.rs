@@ -26,23 +26,23 @@
 //! are produced as `u64` bitmask words — the currency of the batched
 //! [`crate::engine::SpikeGuard::observe_cycle`] protocol.
 //!
-//! Synchronization with the architectural view happens at the fault
-//! injection boundary ([`sync_from_units`](NeuronLanes::sync_from_units) /
-//! [`sync_to_units`](NeuronLanes::sync_to_units)), not per step — see
-//! [`crate::engine::ComputeEngine::neurons_mut`].
+//! Lanes only ever read the architectural view: [`NeuronLanes::configure`]
+//! imports the units' fault flags into lanes at rest at the start of a
+//! run, and nothing is written back — the units stay the one home of the
+//! fault flags (see [`crate::engine::ComputeEngine::neurons`]).
 //!
 //! # Trial groups
 //!
-//! The engine's trial-group pass (`ComputeEngine::run_batch_into`,
-//! `ComputeEngine::run_batch_multi_map` and
-//! `ComputeEngine::run_batch_per_sample_maps`) keeps a bank of these
-//! lanes, one per (fault map, sample) pair. [`NeuronLanes::configure`]
-//! sizes a lane from rest over the engine's persisted faults plus one
-//! map's neuron-op sites (none for a plain batch; the map's weight flips
-//! reach the lane as drive corrections instead), so every lane steps through
-//! the very kernels of the single-sample path and evolves exactly like an
+//! The engine's trial-group pass (every dense entry point, a single
+//! sample being its one-lane case) keeps a bank of these lanes, one per
+//! (fault map, sample) pair. [`NeuronLanes::configure`] sizes a lane from
+//! rest over the engine's persisted faults plus one map's neuron-op sites
+//! (none for a plain batch; the map's weight flips reach the lane as
+//! drive corrections instead), so every lane evolves exactly like an
 //! engine with that map injected running that sample — the cross-path
-//! property suite in `tests/proptest_engine_equivalence.rs` pins it.
+//! property suite in `tests/proptest_engine_equivalence.rs` pins it. The
+//! event backend's sample loop keeps one lane of its own, configured the
+//! same way.
 
 use crate::neuron_unit::{NeuronHwParams, NeuronOp, NeuronUnit, OpFaults};
 
@@ -227,37 +227,6 @@ impl NeuronLanes {
             self.masks.set(j as usize, op);
         }
         self.masks.rebuild_faulty();
-    }
-
-    /// Imports state *and* fault flags from the architectural view and
-    /// rebuilds the sparse faulty-neuron list. Called once at the fault
-    /// injection boundary, not per step.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `units.len()` differs from the lane count.
-    pub fn sync_from_units(&mut self, units: &[NeuronUnit]) {
-        assert_eq!(units.len(), self.n, "lane count");
-        for (j, u) in units.iter().enumerate() {
-            self.vmem[j] = u.vmem;
-            self.refrac[j] = u.refrac;
-        }
-        self.masks.import(units);
-    }
-
-    /// Exports membrane/refractory state back into the architectural
-    /// view. Fault flags are *not* written: the architectural view is
-    /// authoritative for faults (they are only ever mutated there).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `units.len()` differs from the lane count.
-    pub fn sync_to_units(&self, units: &mut [NeuronUnit]) {
-        assert_eq!(units.len(), self.n, "lane count");
-        for (j, u) in units.iter_mut().enumerate() {
-            u.vmem = self.vmem[j];
-            u.refrac = self.refrac[j];
-        }
     }
 
     /// Advances every neuron one timestep: the fused integrate → leak →
@@ -448,8 +417,8 @@ mod tests {
         let p = params();
         let n = units.len();
         let thresholds = vec![500_i32; n];
-        let mut lanes = NeuronLanes::new(n);
-        lanes.sync_from_units(&units);
+        let mut lanes = NeuronLanes::new(0);
+        lanes.configure(&units, &[]);
         let words = lanes.words();
         let mut cmp = vec![0_u64; words];
         let mut spk = vec![0_u64; words];
@@ -493,8 +462,12 @@ mod tests {
             u.vmem = (j as i32) * 7;
         }
         units[5].refrac = 1;
-        let mut lanes = NeuronLanes::new(66);
-        lanes.sync_from_units(&units);
+        let mut lanes = NeuronLanes::new(0);
+        lanes.configure(&units, &[]);
+        for (j, u) in units.iter().enumerate() {
+            lanes.vmem[j] = u.vmem;
+            lanes.refrac[j] = u.refrac;
+        }
         let mut fired_words = vec![0_u64; lanes.words()];
         fired_words[0] |= 1 << 2;
         fired_words[1] |= 1 << 1; // neuron 65
@@ -511,29 +484,12 @@ mod tests {
     }
 
     #[test]
-    fn sync_round_trips_state() {
-        let mut units = vec![NeuronUnit::new(); 10];
-        units[4].vmem = 77;
-        units[4].refrac = 3;
-        units[7].faults.set(NeuronOp::SpikeGeneration);
-        let mut lanes = NeuronLanes::new(10);
-        lanes.sync_from_units(&units);
-        assert_eq!(lanes.masks.faulty, vec![7]);
-        let mut back = vec![NeuronUnit::new(); 10];
-        lanes.sync_to_units(&mut back);
-        assert_eq!(back[4].vmem, 77);
-        assert_eq!(back[4].refrac, 3);
-        // Faults are not exported: the architectural view owns them.
-        assert!(!back[7].faults.any());
-    }
-
-    #[test]
     fn reset_state_keeps_fault_masks() {
         let mut units = vec![NeuronUnit::new(); 4];
         units[1].faults.set(NeuronOp::VmemReset);
-        units[1].vmem = 50;
-        let mut lanes = NeuronLanes::new(4);
-        lanes.sync_from_units(&units);
+        let mut lanes = NeuronLanes::new(0);
+        lanes.configure(&units, &[]);
+        lanes.vmem[1] = 50;
         lanes.reset_state();
         assert_eq!(lanes.vmem()[1], 0);
         assert!(lanes.masks.faults_of(1).vr);
@@ -541,7 +497,7 @@ mod tests {
     }
 
     /// Steps a bank of lanes, each configured from `base_units` plus its
-    /// overlay, beside lanes synced from units carrying the base faults ∪
+    /// overlay, beside lanes configured from units carrying the base faults ∪
     /// that overlay, and asserts identical outputs and state every cycle.
     fn assert_bank_lockstep(
         base_units: &[NeuronUnit],
@@ -566,8 +522,8 @@ mod tests {
                 for &(j, op) in overlay {
                     units[j as usize].faults.set(op);
                 }
-                let mut l = NeuronLanes::new(n);
-                l.sync_from_units(&units);
+                let mut l = NeuronLanes::new(0);
+                l.configure(&units, &[]);
                 l
             })
             .collect();

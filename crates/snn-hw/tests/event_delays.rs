@@ -12,14 +12,18 @@
 //!
 //! The ring-buffer edge cases ride along: zero delay (ring unused), the
 //! maximum delay, wrap-around (train length ≫ ring length), and
-//! same-slot collisions (two spikes landing on one cycle).
+//! same-slot collisions (two spikes landing on one cycle). So does the
+//! per-map fallback only delayed engines take for trial groups.
 
 use rand::rngs::StdRng;
 use rand::{Rng as _, SeedableRng};
-use snn_hw::engine::{ComputeEngine, DirectRead, NoGuard, SpikeGuard, WeightReadPath};
+use snn_hw::engine::{
+    BatchResult, ComputeEngine, DirectRead, MultiMapResult, NeuronFaultOverlay, NoGuard,
+    SpikeGuard, WeightReadPath,
+};
 use snn_hw::error::HwError;
 use snn_hw::event::EventEngine;
-use snn_hw::neuron_unit::NeuronUnit;
+use snn_hw::neuron_unit::{NeuronOp, NeuronUnit, OpFaults};
 use snn_sim::config::SnnConfig;
 use snn_sim::network::Network;
 use snn_sim::quant::QuantizedNetwork;
@@ -327,4 +331,83 @@ fn set_synapse_delay_bounds_errors() {
         }
         other => panic!("expected col bounds error, got {other:?}"),
     }
+}
+
+/// A delayed engine keeps the per-map fallback (the lane pass has no
+/// delay ring): each trial-group entry equals per-(map, sample)
+/// `run_sample` calls on a clone with the map injected, under a stateful
+/// guard and a persisted base fault, and the crossbar codes and neuron
+/// fault flags are restored after every call.
+#[test]
+fn delayed_trial_groups_match_injected_per_sample_runs() {
+    let mut dense = test_engine(0xfa11);
+    dense.neurons_mut()[2].faults.set(NeuronOp::VmemLeak);
+    let mut event = EventEngine::new(dense);
+    set_all_delays(&mut event, |r, c| ((r + 2 * c) % 4) as u16);
+    assert_eq!(event.max_delay(), 3);
+    let trains: Vec<SpikeTrain> = (0..3).map(|s| random_train(30, 0x900 + s, 0.4)).collect();
+    let mut rng = StdRng::seed_from_u64(0xf11b);
+    let maps: Vec<NeuronFaultOverlay> = (0..6)
+        .map(|m| {
+            let mut overlay = NeuronFaultOverlay::new();
+            overlay.push_neuron_op((m * 3 % N_NEURONS) as u32, NeuronOp::ALL[m % 4]);
+            overlay.push_neuron_op(((m + 5) % N_NEURONS) as u32, NeuronOp::VmemReset);
+            for _ in 0..2 + m * 3 {
+                overlay.push_weight_flip(
+                    rng.gen_range(0..N_INPUTS) as u32,
+                    rng.gen_range(0..N_NEURONS) as u32,
+                    rng.gen_range(0_u8..8),
+                );
+            }
+            overlay
+        })
+        .collect();
+    let guard = ResetMonitor::new(N_NEURONS, 2);
+    let pristine = event.clone();
+    let injected_run = |map: &NeuronFaultOverlay, train: &SpikeTrain| {
+        let mut e = pristine.clone();
+        for &(row, col, bit) in map.weight_flips() {
+            e.engine_mut()
+                .flip_weight_bit(row as usize, col as usize, bit)
+                .expect("in range");
+        }
+        for &(j, op) in map.neuron_ops() {
+            e.engine_mut().neurons_mut()[j as usize].faults.set(op);
+        }
+        e.run_sample(train, &DirectRead, &mut guard.clone())
+    };
+    let codes = event.engine().crossbar().codes();
+    let faults: Vec<OpFaults> = event.engine().neurons().iter().map(|u| u.faults).collect();
+    let assert_restored = |event: &EventEngine, label: &str| {
+        assert_eq!(event.engine().crossbar().codes(), codes, "{label}: codes");
+        let now: Vec<OpFaults> = event.engine().neurons().iter().map(|u| u.faults).collect();
+        assert_eq!(now, faults, "{label}: neuron fault flags");
+    };
+
+    let mut batch = BatchResult::new();
+    event.run_batch_into(&trains, &DirectRead, &guard, &mut batch);
+    for (s, train) in trains.iter().enumerate() {
+        let want = injected_run(&NeuronFaultOverlay::new(), train);
+        assert_eq!(batch.counts(s), want.as_slice(), "batch sample {s}");
+    }
+    assert_restored(&event, "batch");
+
+    let mut out = MultiMapResult::new();
+    event.run_batch_multi_map(&trains, &maps, &DirectRead, &guard, &mut out);
+    for (m, map) in maps.iter().enumerate() {
+        for (s, train) in trains.iter().enumerate() {
+            let want = injected_run(map, train);
+            assert_eq!(out.counts(m, s), want.as_slice(), "map {m} sample {s}");
+        }
+    }
+    assert_restored(&event, "multi-map");
+
+    event.run_batch_per_sample_maps(&trains, 2, &maps, &DirectRead, &guard, &mut out);
+    for (s, train) in trains.iter().enumerate() {
+        for j in 0..2 {
+            let want = injected_run(&maps[s * 2 + j], train);
+            assert_eq!(out.counts(j, s), want.as_slice(), "sample {s} own map {j}");
+        }
+    }
+    assert_restored(&event, "per-sample maps");
 }

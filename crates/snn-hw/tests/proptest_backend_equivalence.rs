@@ -251,9 +251,9 @@ proptest! {
     /// [`EngineBackend`] trait over [`AnyBackend`] — the exact dispatch
     /// surface a deployment (and every grid shard cloned from it)
     /// evaluates through. Overlays carry weight flips (duplicated cells
-    /// included) over installed stuck-at bits: the dense backend adds
-    /// them as drive corrections, the event backend's per-map fallback
-    /// flips them in and back out.
+    /// included) over installed stuck-at bits. Delay-free, both backends
+    /// run the dense lane pass, which adds them as drive corrections; the
+    /// delayed engines' per-map fallback is pinned in `event_delays.rs`.
     #[test]
     fn any_backend_batch_and_multi_map_match(
         net_seed in any::<u64>(),
@@ -388,18 +388,17 @@ proptest! {
         k in 0_u32..70,
     ) {
         let n = seeds.len();
+        let t_refrac = 6;
         let params = NeuronHwParams {
-            v_reset: 0,
+            v_reset: 40,
             v_leak,
-            t_refrac: 2,
+            t_refrac,
             v_inh: 3,
         };
         let units: Vec<NeuronUnit> = seeds
             .iter()
             .map(|&s| {
                 let mut u = NeuronUnit::new();
-                u.vmem = (s % 5000) as i32;
-                u.refrac = s % 7;
                 if s % 11 == 0 {
                     u.faults.set(NeuronOp::VmemLeak);
                 }
@@ -407,8 +406,23 @@ proptest! {
             })
             .collect();
         let v_thresh = vec![i32::MAX / 2; n];
-        let mut lazy = NeuronLanes::new(n);
-        lazy.sync_from_units(&units);
+        let mut lazy = NeuronLanes::new(0);
+        lazy.configure(&units, &[]);
+        let words = lazy.words();
+        let mut cmp = vec![0_u64; words];
+        let mut spk = vec![0_u64; words];
+        // Warm-up to random membranes and refractory counters: every
+        // cycle drives neuron j by its seed, and even seeds may fire on
+        // cycle `s % (t_refrac + 1)`, leaving 0..=t_refrac refractory
+        // cycles at the end.
+        let drive: Vec<i32> = seeds.iter().map(|&s| (s % 700) as i32).collect();
+        for c in 0..=t_refrac {
+            let fire_at: Vec<i32> = seeds
+                .iter()
+                .map(|&s| if s % 2 == 0 && s % (t_refrac + 1) == c { 1 } else { i32::MAX / 2 })
+                .collect();
+            lazy.step_fused(&drive, &fire_at, &params, &mut cmp, &mut spk);
+        }
         let mut sequential = lazy.clone();
 
         let mut leak = LeakTable::new(v_leak);
@@ -416,9 +430,6 @@ proptest! {
         lazy.advance_silent(k, &leak);
 
         let zero_acc = vec![0_i32; n];
-        let words = sequential.words();
-        let mut cmp = vec![0_u64; words];
-        let mut spk = vec![0_u64; words];
         for _ in 0..k {
             sequential.step_fused(&zero_acc, &v_thresh, &params, &mut cmp, &mut spk);
             prop_assert!(cmp.iter().all(|&w| w == 0), "comparator fired on a silent step");

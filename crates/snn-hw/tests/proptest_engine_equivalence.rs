@@ -1,14 +1,16 @@
 //! Equivalence properties for the optimized engine hot path.
 //!
-//! The SoA, batched-guard, allocation-free `step`/`run_sample_into` must
-//! be spike-for-spike and membrane-for-membrane identical to the retained
-//! reference scalar implementation (`step_reference` /
-//! `run_sample_reference`) across random networks, random persisted
-//! faults (register bit flips and neuron-op faults, including vr bursts),
-//! random bounding-style read paths, and stateful `ResetMonitor` guards —
-//! the optimized path drives guards through the batched `observe_cycle`
+//! The SoA, batched-guard lane pass behind `run_sample_into` and every
+//! trial-group entry must be spike-for-spike identical to the retained
+//! reference scalar implementation (`run_sample_reference`, built on
+//! `step_reference`) across random networks, random persisted faults
+//! (register bit flips and neuron-op faults, including vr bursts), random
+//! bounding-style read paths, and stateful `ResetMonitor` guards — the
+//! optimized path drives guards through the batched `observe_cycle`
 //! protocol while the reference makes one `allow_spike` call per neuron,
-//! so these properties also prove the two guard protocols equivalent.
+//! so these properties also prove the two guard protocols equivalent,
+//! down to the monitor latches they leave. Per-cycle lane trajectories
+//! are pinned by the `neuron_lanes` lockstep tests.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -282,53 +284,10 @@ fn random_train(n_inputs: usize, n_steps: usize, seed: u64, density: f64) -> Spi
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Step-level equivalence under the identity read path: identical
-    /// fired indices and identical membrane trajectories at every step.
-    #[test]
-    fn step_matches_reference_direct(
-        net_seed in any::<u64>(),
-        fault_seed in any::<u64>(),
-        n_bit_flips in 0_usize..40,
-        n_op_faults in 0_usize..6,
-        density in 0.05_f64..0.9,
-    ) {
-        let mut fast = random_faulted_engine(24, 10, net_seed, fault_seed, n_bit_flips, n_op_faults);
-        let mut slow = fast.clone();
-        let train = random_train(24, 30, fault_seed ^ 1, density);
-        for s in 0..train.n_steps() {
-            let rows = train.step(s).to_vec();
-            let a = fast.step(&rows, &DirectRead, &mut NoGuard).to_vec();
-            let b = slow.step_reference(&rows, &DirectRead, &mut NoGuard);
-            prop_assert_eq!(&a, &b, "fired diverged at step {}", s);
-            prop_assert_eq!(fast.membranes(), slow.membranes(), "membranes diverged at step {}", s);
-        }
-    }
-
-    /// Step-level equivalence under arbitrary bounding read paths.
-    #[test]
-    fn step_matches_reference_bounded(
-        net_seed in any::<u64>(),
-        fault_seed in any::<u64>(),
-        threshold in any::<u8>(),
-        default in any::<u8>(),
-        n_bit_flips in 0_usize..40,
-    ) {
-        let path = RandomBound { threshold, default };
-        let mut fast = random_faulted_engine(24, 10, net_seed, fault_seed, n_bit_flips, 2);
-        let mut slow = fast.clone();
-        let train = random_train(24, 30, fault_seed ^ 2, 0.4);
-        for s in 0..train.n_steps() {
-            let rows = train.step(s).to_vec();
-            let a = fast.step(&rows, &path, &mut NoGuard).to_vec();
-            let b = slow.step_reference(&rows, &path, &mut NoGuard);
-            prop_assert_eq!(&a, &b, "fired diverged at step {}", s);
-            prop_assert_eq!(fast.membranes(), slow.membranes(), "membranes diverged at step {}", s);
-        }
-    }
-
     /// Whole-sample equivalence: spike counts agree for the optimized
-    /// owned, optimized borrowed, and reference paths — via both the
-    /// compare/select kernel and the general table kernel.
+    /// owned, optimized borrowed, and reference paths — via all three
+    /// kernels (direct add, compare/select, table) over random input
+    /// densities and persisted faults.
     #[test]
     fn run_sample_matches_reference(
         net_seed in any::<u64>(),
@@ -337,12 +296,16 @@ proptest! {
         default in any::<u8>(),
         n_bit_flips in 0_usize..60,
         n_op_faults in 0_usize..8,
+        density in 0.05_f64..0.9,
     ) {
         let path = RandomBound { threshold, default };
         let as_table = RandomBoundAsTable { threshold, default };
         let mut fast = random_faulted_engine(32, 12, net_seed, fault_seed, n_bit_flips, n_op_faults);
         let mut slow = fast.clone();
-        let train = random_train(32, 40, fault_seed ^ 3, 0.3);
+        let train = random_train(32, 40, fault_seed ^ 3, density);
+        let reference = slow.run_sample_reference(&train, &DirectRead, &mut NoGuard);
+        let direct = fast.run_sample_into(&train, &DirectRead, &mut NoGuard).to_vec();
+        prop_assert_eq!(&direct, &reference);
         let reference = slow.run_sample_reference(&train, &path, &mut NoGuard);
         let owned = fast.run_sample(&train, &path, &mut NoGuard);
         prop_assert_eq!(&owned, &reference);
@@ -362,54 +325,12 @@ proptest! {
         }
     }
 
-    /// Step-level equivalence under `ResetMonitor` guards, with vr-fault
-    /// bursts forced in so the monitor actually latches: fired indices,
-    /// membrane trajectories, and monitor latch state must agree at every
-    /// step between the batched and per-neuron guard protocols.
-    #[test]
-    fn step_matches_reference_monitored(
-        net_seed in any::<u64>(),
-        fault_seed in any::<u64>(),
-        n_bit_flips in 0_usize..40,
-        n_op_faults in 0_usize..4,
-        n_vr_bursts in 1_usize..5,
-        window in 1_u8..5,
-        density in 0.1_f64..0.9,
-    ) {
-        let mut fast = random_faulted_engine(24, 10, net_seed, fault_seed, n_bit_flips, n_op_faults);
-        // Force reset-stuck neurons so burst suppression is exercised.
-        let mut rng = StdRng::seed_from_u64(fault_seed ^ 0x5eed);
-        for _ in 0..n_vr_bursts {
-            let j = rng.gen_range(0..10_usize);
-            fast.neurons_mut()[j].faults.set(NeuronOp::VmemReset);
-        }
-        let mut slow = fast.clone();
-        let mut guard_fast = ResetMonitor::new(10, window);
-        let mut guard_slow = ResetMonitor::new(10, window);
-        let train = random_train(24, 40, fault_seed ^ 4, density);
-        for s in 0..train.n_steps() {
-            let rows = train.step(s).to_vec();
-            let a = fast.step(&rows, &DirectRead, &mut guard_fast).to_vec();
-            let b = slow.step_reference(&rows, &DirectRead, &mut guard_slow);
-            prop_assert_eq!(&a, &b, "fired diverged at step {}", s);
-            prop_assert_eq!(fast.membranes(), slow.membranes(), "membranes diverged at step {}", s);
-            prop_assert_eq!(
-                guard_fast.n_disabled(), guard_slow.n_disabled(),
-                "monitor latch count diverged at step {}", s
-            );
-            for j in 0..10 {
-                prop_assert_eq!(
-                    guard_fast.is_disabled(j), guard_slow.is_disabled(j),
-                    "monitor latch diverged at step {} neuron {}", s, j
-                );
-            }
-        }
-    }
-
-    /// Whole-sample equivalence with the paper's full BnP configuration
-    /// (bounding read path + reset monitor) under vr-heavy fault maps:
-    /// the monitor-bound hot path must match the reference count for
-    /// count through both the compare/select and table kernels.
+    /// Whole-sample equivalence under `ResetMonitor` guards — alone over
+    /// the identity path, and in the paper's full BnP configuration
+    /// (bounding read path + reset monitor) — with vr-fault bursts forced
+    /// in so the monitor actually latches: counts must agree through all
+    /// three kernels, and the latches the batched guard protocol leaves
+    /// must equal the per-neuron protocol's, neuron for neuron.
     #[test]
     fn run_sample_matches_reference_monitored(
         net_seed in any::<u64>(),
@@ -417,31 +338,50 @@ proptest! {
         threshold in any::<u8>(),
         default in any::<u8>(),
         n_bit_flips in 0_usize..60,
+        n_op_faults in 0_usize..4,
         n_vr_bursts in 1_usize..6,
-        window in 1_u8..4,
+        window in 1_u8..5,
+        density in 0.1_f64..0.9,
     ) {
         let path = RandomBound { threshold, default };
         let as_table = RandomBoundAsTable { threshold, default };
-        let mut fast = random_faulted_engine(32, 12, net_seed, fault_seed, n_bit_flips, 2);
+        let mut fast =
+            random_faulted_engine(32, 12, net_seed, fault_seed, n_bit_flips, n_op_faults);
+        // Force reset-stuck neurons so burst suppression is exercised.
         let mut rng = StdRng::seed_from_u64(fault_seed ^ 0xb00_5eed);
         for _ in 0..n_vr_bursts {
             let j = rng.gen_range(0..12_usize);
             fast.neurons_mut()[j].faults.set(NeuronOp::VmemReset);
         }
         let mut slow = fast.clone();
-        let train = random_train(32, 40, fault_seed ^ 5, 0.35);
-        let reference = slow.run_sample_reference(
-            &train, &path, &mut ResetMonitor::new(12, window),
-        );
+        let train = random_train(32, 40, fault_seed ^ 5, density);
+        let mut monitor_slow = ResetMonitor::new(12, window);
+        let reference = slow.run_sample_reference(&train, &DirectRead, &mut monitor_slow);
+        let mut monitor_fast = ResetMonitor::new(12, window);
+        let direct = fast.run_sample_into(&train, &DirectRead, &mut monitor_fast).to_vec();
+        prop_assert_eq!(&direct, &reference);
+        prop_assert_eq!(monitor_fast.n_disabled(), monitor_slow.n_disabled(), "direct latch count");
+        for j in 0..12 {
+            prop_assert_eq!(
+                monitor_fast.is_disabled(j), monitor_slow.is_disabled(j),
+                "direct latch diverged at neuron {}", j
+            );
+        }
+        let mut monitor_slow = ResetMonitor::new(12, window);
+        let reference = slow.run_sample_reference(&train, &path, &mut monitor_slow);
         let optimized = fast.run_sample(&train, &path, &mut ResetMonitor::new(12, window));
         prop_assert_eq!(&optimized, &reference);
         let via_table = fast.run_sample(&train, &as_table, &mut ResetMonitor::new(12, window));
         prop_assert_eq!(&via_table, &reference);
-        // The monitor must have something to do on at least some inputs;
-        // at minimum the counts stay exact when it does.
-        let mut monitor = ResetMonitor::new(12, window);
-        let _ = fast.run_sample_into(&train, &path, &mut monitor);
-        prop_assert!(monitor.n_disabled() <= 12);
+        let mut monitor_fast = ResetMonitor::new(12, window);
+        let _ = fast.run_sample_into(&train, &path, &mut monitor_fast);
+        prop_assert_eq!(monitor_fast.n_disabled(), monitor_slow.n_disabled(), "bounded latch count");
+        for j in 0..12 {
+            prop_assert_eq!(
+                monitor_fast.is_disabled(j), monitor_slow.is_disabled(j),
+                "bounded latch diverged at neuron {}", j
+            );
+        }
     }
 }
 

@@ -124,9 +124,11 @@ pub struct CliArgs {
     pub workload: Option<String>,
     /// Output directory for CSV artifacts.
     pub out_dir: String,
-    /// Which engine backend deployments evaluate through (delay-free
-    /// results are bit-identical across backends; this is a performance
-    /// knob keyed to workload sparsity).
+    /// Which engine backend deployments evaluate through. Delay-free
+    /// results are bit-identical across backends, and every trial group
+    /// runs the dense lane pass on both; the knob only picks how single
+    /// samples run (the event backend skips silent cycles), so it is keyed
+    /// to workload sparsity.
     pub backend: EngineBackendKind,
 }
 

@@ -106,10 +106,12 @@ proptest! {
         let space = FaultSpace::new(16, 6, FaultDomain::Synapses);
         let map = FaultMap::generate(&space, rate, seed);
         inject(&mut engine, &map).expect("fits");
+        let mut silent = softsnn::sim::spike::SpikeTrain::new(16, 20);
         for _ in 0..20 {
-            let fired = engine.step(&[], &softsnn::hw::engine::DirectRead, &mut NoGuard);
-            prop_assert!(fired.is_empty());
+            silent.push_step(Vec::new());
         }
+        let counts = engine.run_sample_into(&silent, &softsnn::hw::engine::DirectRead, &mut NoGuard);
+        prop_assert!(counts.iter().all(|&c| c == 0));
     }
 
     /// Majority vote is permutation-insensitive for 3 votes with a
