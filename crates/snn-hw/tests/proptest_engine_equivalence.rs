@@ -268,6 +268,47 @@ fn assert_per_sample_maps_match_reference<P: WeightReadPath, G: SpikeGuard + Clo
     }
 }
 
+/// Step-level equivalence through the whole-sample entry: the optimized
+/// run over the first `s + 1` steps of `train` (from rest, under a fresh
+/// guard) must fire, at step `s`, exactly the neurons the reference fires
+/// at its step `s`. A neuron fires at most once per step, so the count
+/// increment over the `s`-step prefix run is that step's fired set.
+/// `check_guards` sees the optimized prefix run's guard and the reference
+/// guard after every step.
+fn assert_steps_match_reference<P: WeightReadPath, G: SpikeGuard>(
+    fast: &mut ComputeEngine,
+    slow: &mut ComputeEngine,
+    train: &SpikeTrain,
+    path: &P,
+    new_guard: impl Fn() -> G,
+    mut check_guards: impl FnMut(&G, &G, usize),
+) {
+    slow.reset_state();
+    let mut guard_slow = new_guard();
+    let mut prefix = SpikeTrain::new(train.n_channels(), train.n_steps());
+    let mut before = vec![0_u32; fast.n_neurons()];
+    for s in 0..train.n_steps() {
+        let reference = slow.step_reference(train.step(s), path, &mut guard_slow);
+        prefix.push_step(train.step(s).to_vec());
+        let mut guard_fast = new_guard();
+        let counts = fast.run_sample_into(&prefix, path, &mut guard_fast);
+        let fired: Vec<u32> = (0..counts.len())
+            .filter(|&j| counts[j] != before[j])
+            .map(|j| j as u32)
+            .collect();
+        assert!(
+            counts
+                .iter()
+                .zip(&before)
+                .all(|(&c, &b)| c == b || c == b + 1),
+            "counts moved by more than one spike at step {s}"
+        );
+        assert_eq!(fired, reference, "fired diverged at step {s}");
+        before.copy_from_slice(counts);
+        check_guards(&guard_fast, &guard_slow, s);
+    }
+}
+
 /// A random spike train over `n_inputs` channels.
 fn random_train(n_inputs: usize, n_steps: usize, seed: u64, density: f64) -> SpikeTrain {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -283,6 +324,38 @@ fn random_train(n_inputs: usize, n_steps: usize, seed: u64, density: f64) -> Spi
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Step-level equivalence under the identity read path: identical
+    /// fired indices at every step.
+    #[test]
+    fn step_matches_reference_direct(
+        net_seed in any::<u64>(),
+        fault_seed in any::<u64>(),
+        n_bit_flips in 0_usize..40,
+        n_op_faults in 0_usize..6,
+        density in 0.05_f64..0.9,
+    ) {
+        let mut fast = random_faulted_engine(24, 10, net_seed, fault_seed, n_bit_flips, n_op_faults);
+        let mut slow = fast.clone();
+        let train = random_train(24, 30, fault_seed ^ 1, density);
+        assert_steps_match_reference(&mut fast, &mut slow, &train, &DirectRead, || NoGuard, |_, _, _| {});
+    }
+
+    /// Step-level equivalence under arbitrary bounding read paths.
+    #[test]
+    fn step_matches_reference_bounded(
+        net_seed in any::<u64>(),
+        fault_seed in any::<u64>(),
+        threshold in any::<u8>(),
+        default in any::<u8>(),
+        n_bit_flips in 0_usize..40,
+    ) {
+        let path = RandomBound { threshold, default };
+        let mut fast = random_faulted_engine(24, 10, net_seed, fault_seed, n_bit_flips, 2);
+        let mut slow = fast.clone();
+        let train = random_train(24, 30, fault_seed ^ 2, 0.4);
+        assert_steps_match_reference(&mut fast, &mut slow, &train, &path, || NoGuard, |_, _, _| {});
+    }
 
     /// Whole-sample equivalence: spike counts agree for the optimized
     /// owned, optimized borrowed, and reference paths — via all three
@@ -323,6 +396,50 @@ proptest! {
         for code in 0..=255_u8 {
             prop_assert_eq!(table[code as usize], path.read(code));
         }
+    }
+
+    /// Step-level equivalence under `ResetMonitor` guards, with vr-fault
+    /// bursts forced in so the monitor actually latches: fired indices and
+    /// monitor latch state must agree at every step between the batched
+    /// and per-neuron guard protocols.
+    #[test]
+    fn step_matches_reference_monitored(
+        net_seed in any::<u64>(),
+        fault_seed in any::<u64>(),
+        n_bit_flips in 0_usize..40,
+        n_op_faults in 0_usize..4,
+        n_vr_bursts in 1_usize..5,
+        window in 1_u8..5,
+        density in 0.1_f64..0.9,
+    ) {
+        let mut fast = random_faulted_engine(24, 10, net_seed, fault_seed, n_bit_flips, n_op_faults);
+        // Force reset-stuck neurons so burst suppression is exercised.
+        let mut rng = StdRng::seed_from_u64(fault_seed ^ 0x5eed);
+        for _ in 0..n_vr_bursts {
+            let j = rng.gen_range(0..10_usize);
+            fast.neurons_mut()[j].faults.set(NeuronOp::VmemReset);
+        }
+        let mut slow = fast.clone();
+        let train = random_train(24, 40, fault_seed ^ 4, density);
+        assert_steps_match_reference(
+            &mut fast,
+            &mut slow,
+            &train,
+            &DirectRead,
+            || ResetMonitor::new(10, window),
+            |guard_fast, guard_slow, s| {
+                assert_eq!(
+                    guard_fast.n_disabled(), guard_slow.n_disabled(),
+                    "monitor latch count diverged at step {s}"
+                );
+                for j in 0..10 {
+                    assert_eq!(
+                        guard_fast.is_disabled(j), guard_slow.is_disabled(j),
+                        "monitor latch diverged at step {s} neuron {j}"
+                    );
+                }
+            },
+        );
     }
 
     /// Whole-sample equivalence under `ResetMonitor` guards — alone over
