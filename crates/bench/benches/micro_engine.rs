@@ -8,9 +8,11 @@
 //! closure reads, per-neuron guard calls, per-call allocations), so the
 //! speedup is measured inside the same binary on the same fixture.
 //!
-//! `engine_run_sample` crosses all three accumulation kernels
-//! (direct/bounded/LUT) with both guards (NoGuard/ResetMonitor), so
-//! guard overhead is visible per kernel. A trailing pseudo-group derives
+//! `engine_run_sample` crosses both read-path shapes (the identity
+//! `DirectRead`, which reads the registers, and the bounded BnP3 path,
+//! which reads the transformed-crossbar image of its table) with both
+//! guards (NoGuard/ResetMonitor), so guard overhead is visible per read
+//! path. A trailing pseudo-group derives
 //! `guard_overhead` (monitored / unguarded sample cost) and
 //! `monitored_speedup_vs_reference` for the JSON perf trajectory.
 
@@ -27,26 +29,13 @@ use softsnn_core::protection::ResetMonitor;
 use softsnn_exp::fig13::{evaluate_shard, evaluate_shard_in_domain};
 use std::hint::black_box;
 
-/// A bounding transfer function stripped of its `bound_params` hint, so
-/// the engine must use the general 256-entry table kernel.
-struct LutRead(BoundedRead);
-
-impl WeightReadPath for LutRead {
-    fn read(&self, code: u8) -> u8 {
-        self.0.read(code)
-    }
-}
-
 fn bench_run_sample(c: &mut Criterion) {
-    // Every accumulation kernel (direct add / bounded compare-select /
-    // LUT gather) × every guard (NoGuard / paper ResetMonitor), plus the
-    // reference formulation at both ends of the crossing.
+    // Both read paths (identity / bounded table) × every guard (NoGuard /
+    // paper ResetMonitor), plus the reference formulation at both ends of
+    // the crossing.
     let f = fixture();
     let n = f.deployment.quantized().n_neurons;
     let bounded = BoundedRead::new(f.deployment.bounding_for(BnpVariant::Bnp3));
-    let lut = LutRead(BoundedRead::new(
-        f.deployment.bounding_for(BnpVariant::Bnp3),
-    ));
 
     fn bench_kernel<P: WeightReadPath, G: SpikeGuard>(
         group: &mut criterion::BenchmarkGroup<'_>,
@@ -91,7 +80,7 @@ fn bench_run_sample(c: &mut Criterion) {
     let monitor = || ResetMonitor::paper(n);
     bench_kernel(&mut group, "direct_monitored", f, &DirectRead, monitor());
     // Same BnP3 read path without the monitor: the denominator that
-    // isolates guard cost from the kernel change.
+    // isolates guard cost from the read-path change.
     bench_kernel(&mut group, "bounded_noguard", f, &bounded, NoGuard);
     bench_kernel(&mut group, "bounded_monitored", f, &bounded, monitor());
     bench_reference(
@@ -101,8 +90,6 @@ fn bench_run_sample(c: &mut Criterion) {
         &bounded,
         monitor(),
     );
-    bench_kernel(&mut group, "lut_noguard", f, &lut, NoGuard);
-    bench_kernel(&mut group, "lut_monitored", f, &lut, monitor());
     group.finish();
 }
 
@@ -523,7 +510,7 @@ fn bench_campaign_adaptive(c: &mut Criterion) {
 fn emit_derived_metrics(c: &mut Criterion) {
     // Derived metrics for the BENCH_engine.json trajectory: guard cost
     // isolated on the same read path (monitored / unmonitored BnP3, so a
-    // monitor regression cannot hide behind the kernel difference), the
+    // monitor regression cannot hide behind the read-path difference), the
     // protected path's cost relative to the unguarded direct baseline,
     // and its in-binary speedup over the retained reference formulation.
     let monitored = c.ns_per_iter("engine_run_sample", "bounded_monitored");

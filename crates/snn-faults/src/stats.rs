@@ -496,6 +496,21 @@ impl Default for Lookahead {
     }
 }
 
+impl std::str::FromStr for Lookahead {
+    type Err = String;
+
+    /// Parses `auto` or a group size `N`, [validated](Self::validated).
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        if s == "auto" {
+            return Ok(Lookahead::Auto);
+        }
+        let k = s
+            .parse()
+            .map_err(|e| format!("expected N or `auto`: {e}"))?;
+        Lookahead::Fixed(k).validated().map_err(|e| e.to_string())
+    }
+}
+
 impl Lookahead {
     /// Validates the policy (typed error, never clamps — the runtime
     /// clamping in [`group_size`](Self::group_size) only ever *shrinks*

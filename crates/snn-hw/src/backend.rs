@@ -5,11 +5,13 @@
 //! grid shard) drives — sample, batch, multi-map, per-sample maps, the
 //! heal-on-entry `reload_parameters`, and `reset_state` — so callers
 //! pick a backend per workload without forking their evaluation code.
-//! [`AnyBackend`]
-//! is the concrete closed-world container (the trait's generic methods
-//! keep guard/path static dispatch, so it cannot be a trait object);
-//! [`AnyBackend::set_kind`] swaps representations in place while
-//! preserving engine state, faults, and delay-free results exactly.
+//! Its one implementation is [`AnyBackend`], the concrete closed-world
+//! container (the trait's generic methods keep guard/path static
+//! dispatch, so it cannot be a trait object), which forwards each entry
+//! point to the inherent method of the same name on [`ComputeEngine`] or
+//! [`EventEngine`]; [`AnyBackend::set_kind`] swaps representations in
+//! place while preserving engine state, faults, and delay-free results
+//! exactly.
 //!
 //! Picking a backend: the two differ only in single samples and delays.
 //! Every delay-free trial group — batch, multi-map, per-sample maps —
@@ -81,8 +83,8 @@ pub trait EngineBackend {
         out: &mut MultiMapResult,
     );
 
-    /// Parameter replacement (the paper's healing event): clean crossbar
-    /// image, cleared neuron faults, guard latches reset. Every evaluate
+    /// Parameter replacement (the paper's healing event): clean
+    /// registers, cleared neuron faults, guard latches reset. Every evaluate
     /// path heals through this first — on every backend.
     fn reload_parameters<G: SpikeGuard>(&mut self, guard: &mut G);
 
@@ -97,142 +99,6 @@ pub trait EngineBackend {
     /// crossbar access). Mutations stay coherent with backend-compiled
     /// state via the engine's mutation epoch.
     fn engine_mut(&mut self) -> &mut ComputeEngine;
-}
-
-impl EngineBackend for ComputeEngine {
-    fn run_sample_into<P: WeightReadPath, G: SpikeGuard>(
-        &mut self,
-        train: &SpikeTrain,
-        path: &P,
-        guard: &mut G,
-    ) -> &[u32] {
-        ComputeEngine::run_sample_into(self, train, path, guard)
-    }
-
-    fn run_batch_into<P: WeightReadPath, G: SpikeGuard + Clone>(
-        &mut self,
-        trains: &[SpikeTrain],
-        path: &P,
-        guard: &G,
-        out: &mut BatchResult,
-    ) {
-        ComputeEngine::run_batch_into(self, trains, path, guard, out);
-    }
-
-    fn run_batch_multi_map<P: WeightReadPath, G: SpikeGuard + Clone>(
-        &mut self,
-        trains: &[SpikeTrain],
-        maps: &[NeuronFaultOverlay],
-        path: &P,
-        guard: &G,
-        out: &mut MultiMapResult,
-    ) {
-        ComputeEngine::run_batch_multi_map(self, trains, maps, path, guard, out);
-    }
-
-    fn run_batch_per_sample_maps<P: WeightReadPath, G: SpikeGuard + Clone>(
-        &mut self,
-        trains: &[SpikeTrain],
-        maps_per_sample: usize,
-        maps: &[NeuronFaultOverlay],
-        path: &P,
-        guard: &G,
-        out: &mut MultiMapResult,
-    ) {
-        ComputeEngine::run_batch_per_sample_maps(
-            self,
-            trains,
-            maps_per_sample,
-            maps,
-            path,
-            guard,
-            out,
-        );
-    }
-
-    fn reload_parameters<G: SpikeGuard>(&mut self, guard: &mut G) {
-        ComputeEngine::reload_parameters(self, guard);
-    }
-
-    fn reset_state(&mut self) {
-        ComputeEngine::reset_state(self);
-    }
-
-    fn engine(&self) -> &ComputeEngine {
-        self
-    }
-
-    fn engine_mut(&mut self) -> &mut ComputeEngine {
-        self
-    }
-}
-
-impl EngineBackend for EventEngine {
-    fn run_sample_into<P: WeightReadPath, G: SpikeGuard>(
-        &mut self,
-        train: &SpikeTrain,
-        path: &P,
-        guard: &mut G,
-    ) -> &[u32] {
-        EventEngine::run_sample_into(self, train, path, guard)
-    }
-
-    fn run_batch_into<P: WeightReadPath, G: SpikeGuard + Clone>(
-        &mut self,
-        trains: &[SpikeTrain],
-        path: &P,
-        guard: &G,
-        out: &mut BatchResult,
-    ) {
-        EventEngine::run_batch_into(self, trains, path, guard, out);
-    }
-
-    fn run_batch_multi_map<P: WeightReadPath, G: SpikeGuard + Clone>(
-        &mut self,
-        trains: &[SpikeTrain],
-        maps: &[NeuronFaultOverlay],
-        path: &P,
-        guard: &G,
-        out: &mut MultiMapResult,
-    ) {
-        EventEngine::run_batch_multi_map(self, trains, maps, path, guard, out);
-    }
-
-    fn run_batch_per_sample_maps<P: WeightReadPath, G: SpikeGuard + Clone>(
-        &mut self,
-        trains: &[SpikeTrain],
-        maps_per_sample: usize,
-        maps: &[NeuronFaultOverlay],
-        path: &P,
-        guard: &G,
-        out: &mut MultiMapResult,
-    ) {
-        EventEngine::run_batch_per_sample_maps(
-            self,
-            trains,
-            maps_per_sample,
-            maps,
-            path,
-            guard,
-            out,
-        );
-    }
-
-    fn reload_parameters<G: SpikeGuard>(&mut self, guard: &mut G) {
-        EventEngine::reload_parameters(self, guard);
-    }
-
-    fn reset_state(&mut self) {
-        EventEngine::reset_state(self);
-    }
-
-    fn engine(&self) -> &ComputeEngine {
-        EventEngine::engine(self)
-    }
-
-    fn engine_mut(&mut self) -> &mut ComputeEngine {
-        EventEngine::engine_mut(self)
-    }
 }
 
 /// Which engine backend a deployment (or shard) evaluates through.

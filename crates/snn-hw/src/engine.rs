@@ -14,13 +14,12 @@
 //! ([`ComputeEngine::run_sample_into`]) is its one-lane case. It is
 //! built to be allocation-free in steady state and autovectorizable:
 //!
-//! * weight reads go through a kernel resolved once per call
-//!   ([`ResolvedPath`]) — a pure widening add, a branchless
-//!   compare/select, or a 256-entry lookup table — instead of a
-//!   per-element closure call; non-identity kernels additionally
-//!   accumulate from a cached transformed-crossbar image (rebuilt only
-//!   when the registers or the transform change), so the bounded/LUT
-//!   paths run at direct-add speed;
+//! * a read path is its 256-entry table, resolved once per call
+//!   ([`ResolvedPath`]) instead of a per-element closure call: the
+//!   identity table accumulates straight from the registers, and any
+//!   other accumulates from one transformed-crossbar image keyed on
+//!   (table, mutation epoch), so every read path runs at direct-add
+//!   speed;
 //! * neuron state lives in structure-of-arrays lanes
 //!   ([`crate::neuron_lanes::NeuronLanes`]): a branch-free fused
 //!   integrate→leak→compare kernel covers the fault-free common case,
@@ -74,14 +73,19 @@
 //! (property-tested against
 //! [`run_batch_multi_map_reference`](ComputeEngine::run_batch_multi_map_reference)).
 //!
-//! # Campaign-level crossbar-image reuse
+//! # The transformed-crossbar image
 //!
-//! Fault-injection campaigns mutate a few registers per trial; the
-//! transformed-crossbar image is patched in place at the injection API
-//! ([`ComputeEngine::flip_weight_bit`]) instead of being rebuilt, and
-//! parameter reloads restore the cached *clean* image with a copy. A
-//! [`ReadCacheStats`] counter hook exposes rebuild/restore/patch counts so
-//! tests can pin the reuse behaviour.
+//! Every register write bumps the engine's mutation epoch
+//! ([`ComputeEngine::crossbar_mut`], [`ComputeEngine::flip_weight_bit`],
+//! a stuck bit that changes a code, and a
+//! [`reload_parameters`](ComputeEngine::reload_parameters) that rewrites
+//! registers), and nothing else does. Derived state is keyed on
+//! (table, epoch): the image is rebuilt on the first non-identity run
+//! after either moves, and never otherwise. Campaigns never install a
+//! weight flip, so a reload of an unwritten crossbar leaves the registers,
+//! the image and the epoch alone;
+//! [`read_cache_rebuilds`](ComputeEngine::read_cache_rebuilds) counts the
+//! rebuilds.
 //!
 //! The original per-neuron formulation is retained as
 //! [`ComputeEngine::step_reference`] / [`ComputeEngine::run_sample_reference`];
@@ -103,8 +107,9 @@ use snn_sim::spike::SpikeTrain;
 /// SoftSNN-enhanced engine inserts a comparator + multiplexer here
 /// (weight bounding). Implementations must be pure combinational logic:
 /// same input code → same output code. That purity is what makes the
-/// engine's table-driven hot path valid: [`table`](Self::table) captures
-/// the entire input→output function in 256 entries.
+/// engine's table-driven hot path valid: to the engine, a read path *is*
+/// its [`table`](Self::table), the entire input→output function in 256
+/// entries.
 pub trait WeightReadPath {
     /// Transforms a raw register code into the value fed to the adder.
     fn read(&self, code: u8) -> u8;
@@ -122,45 +127,13 @@ pub trait WeightReadPath {
         }
         t
     }
-
-    /// Whether this path is the identity function. Identity paths skip the
-    /// table entirely and accumulate with a pure widening add.
-    fn is_identity(&self) -> bool {
-        false
-    }
-
-    /// If this path is a comparator + multiplexer (`code > threshold →
-    /// default` — the shape of Eq. 1 weight bounding), its two hardware
-    /// register values. The engine lowers such paths to a branchless
-    /// compare/select kernel, which vectorizes where a general table
-    /// gather does not.
-    fn bound_params(&self) -> Option<(u8, u8)> {
-        None
-    }
 }
 
-/// The accumulation kernel resolved from a [`WeightReadPath`], once per
-/// call (not per element).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum ReadKernel {
-    /// Identity path: pure widening add.
-    Direct,
-    /// Comparator + mux: branchless compare/select.
-    Bounded {
-        /// `wgh_th` register.
-        threshold: u8,
-        /// `wgh_def` register.
-        default: u8,
-    },
-    /// Arbitrary combinational logic: the 256-entry table stored in
-    /// [`ResolvedPath::table`].
-    Table,
-}
-
-/// A [`WeightReadPath`] lowered to its accumulation kernel once per call
-/// — cheap for identity/bounded paths, a 256-entry `read` sweep for
-/// table paths — so no kernel ever calls `read` per element. Every
-/// evaluate entry point resolves its path this way:
+/// A [`WeightReadPath`] lowered to its 256-entry table once per call, so
+/// no kernel ever calls `read` per element. A path whose table is the
+/// identity accumulates from the registers themselves; any other from
+/// the engine's transformed-crossbar image of that table. Every evaluate
+/// entry point resolves its path this way:
 ///
 /// ```
 /// use snn_hw::engine::{ComputeEngine, DirectRead, NoGuard, ResolvedPath};
@@ -177,8 +150,8 @@ pub(crate) enum ReadKernel {
 /// for _ in 0..10 {
 ///     train.push_step(vec![0, 3, 5]);
 /// }
-/// // What `run_sample_into` does first: `DirectRead` resolves to the
-/// // pure widening add, once for the whole sample.
+/// // What `run_sample_into` does first: `DirectRead`'s table is the
+/// // identity, so the sample reads the registers directly.
 /// let _resolved = ResolvedPath::new(&DirectRead);
 /// let counts = engine.run_sample_into(&train, &DirectRead, &mut NoGuard);
 /// assert_eq!(counts.len(), 2);
@@ -187,48 +160,27 @@ pub(crate) enum ReadKernel {
 /// ```
 #[derive(Debug, Clone)]
 pub struct ResolvedPath {
-    pub(crate) kernel: ReadKernel,
-    /// The 256-entry transfer function; meaningful only for
-    /// [`ReadKernel::Table`] (stored inline so resolving never
+    /// The 256-entry transfer function (stored inline so resolving never
     /// allocates).
     pub(crate) table: [u8; 256],
+    /// Whether `table` is the identity.
+    pub(crate) identity: bool,
 }
 
 impl ResolvedPath {
-    /// Resolves `path` to its accumulation kernel (allocation-free).
+    /// Resolves `path` to its table (allocation-free).
     pub fn new<P: WeightReadPath>(path: &P) -> Self {
-        if path.is_identity() {
-            Self {
-                kernel: ReadKernel::Direct,
-                table: [0; 256],
-            }
-        } else if let Some((threshold, default)) = path.bound_params() {
-            Self {
-                kernel: ReadKernel::Bounded { threshold, default },
-                table: [0; 256],
-            }
-        } else {
-            Self {
-                kernel: ReadKernel::Table,
-                table: path.table(),
-            }
+        let table = path.table();
+        Self {
+            identity: table == DirectRead.table(),
+            table,
         }
     }
 
     /// One register code through the resolved path — the per-code
     /// function every accumulate kernel applies.
     pub(crate) fn read(&self, code: u8) -> u8 {
-        match self.kernel {
-            ReadKernel::Direct => code,
-            ReadKernel::Bounded { threshold, default } => {
-                if code > threshold {
-                    default
-                } else {
-                    code
-                }
-            }
-            ReadKernel::Table => self.table[code as usize],
-        }
+        self.table[code as usize]
     }
 }
 
@@ -240,11 +192,6 @@ impl WeightReadPath for DirectRead {
     #[inline]
     fn read(&self, code: u8) -> u8 {
         code
-    }
-
-    #[inline]
-    fn is_identity(&self) -> bool {
-        true
     }
 }
 
@@ -312,46 +259,6 @@ impl SpikeGuard for NoGuard {
     fn observe_cycle(&mut self, _cmp_words: &[u64], allow_words: &mut [u64], _n_neurons: usize) {
         allow_words.fill(u64::MAX);
     }
-}
-
-/// Which read-path transform the engine's transformed-crossbar image
-/// currently holds. Read paths are pure combinational logic, so the
-/// transformed codes only change when the transform or the register
-/// contents change — the cache is invalidated at the crossbar mutation
-/// boundary ([`ComputeEngine::crossbar_mut`] / parameter reload), and
-/// non-identity kernels then accumulate at direct-add speed (see
-/// `ComputeEngine::drive_image`).
-///
-/// For [`ReadKernel::Table`] kernels the cached transform additionally
-/// includes the table contents, kept in
-/// [`ComputeEngine::read_cache_table`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ReadCacheKey {
-    /// Cache contents are stale (crossbar mutated, or never built).
-    Invalid,
-    /// Image of `code > threshold → default` over the current registers.
-    Bounded {
-        /// `wgh_th` register.
-        threshold: u8,
-        /// `wgh_def` register.
-        default: u8,
-    },
-    /// Image of the table in `read_cache_table` over the registers.
-    Table,
-}
-
-/// Rebuild/restore/patch counters of the transformed-crossbar image cache
-/// — the observation hook campaign-reuse tests assert against.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ReadCacheStats {
-    /// Full image rebuilds (O(rows × cols) transform sweeps).
-    pub rebuilds: u64,
-    /// Restores of the cached clean image at parameter reload (a copy,
-    /// no transform work).
-    pub restores: u64,
-    /// Single-register in-place patches applied by
-    /// [`ComputeEngine::flip_weight_bit`].
-    pub patches: u64,
 }
 
 /// One trial's fault map in engine terms: the `(neuron, op)` sites and
@@ -687,7 +594,7 @@ impl MultiMapResult {
 /// (see [`ComputeEngine::install_stuck_bits`]). Unlike a transient flip
 /// ([`ComputeEngine::flip_weight_bit`]), a stuck bit survives parameter
 /// reloads: every [`reload_parameters`](ComputeEngine::reload_parameters)
-/// re-manifests it onto the freshly restored clean image.
+/// re-manifests it onto the freshly restored clean registers.
 ///
 /// This is the engine-side mirror of the fault model's stuck-at site type
 /// (the dependency points the other way, so the fault crates convert into
@@ -884,38 +791,32 @@ pub struct ComputeEngine {
     /// (the injection surface, which every lane imports) and of the
     /// reference path's neuron state.
     neurons: Vec<NeuronUnit>,
+    /// The deployment's register image, which a parameter reload writes
+    /// back.
     clean_codes: Vec<u8>,
-    /// Row-major image of the crossbar codes after the current
-    /// non-identity read-path transform (see [`ReadCacheKey`]). Allocated
-    /// lazily on first non-identity use, so `DirectRead`-only engines
-    /// (and their per-trial campaign clones) never pay for it.
+    /// Row-major image of the registers through the table of the last
+    /// non-identity read path that ran. Allocated lazily on first
+    /// non-identity use, so `DirectRead`-only engines (and their
+    /// per-trial campaign clones) never pay for it.
     read_cache: Vec<u8>,
-    read_cache_key: ReadCacheKey,
-    /// The table the cache image was built with (valid iff
-    /// `read_cache_key == ReadCacheKey::Table`).
-    read_cache_table: [u8; 256],
-    /// The transform image over the *clean* register contents, captured
-    /// when a rebuild happens on an unmutated crossbar. Parameter reloads
-    /// restore the read cache from it with a copy instead of invalidating
-    /// — the campaign-trial (reload → inject → evaluate) cycle then never
-    /// re-runs the full transform.
-    clean_cache: Vec<u8>,
-    clean_cache_key: ReadCacheKey,
-    clean_cache_table: [u8; 256],
+    /// The (table, mutation epoch) `read_cache` was built from; `None`
+    /// until the first build.
+    read_cache_key: Option<([u8; 256], u64)>,
+    /// Full `read_cache` rebuilds since construction.
+    read_cache_rebuilds: u64,
     /// Permanent stuck-at faults (see [`StuckWeightBit`]): re-applied to
     /// the registers at the end of every parameter reload, so healing
     /// never clears them — the stuck-at persistence contract.
     stuck_bits: Vec<StuckWeightBit>,
-    /// Whether any register may differ from `clean_codes` (set at the
-    /// mutation APIs, cleared by parameter reload).
+    /// Whether any register may differ from `clean_codes` (set at every
+    /// register write, cleared by a parameter reload that rewrites them).
     crossbar_dirty: bool,
-    cache_stats: ReadCacheStats,
-    /// Bumped by every API that can change what the crossbar's resolved
-    /// read path yields (`crossbar_mut`, `flip_weight_bit`,
-    /// `reload_parameters`). Derived backends (the event-driven engine's
-    /// compiled adjacency lists) key their caches on this counter, so a
-    /// reload-heal or an injected fault can never be served from a stale
-    /// compilation.
+    /// Bumped by every register write (`crossbar_mut`, `flip_weight_bit`,
+    /// a stuck bit that changes a code, a reload that rewrites the
+    /// registers), and by nothing else. The read cache and derived
+    /// backends (the event-driven engine's compiled adjacency lists) key
+    /// on it, so a heal or an injected fault can never be served from a
+    /// stale image.
     mutation_epoch: u64,
     /// The trial-group pass's scratch (see [`TrialScratch`]).
     trial: TrialScratch,
@@ -962,14 +863,10 @@ impl ComputeEngine {
             neurons: vec![NeuronUnit::new(); qn.n_neurons],
             clean_codes: qn.codes.clone(),
             read_cache: Vec::new(),
-            read_cache_key: ReadCacheKey::Invalid,
-            read_cache_table: [0; 256],
-            clean_cache: Vec::new(),
-            clean_cache_key: ReadCacheKey::Invalid,
-            clean_cache_table: [0; 256],
+            read_cache_key: None,
+            read_cache_rebuilds: 0,
             stuck_bits: Vec::new(),
             crossbar_dirty: false,
-            cache_stats: ReadCacheStats::default(),
             mutation_epoch: 0,
             trial: TrialScratch {
                 words: CycleWords::new(qn.n_neurons),
@@ -999,23 +896,18 @@ impl ComputeEngine {
         &self.crossbar
     }
 
-    /// Mutable crossbar access for fault injection. Conservatively
-    /// invalidates the transformed-crossbar image (any register may be
-    /// about to change). The injection hot path should prefer
-    /// [`flip_weight_bit`](Self::flip_weight_bit), which patches the
-    /// cached image in place instead of discarding it.
+    /// Mutable crossbar access for fault injection. Counts as a register
+    /// write: it bumps the mutation epoch (any register may be about to
+    /// change), so the next non-identity run rebuilds the image.
     pub fn crossbar_mut(&mut self) -> &mut Crossbar {
-        self.read_cache_key = ReadCacheKey::Invalid;
         self.crossbar_dirty = true;
         self.mutation_epoch += 1;
         &mut self.crossbar
     }
 
-    /// Flips one weight-register bit (a soft error) and keeps the
-    /// transformed-crossbar image coherent by patching the affected cache
-    /// entry in place — read paths are pure per-register functions, so a
-    /// single-register change never requires a full O(rows × cols)
-    /// rebuild. This is the fault injector's write path.
+    /// Flips one weight-register bit (a soft error) — the fault
+    /// injector's write path. A register write: it bumps the mutation
+    /// epoch.
     ///
     /// # Errors
     ///
@@ -1025,38 +917,13 @@ impl ComputeEngine {
         self.crossbar.flip_bit(row, col, bit)?;
         self.crossbar_dirty = true;
         self.mutation_epoch += 1;
-        self.patch_cache_entry(row, col);
         Ok(())
-    }
-
-    /// Re-derives one transformed-crossbar cache entry from the register's
-    /// current code (no-op when no transform image is active). Read paths
-    /// are pure per-register functions, so a single-register change never
-    /// requires a full O(rows × cols) rebuild.
-    fn patch_cache_entry(&mut self, row: usize, col: usize) {
-        if self.read_cache_key == ReadCacheKey::Invalid {
-            return;
-        }
-        let code = self.crossbar.read(row, col);
-        let transformed = match self.read_cache_key {
-            ReadCacheKey::Bounded { threshold, default } => {
-                if code > threshold {
-                    default
-                } else {
-                    code
-                }
-            }
-            ReadCacheKey::Table => self.read_cache_table[code as usize],
-            ReadCacheKey::Invalid => unreachable!("guarded above"),
-        };
-        self.read_cache[row * self.n_neurons + col] = transformed;
-        self.cache_stats.patches += 1;
     }
 
     /// Installs permanent stuck-at faults: each site's bit is forced to
     /// its stuck value now **and after every parameter reload** — healing
-    /// restores the clean image, then the stuck bits re-manifest on top of
-    /// it ([`reload_parameters`](Self::reload_parameters) re-applies
+    /// restores the clean registers, then the stuck bits re-manifest on
+    /// top of them ([`reload_parameters`](Self::reload_parameters) re-applies
     /// them). This is what distinguishes a permanent fault from a
     /// transient [`flip_weight_bit`](Self::flip_weight_bit), which the
     /// next reload heals for good.
@@ -1101,7 +968,7 @@ impl ComputeEngine {
 
     /// Removes all installed stuck-at faults. The registers keep their
     /// current (possibly stuck) codes until the next parameter reload,
-    /// which — with the set now empty — restores a genuinely clean image.
+    /// which — with the set now empty — restores genuinely clean registers.
     pub fn clear_stuck_bits(&mut self) {
         self.stuck_bits.clear();
     }
@@ -1111,12 +978,10 @@ impl ComputeEngine {
         &self.stuck_bits
     }
 
-    /// Forces every installed stuck bit onto the registers, patching the
-    /// transformed-crossbar image per changed site. Marks the crossbar
-    /// dirty and bumps the mutation epoch when anything changed, so the
-    /// clean-image capture logic never snapshots a stuck-corrupted image
-    /// and derived backends (the event engine's compiled adjacency)
-    /// recompile.
+    /// Forces every installed stuck bit onto the registers. Marks the
+    /// crossbar dirty and bumps the mutation epoch when a code changed,
+    /// so the next reload rewrites the registers and the image and
+    /// derived backends (the event engine's compiled adjacency) rebuild.
     fn apply_stuck_bits(&mut self) {
         let mut changed = false;
         for i in 0..self.stuck_bits.len() {
@@ -1125,7 +990,6 @@ impl ComputeEngine {
             let stuck = s.apply(code);
             if stuck != code {
                 self.crossbar.write(s.row, s.col, stuck);
-                self.patch_cache_entry(s.row, s.col);
                 changed = true;
             }
         }
@@ -1135,11 +999,11 @@ impl ComputeEngine {
         }
     }
 
-    /// The transformed-crossbar image cache counters (see
-    /// [`ReadCacheStats`]) — a test hook for pinning campaign-level cache
-    /// reuse, not a simulation observable.
-    pub fn read_cache_stats(&self) -> ReadCacheStats {
-        self.cache_stats
+    /// Full rebuilds of the transformed-crossbar image since construction
+    /// — a test hook for pinning when the image is rebuilt, not a
+    /// simulation observable.
+    pub fn read_cache_rebuilds(&self) -> u64 {
+        self.read_cache_rebuilds
     }
 
     /// The neuron units: the one home of the op-fault flags, and of the
@@ -1168,45 +1032,32 @@ impl ComputeEngine {
     }
 
     /// Parameter replacement: rewrites every weight register from the
-    /// clean deployment image and clears all neuron-operation faults (the
-    /// paper's healing event for both fault classes). Also notifies
-    /// `guard` so monitor latches reset.
+    /// clean deployment image, re-applies the installed stuck bits, and
+    /// clears all neuron-operation faults (the paper's healing event for
+    /// both fault classes). Also notifies `guard` so monitor latches
+    /// reset.
     ///
     /// This is the heal-on-entry contract for **all** backends: every
     /// evaluate entry point (dense or event-driven — see
     /// [`crate::backend::EngineBackend`]) heals through this method first,
     /// which is what makes it sound for grid shards to reuse one
-    /// deployment clone across trials. The reload bumps the mutation
-    /// epoch, so backends that compile derived views of the crossbar (the
-    /// event engine's adjacency lists) recompile from the healed image
-    /// instead of serving a stale one.
+    /// deployment clone across trials. Only a crossbar written since the
+    /// last reload is rewritten, and that rewrite bumps the mutation
+    /// epoch, so the image and backends that compile derived views of the
+    /// crossbar (the event engine's adjacency lists) rebuild from the
+    /// healed registers; a reload of an unwritten crossbar leaves the
+    /// registers, the image and the epoch alone.
     pub fn reload_parameters<G: SpikeGuard>(&mut self, guard: &mut G) {
-        self.crossbar
-            .reload(&self.clean_codes)
-            .expect("clean image always matches crossbar shape");
-        self.crossbar_dirty = false;
-        self.mutation_epoch += 1;
-        // The registers are back to the clean deployment image; if the
-        // clean transform image was ever captured, restoring it is a copy
-        // — no transform sweep. Otherwise, if a transform is active (the
-        // typical campaign shape is reload → inject → evaluate, so the
-        // first build happens over *injected* codes and never qualifies
-        // as clean), re-derive its image over the now-clean registers
-        // once and capture it: every later trial at this read path then
-        // costs a copy at reload plus O(sites) patches at injection,
-        // with zero transform rebuilds.
-        if self.clean_cache_key != ReadCacheKey::Invalid {
-            self.read_cache.clear();
-            self.read_cache.extend_from_slice(&self.clean_cache);
-            self.read_cache_key = self.clean_cache_key;
-            self.read_cache_table = self.clean_cache_table;
-            self.cache_stats.restores += 1;
-        } else if self.read_cache_key != ReadCacheKey::Invalid {
-            self.rebuild_current_image();
+        if self.crossbar_dirty {
+            self.crossbar
+                .reload(&self.clean_codes)
+                .expect("clean image always matches crossbar shape");
+            self.crossbar_dirty = false;
+            self.mutation_epoch += 1;
         }
         // Permanent faults survive healing: re-manifest every installed
-        // stuck bit onto the freshly restored image (marks the crossbar
-        // dirty again and bumps the epoch when any register changed).
+        // stuck bit (marks the crossbar dirty again and bumps the epoch
+        // when any register changed).
         self.apply_stuck_bits();
         for n in &mut self.neurons {
             n.clear_faults();
@@ -1225,8 +1076,8 @@ impl ComputeEngine {
         }
     }
 
-    /// Monotone counter of crossbar-affecting mutations (see the field
-    /// doc); derived backends key compiled views on it.
+    /// Monotone counter of register writes (see the field doc); derived
+    /// backends key compiled views on it.
     pub(crate) fn mutation_epoch(&self) -> u64 {
         self.mutation_epoch
     }
@@ -1249,14 +1100,10 @@ impl ComputeEngine {
             neurons: Vec::new(),
             clean_codes: Vec::new(),
             read_cache: Vec::new(),
-            read_cache_key: ReadCacheKey::Invalid,
-            read_cache_table: [0; 256],
-            clean_cache: Vec::new(),
-            clean_cache_key: ReadCacheKey::Invalid,
-            clean_cache_table: [0; 256],
+            read_cache_key: None,
+            read_cache_rebuilds: 0,
             stuck_bits: Vec::new(),
             crossbar_dirty: false,
-            cache_stats: ReadCacheStats::default(),
             mutation_epoch: 0,
             trial: TrialScratch::default(),
             sample: MultiMapResult::new(),
@@ -1310,55 +1157,25 @@ impl ComputeEngine {
     }
 
     /// The resolved drive image every accumulate reads: the registers
-    /// themselves for the identity kernel, else the transformed-crossbar
-    /// image of `path`, made current first — rebuilt only when the
-    /// transform or the register contents changed. A rebuild over clean
-    /// registers also captures the clean image, so later parameter
-    /// reloads restore by copy.
+    /// themselves for the identity table, else the transformed-crossbar
+    /// image of `path`'s table, rebuilt first when the table or the
+    /// mutation epoch differs from the ones it was built from.
     pub(crate) fn drive_image(&mut self, path: &ResolvedPath) -> &[u8] {
-        let key = match path.kernel {
-            ReadKernel::Direct => return self.crossbar.codes_slice(),
-            ReadKernel::Bounded { threshold, default } => {
-                ReadCacheKey::Bounded { threshold, default }
-            }
-            ReadKernel::Table => ReadCacheKey::Table,
-        };
-        let current = self.read_cache_key == key
-            && (key != ReadCacheKey::Table || self.read_cache_table == path.table);
+        if path.identity {
+            return self.crossbar.codes_slice();
+        }
+        let epoch = self.mutation_epoch;
+        let current = matches!(&self.read_cache_key,
+            Some((table, built)) if *built == epoch && *table == path.table);
         if !current {
-            self.read_cache_key = key;
-            self.read_cache_table = path.table;
-            self.rebuild_current_image();
+            self.read_cache.resize(self.crossbar.len(), 0);
+            for (dst, &c) in self.read_cache.iter_mut().zip(self.crossbar.codes_slice()) {
+                *dst = path.table[c as usize];
+            }
+            self.read_cache_key = Some((path.table, epoch));
+            self.read_cache_rebuilds += 1;
         }
         &self.read_cache
-    }
-
-    /// Rebuilds the transformed image for the *current* cache key over the
-    /// current register contents (key and table are left unchanged), and
-    /// captures the result as the clean image when the crossbar is clean.
-    fn rebuild_current_image(&mut self) {
-        self.read_cache.resize(self.crossbar.len(), 0);
-        match self.read_cache_key {
-            ReadCacheKey::Invalid => return,
-            ReadCacheKey::Bounded { threshold, default } => {
-                for (dst, &c) in self.read_cache.iter_mut().zip(self.crossbar.codes_slice()) {
-                    *dst = if c > threshold { default } else { c };
-                }
-            }
-            ReadCacheKey::Table => {
-                let table = self.read_cache_table;
-                for (dst, &c) in self.read_cache.iter_mut().zip(self.crossbar.codes_slice()) {
-                    *dst = table[c as usize];
-                }
-            }
-        }
-        self.cache_stats.rebuilds += 1;
-        if !self.crossbar_dirty {
-            self.clean_cache.clear();
-            self.clean_cache.extend_from_slice(&self.read_cache);
-            self.clean_cache_key = self.read_cache_key;
-            self.clean_cache_table = self.read_cache_table;
-        }
     }
 
     /// Presents a batch of encoded samples in one interleaved pass and
@@ -2054,7 +1871,8 @@ mod tests {
         for (i, &v) in t.iter().enumerate() {
             assert_eq!(v as usize, i);
         }
-        assert!(DirectRead.is_identity());
+        assert!(ResolvedPath::new(&DirectRead).identity);
+        assert!(!ResolvedPath::new(&Bound90).identity);
     }
 
     /// The bounded read path used by the cache tests below.
@@ -2067,9 +1885,6 @@ mod tests {
                 code
             }
         }
-        fn bound_params(&self) -> Option<(u8, u8)> {
-            Some((90, 11))
-        }
     }
 
     #[test]
@@ -2079,22 +1894,29 @@ mod tests {
         for _ in 0..5 {
             train.push_step(vec![0, 2, 4, 6]);
         }
-        assert_eq!(e.read_cache_stats(), ReadCacheStats::default());
+        assert_eq!(e.read_cache_rebuilds(), 0);
         // First non-identity sample builds the image once.
         e.run_sample(&train, &Bound90, &mut NoGuard);
-        assert_eq!(e.read_cache_stats().rebuilds, 1);
+        assert_eq!(e.read_cache_rebuilds(), 1);
         // Steady state: more samples, same image.
         e.run_sample(&train, &Bound90, &mut NoGuard);
         e.run_batch(&[train.clone(), train.clone()], &Bound90, &NoGuard);
-        assert_eq!(e.read_cache_stats().rebuilds, 1);
-        // Conservative mutation boundary: crossbar_mut invalidates, the
-        // next sample rebuilds.
+        assert_eq!(e.read_cache_rebuilds(), 1);
+        // A register write bumps the epoch; the next sample rebuilds.
         e.crossbar_mut().flip_bit(0, 0, 3).unwrap();
         e.run_sample(&train, &Bound90, &mut NoGuard);
-        assert_eq!(e.read_cache_stats().rebuilds, 2);
-        // A different transform over the same registers is a new image.
+        assert_eq!(e.read_cache_rebuilds(), 2);
+        // The identity table reads the registers, whatever type it has.
+        struct Identity;
+        impl WeightReadPath for Identity {
+            fn read(&self, code: u8) -> u8 {
+                code
+            }
+        }
         e.run_sample(&train, &DirectRead, &mut NoGuard);
-        assert_eq!(e.read_cache_stats().rebuilds, 2, "direct path has no image");
+        e.run_sample(&train, &Identity, &mut NoGuard);
+        assert_eq!(e.read_cache_rebuilds(), 2, "identity paths have no image");
+        // A different table over the same registers is a new image.
         struct Bound40;
         impl WeightReadPath for Bound40 {
             fn read(&self, code: u8) -> u8 {
@@ -2104,115 +1926,83 @@ mod tests {
                     code
                 }
             }
-            fn bound_params(&self) -> Option<(u8, u8)> {
-                Some((40, 0))
-            }
         }
         e.run_sample(&train, &Bound40, &mut NoGuard);
-        assert_eq!(e.read_cache_stats().rebuilds, 3);
+        assert_eq!(e.read_cache_rebuilds(), 3);
     }
 
     #[test]
-    fn reload_restores_clean_image_without_rebuild() {
+    fn reload_rebuilds_the_image_only_after_a_register_write() {
         let mut e = small_engine();
-        let mut train = SpikeTrain::new(8, 5);
-        for _ in 0..5 {
-            train.push_step(vec![1, 3, 5, 7]);
-        }
-        // Build (and capture) the clean image, then dirty the registers.
-        let clean_counts = e.run_sample(&train, &Bound90, &mut NoGuard);
-        e.flip_weight_bit(2, 1, 7).unwrap();
-        assert_eq!(e.read_cache_stats().patches, 1);
-        assert_eq!(e.read_cache_stats().rebuilds, 1);
-        // Reload restores the captured clean image by copy — no rebuild —
-        // and the results match the pre-fault run exactly.
-        e.reload_parameters(&mut NoGuard);
-        let stats = e.read_cache_stats();
-        assert_eq!(stats.restores, 1);
-        let after = e.run_sample(&train, &Bound90, &mut NoGuard);
-        assert_eq!(
-            e.read_cache_stats().rebuilds,
-            1,
-            "restore made rebuild unnecessary"
-        );
-        assert_eq!(after, clean_counts);
-    }
-
-    #[test]
-    fn flip_weight_bit_patch_matches_full_rebuild() {
-        // Patching the image in place must be indistinguishable from the
-        // conservative invalidate-and-rebuild route.
-        let mut patched = small_engine();
-        let mut rebuilt = small_engine();
-        let mut train = SpikeTrain::new(8, 10);
-        for t in 0..10_u32 {
-            train.push_step((0..8).filter(|r| (t + r) % 3 != 0).collect());
-        }
-        // Build both caches first.
-        patched.run_sample(&train, &Bound90, &mut NoGuard);
-        rebuilt.run_sample(&train, &Bound90, &mut NoGuard);
-        for (row, col, bit) in [(0_usize, 1_usize, 7_u8), (3, 2, 6), (5, 0, 0), (7, 3, 5)] {
-            patched.flip_weight_bit(row, col, bit).unwrap();
-            rebuilt.crossbar_mut().flip_bit(row, col, bit).unwrap();
-        }
-        let a = patched.run_sample(&train, &Bound90, &mut NoGuard);
-        let b = rebuilt.run_sample(&train, &Bound90, &mut NoGuard);
-        assert_eq!(a, b);
-        assert_eq!(
-            patched.read_cache_stats().rebuilds,
-            1,
-            "patches avoided the rebuild"
-        );
-        assert_eq!(rebuilt.read_cache_stats().rebuilds, 2);
-        assert_eq!(patched.crossbar().codes(), rebuilt.crossbar().codes());
-    }
-
-    #[test]
-    fn campaign_trial_cycle_stops_rebuilding_after_first_reload() {
-        // The canonical campaign trial shape is reload → inject → evaluate.
-        // Trial 1 builds the image over injected (dirty) codes; the next
-        // reload re-derives the clean image once and captures it; from
-        // then on every trial costs one restore plus per-site patches —
-        // zero further transform rebuilds — while staying bit-identical
-        // to a conservatively invalidating engine.
-        let mut reusing = small_engine();
-        let mut oracle = small_engine();
         let mut train = SpikeTrain::new(8, 8);
         for t in 0..8_u32 {
             train.push_step((0..8).filter(|r| (t + r) % 2 == 0).collect());
         }
-        for trial in 0..5_u8 {
-            reusing.reload_parameters(&mut NoGuard);
-            oracle.reload_parameters(&mut NoGuard);
-            reusing.flip_weight_bit(trial as usize, 1, 7).unwrap();
-            oracle
-                .crossbar_mut()
-                .flip_bit(trial as usize, 1, 7)
-                .unwrap();
-            let a = reusing.run_sample(&train, &Bound90, &mut NoGuard);
-            let b = oracle.run_sample(&train, &Bound90, &mut NoGuard);
-            assert_eq!(a, b, "trial {trial}");
+        let clean_codes = e.crossbar().codes();
+        let clean = e.run_sample(&train, &Bound90, &mut NoGuard);
+        assert_eq!(e.read_cache_rebuilds(), 1);
+        // A reload of an unwritten crossbar leaves the image, the epoch
+        // and the rebuild count alone.
+        let (image, epoch) = (e.read_cache.clone(), e.mutation_epoch());
+        e.reload_parameters(&mut NoGuard);
+        assert_eq!(e.read_cache, image);
+        assert_eq!(e.mutation_epoch(), epoch);
+        assert_eq!(e.run_sample(&train, &Bound90, &mut NoGuard), clean);
+        assert_eq!(e.read_cache_rebuilds(), 1);
+        // The trial shape reload → write → evaluate, through every write
+        // API: the write and the reload after it each bump the epoch, the
+        // next run rebuilds exactly once, and it equals the reference,
+        // which reads the registers through `read` with no image.
+        for trial in 0..6_usize {
+            let (row, col) = (trial % 8, trial % 4);
+            let epoch = e.mutation_epoch();
+            match trial % 3 {
+                0 => e.flip_weight_bit(row, col, 7).unwrap(),
+                1 => e.crossbar_mut().write(row, col, 200),
+                _ => {
+                    let code = e.crossbar().read(row, col);
+                    let site = StuckWeightBit {
+                        row,
+                        col,
+                        bit: 7,
+                        stuck_at: code & 0x80 == 0,
+                    };
+                    e.install_stuck_bits(&[site]).unwrap();
+                }
+            }
+            assert!(e.mutation_epoch() > epoch, "trial {trial}: write");
+            let rebuilds = e.read_cache_rebuilds();
+            let got = e.run_sample(&train, &Bound90, &mut NoGuard);
+            assert_eq!(e.read_cache_rebuilds(), rebuilds + 1, "trial {trial}");
+            let want = e
+                .clone()
+                .run_sample_reference(&train, &Bound90, &mut NoGuard);
+            assert_eq!(got, want, "trial {trial}: faulted");
+            e.clear_stuck_bits();
+            let epoch = e.mutation_epoch();
+            e.reload_parameters(&mut NoGuard);
+            assert!(e.mutation_epoch() > epoch, "trial {trial}: reload");
+            assert_eq!(e.crossbar().codes(), clean_codes);
+            assert_eq!(e.run_sample(&train, &Bound90, &mut NoGuard), clean);
+            assert_eq!(e.read_cache_rebuilds(), rebuilds + 2, "trial {trial}");
         }
-        let stats = reusing.read_cache_stats();
-        // Rebuild 1: trial 1's first evaluation (dirty codes). Rebuild 2:
-        // trial 2's reload deriving + capturing the clean image.
-        assert_eq!(stats.rebuilds, 2);
-        assert_eq!(stats.restores, 3, "trials 3..5 restored by copy");
-        assert_eq!(stats.patches, 4, "trials 2..5 patched one site each");
-        // The oracle pays the same clean-image derivation at its second
-        // reload, and then a full rebuild per trial on top (its
-        // `crossbar_mut` route conservatively invalidates).
-        assert_eq!(oracle.read_cache_stats().rebuilds, 6);
     }
 
     #[test]
     fn flip_weight_bit_without_cache_is_plain_flip() {
         let mut e = small_engine();
         let before = e.crossbar().read(1, 1);
+        let epoch = e.mutation_epoch();
         e.flip_weight_bit(1, 1, 4).unwrap();
         assert_eq!(e.crossbar().read(1, 1), before ^ (1 << 4));
-        assert_eq!(e.read_cache_stats().patches, 0, "no image to patch yet");
+        assert_eq!(e.mutation_epoch(), epoch + 1);
+        assert_eq!(e.read_cache_rebuilds(), 0, "no image to build yet");
         assert!(e.flip_weight_bit(99, 0, 0).is_err());
+        assert_eq!(
+            e.mutation_epoch(),
+            epoch + 1,
+            "a rejected flip writes nothing"
+        );
     }
 
     #[test]
@@ -2329,10 +2119,10 @@ mod tests {
             train.push_step(vec![0, 2, 4, 6]);
         }
         e.run_sample(&train, &Bound90, &mut NoGuard);
-        assert_eq!(e.read_cache_stats().rebuilds, 1);
+        assert_eq!(e.read_cache_rebuilds(), 1);
         let codes_before = e.crossbar().codes();
         let image_before = e.read_cache.clone();
-        let stats_before = e.read_cache_stats();
+        let rebuilds_before = e.read_cache_rebuilds();
         let epoch_before = e.mutation_epoch();
         let mut weighty = ops(&[(1, NeuronOp::VmemLeak)]);
         weighty.push_weight_flip(0, 1, 7);
@@ -2355,9 +2145,9 @@ mod tests {
             &mut out,
         );
         assert_eq!(
-            e.read_cache_stats(),
-            stats_before,
-            "no rebuild, restore or patch for overlays"
+            e.read_cache_rebuilds(),
+            rebuilds_before,
+            "no rebuild for overlays"
         );
         assert_eq!(e.crossbar().codes(), codes_before);
         assert_eq!(e.read_cache, image_before);
@@ -2371,7 +2161,11 @@ mod tests {
         ev.run_batch_multi_map(&[train.clone()], &maps, &Bound90, &NoGuard, &mut out);
         ev.run_batch_per_sample_maps(&[train], 2, &maps, &Bound90, &NoGuard, &mut out);
         let inner = ev.engine();
-        assert_eq!(inner.read_cache_stats(), stats_before, "event backend");
+        assert_eq!(
+            inner.read_cache_rebuilds(),
+            rebuilds_before,
+            "event backend"
+        );
         assert_eq!(inner.crossbar().codes(), codes_before);
         assert_eq!(inner.read_cache, image_before);
         assert_eq!(inner.mutation_epoch(), epoch_before);
@@ -2381,7 +2175,7 @@ mod tests {
     fn weight_overlay_matches_injected_flips() {
         // Flips of one cell merge by XOR (the same bit twice cancels),
         // and the corrected shared drive equals the drive of an engine
-        // with the flips injected, on every read kernel.
+        // with the flips injected, on every read path.
         let mut train = SpikeTrain::new(8, 12);
         for t in 0..12_u32 {
             train.push_step((0..8).filter(|r| (t + r) % 3 != 0).collect());

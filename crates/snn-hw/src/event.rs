@@ -47,16 +47,18 @@
 //! engine — the lane pass has no delay ring — falls back to one sample
 //! run per (map, sample): apply the map, run the sample, restore.
 //!
-//! Compiled adjacency state is keyed on the resolved read path *and* the
-//! engine's mutation epoch ([`ComputeEngine`] bumps it on
-//! `crossbar_mut`, `flip_weight_bit`, and `reload_parameters`), so the
-//! heal-on-entry contract holds on this backend too: a parameter reload
-//! recompiles the adjacency lists from the healed crossbar image instead
-//! of serving a stale compilation.
+//! Compiled adjacency state is keyed on the same (table, mutation epoch)
+//! rule as the wrapped engine's transformed-crossbar image: the resolved
+//! read path's 256-entry table and the epoch that every register write
+//! bumps (`crossbar_mut`, `flip_weight_bit`, a stuck bit that changes a
+//! code, and a `reload_parameters` that rewrites registers). So the
+//! heal-on-entry contract holds on this backend too: a reload that heals
+//! a written crossbar recompiles the adjacency lists from the healed
+//! registers instead of serving a stale compilation.
 
 use crate::engine::{
-    BatchResult, ComputeEngine, CycleWords, MultiMapResult, NeuronFaultOverlay, ReadKernel,
-    ResolvedPath, SpikeGuard, WeightReadPath,
+    BatchResult, ComputeEngine, CycleWords, MultiMapResult, NeuronFaultOverlay, ResolvedPath,
+    SpikeGuard, WeightReadPath,
 };
 use crate::error::HwError;
 use crate::kernels;
@@ -143,10 +145,10 @@ pub struct EventEngine {
     /// Per-input adjacency lists of delayed synapses (delay ≥ 1,
     /// resolved weight ≠ 0).
     delayed_rows: Vec<Vec<DelayedSynapse>>,
-    /// What `immediate`/`delayed_rows` were compiled from: resolved
-    /// kernel, transfer table, and the wrapped engine's mutation epoch.
-    /// `None` when nothing valid is compiled.
-    compiled_key: Option<(ReadKernel, [u8; 256], u64)>,
+    /// What `immediate`/`delayed_rows` were compiled from: the resolved
+    /// transfer table and the wrapped engine's mutation epoch. `None`
+    /// when nothing valid is compiled.
+    compiled_key: Option<([u8; 256], u64)>,
     /// `(max_delay + 1) × n_neurons` pending-drive planes, slot-major.
     ring: Vec<i32>,
     /// Per-slot count of scheduled events (a slot with zero live events
@@ -217,9 +219,9 @@ impl EventEngine {
     }
 
     /// Mutable access to the wrapped engine — the fault-injection
-    /// boundary. Safe against stale compilations: every crossbar-visible
-    /// mutation API bumps the engine's mutation epoch, which invalidates
-    /// this backend's compiled adjacency lists on the next run.
+    /// boundary. Safe against stale compilations: every register write
+    /// bumps the engine's mutation epoch, which invalidates this
+    /// backend's compiled adjacency lists on the next run.
     pub fn engine_mut(&mut self) -> &mut ComputeEngine {
         &mut self.inner
     }
@@ -269,10 +271,10 @@ impl EventEngine {
     }
 
     /// Parameter replacement on this backend: heals the wrapped engine
-    /// (clean crossbar image, cleared neuron faults, guard reset). The
-    /// heal bumps the mutation epoch, so the compiled adjacency lists are
-    /// recompiled from the healed image on the next run — heal-on-entry
-    /// holds here exactly as on the dense path.
+    /// (clean registers, cleared neuron faults, guard reset). A heal that
+    /// rewrites registers bumps the mutation epoch, so the compiled
+    /// adjacency lists are recompiled from the healed registers on the
+    /// next run — heal-on-entry holds here exactly as on the dense path.
     pub fn reload_parameters<G: SpikeGuard>(&mut self, guard: &mut G) {
         self.inner.reload_parameters(guard);
     }
@@ -521,10 +523,10 @@ impl EventEngine {
     }
 
     /// Recompiles the immediate image and delayed adjacency lists when
-    /// the resolved read path or the wrapped engine's mutation epoch
-    /// moved since the last compilation.
+    /// the resolved table or the wrapped engine's mutation epoch moved
+    /// since the last compilation.
     fn ensure_compiled(&mut self, resolved: &ResolvedPath) {
-        let key = (resolved.kernel, resolved.table, self.inner.mutation_epoch());
+        let key = (resolved.table, self.inner.mutation_epoch());
         if self.compiled_key.as_ref() == Some(&key) {
             return;
         }

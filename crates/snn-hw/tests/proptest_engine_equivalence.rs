@@ -43,28 +43,15 @@ impl WeightReadPath for RandomBound {
             code
         }
     }
-
-    fn bound_params(&self) -> Option<(u8, u8)> {
-        Some((self.threshold, self.default))
-    }
 }
 
-/// The same transfer function as [`RandomBound`] but *without* the
-/// `bound_params` hint, forcing the engine onto the table kernel — so the
-/// equivalence properties cover all three accumulation kernels.
+/// A read path given by an arbitrary 256-entry table.
 #[derive(Debug, Clone, Copy)]
-struct RandomBoundAsTable {
-    threshold: u8,
-    default: u8,
-}
+struct RandomTable([u8; 256]);
 
-impl WeightReadPath for RandomBoundAsTable {
+impl WeightReadPath for RandomTable {
     fn read(&self, code: u8) -> u8 {
-        if code > self.threshold {
-            self.default
-        } else {
-            code
-        }
+        self.0[code as usize]
     }
 }
 
@@ -322,6 +309,61 @@ fn random_train(n_inputs: usize, n_steps: usize, seed: u64, density: f64) -> Spi
     train
 }
 
+/// The read paths the image property switches between.
+#[derive(Debug)]
+enum PathChoice {
+    Direct,
+    Bound(RandomBound),
+    Table(Box<RandomTable>),
+}
+
+impl PathChoice {
+    /// `DirectRead`, a random bound, or a random table: the identity
+    /// with up to three entries redrawn, so it is sometimes the identity
+    /// under another type.
+    fn random(rng: &mut StdRng) -> Self {
+        match rng.gen_range(0_u8..3) {
+            0 => Self::Direct,
+            1 => Self::Bound(RandomBound {
+                threshold: rng.gen(),
+                default: rng.gen(),
+            }),
+            _ => {
+                let mut table = [0_u8; 256];
+                for (code, slot) in table.iter_mut().enumerate() {
+                    *slot = code as u8;
+                }
+                for _ in 0..rng.gen_range(0_usize..4) {
+                    table[rng.gen_range(0_usize..256)] = rng.gen();
+                }
+                Self::Table(Box::new(RandomTable(table)))
+            }
+        }
+    }
+
+    /// Asserts that `run_sample_into` of `train` under this path equals
+    /// `run_sample_reference` on `engine`'s current state. The reference
+    /// reads the registers through `read` with no image, so an image left
+    /// stale by a missed invalidation shows up here.
+    fn assert_current(&self, engine: &mut ComputeEngine, train: &SpikeTrain, label: &str) {
+        fn check<P: WeightReadPath>(
+            engine: &mut ComputeEngine,
+            train: &SpikeTrain,
+            path: &P,
+            label: &str,
+        ) {
+            let reference = engine.run_sample_reference(train, path, &mut NoGuard);
+            let fast = engine.run_sample_into(train, path, &mut NoGuard);
+            assert_eq!(fast, reference.as_slice(), "{label}");
+        }
+        match self {
+            Self::Direct => check(engine, train, &DirectRead, label),
+            Self::Bound(path) => check(engine, train, path, label),
+            Self::Table(path) => check(engine, train, &**path, label),
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -358,9 +400,9 @@ proptest! {
     }
 
     /// Whole-sample equivalence: spike counts agree for the optimized
-    /// owned, optimized borrowed, and reference paths — via all three
-    /// kernels (direct add, compare/select, table) over random input
-    /// densities and persisted faults.
+    /// owned, optimized borrowed, and reference paths — under the identity
+    /// and a bounding read path — over random input densities and
+    /// persisted faults.
     #[test]
     fn run_sample_matches_reference(
         net_seed in any::<u64>(),
@@ -372,7 +414,6 @@ proptest! {
         density in 0.05_f64..0.9,
     ) {
         let path = RandomBound { threshold, default };
-        let as_table = RandomBoundAsTable { threshold, default };
         let mut fast = random_faulted_engine(32, 12, net_seed, fault_seed, n_bit_flips, n_op_faults);
         let mut slow = fast.clone();
         let train = random_train(32, 40, fault_seed ^ 3, density);
@@ -384,8 +425,6 @@ proptest! {
         prop_assert_eq!(&owned, &reference);
         let borrowed = fast.run_sample_into(&train, &path, &mut NoGuard).to_vec();
         prop_assert_eq!(&borrowed, &reference);
-        let via_table = fast.run_sample(&train, &as_table, &mut NoGuard);
-        prop_assert_eq!(&via_table, &reference);
     }
 
     /// The read-path table is exactly the transfer function of `read`.
@@ -395,6 +434,61 @@ proptest! {
         let table = path.table();
         for code in 0..=255_u8 {
             prop_assert_eq!(table[code as usize], path.read(code));
+        }
+    }
+
+    /// The image follows the registers: on one warm engine, after every
+    /// operation of a random sequence — `flip_weight_bit`,
+    /// `crossbar_mut().write`, `install_stuck_bits`, `clear_stuck_bits`,
+    /// `reload_parameters`, and switches between `DirectRead`, a random
+    /// bound and a random table — `run_sample_into` equals
+    /// `run_sample_reference` on the same state.
+    #[test]
+    fn image_follows_the_registers(
+        net_seed in any::<u64>(),
+        ops_seed in any::<u64>(),
+        n_ops in 1_usize..32,
+        density in 0.2_f64..0.8,
+    ) {
+        let mut engine = random_faulted_engine(16, 8, net_seed, ops_seed, 0, 0);
+        let train = random_train(16, 20, ops_seed ^ 7, density);
+        let mut rng = StdRng::seed_from_u64(ops_seed);
+        let mut path = PathChoice::Bound(RandomBound {
+            threshold: rng.gen(),
+            default: rng.gen(),
+        });
+        path.assert_current(&mut engine, &train, "warm-up");
+        for op in 0..n_ops {
+            let (row, col) = (rng.gen_range(0_usize..16), rng.gen_range(0_usize..8));
+            let label = match rng.gen_range(0_u8..6) {
+                0 => {
+                    let bit = rng.gen_range(0_u8..8);
+                    engine.flip_weight_bit(row, col, bit).expect("in range");
+                    "flip_weight_bit"
+                }
+                1 => {
+                    engine.crossbar_mut().write(row, col, rng.gen());
+                    "crossbar_mut().write"
+                }
+                2 => {
+                    let (n, seed) = (rng.gen_range(1_usize..4), rng.gen());
+                    install_random_stuck_bits(&mut engine, n, seed);
+                    "install_stuck_bits"
+                }
+                3 => {
+                    engine.clear_stuck_bits();
+                    "clear_stuck_bits"
+                }
+                4 => {
+                    engine.reload_parameters(&mut NoGuard);
+                    "reload_parameters"
+                }
+                _ => {
+                    path = PathChoice::random(&mut rng);
+                    "read-path switch"
+                }
+            };
+            path.assert_current(&mut engine, &train, &format!("op {op}: {label}"));
         }
     }
 
@@ -445,9 +539,9 @@ proptest! {
     /// Whole-sample equivalence under `ResetMonitor` guards — alone over
     /// the identity path, and in the paper's full BnP configuration
     /// (bounding read path + reset monitor) — with vr-fault bursts forced
-    /// in so the monitor actually latches: counts must agree through all
-    /// three kernels, and the latches the batched guard protocol leaves
-    /// must equal the per-neuron protocol's, neuron for neuron.
+    /// in so the monitor actually latches: counts must agree under both
+    /// paths, and the latches the batched guard protocol leaves must
+    /// equal the per-neuron protocol's, neuron for neuron.
     #[test]
     fn run_sample_matches_reference_monitored(
         net_seed in any::<u64>(),
@@ -461,7 +555,6 @@ proptest! {
         density in 0.1_f64..0.9,
     ) {
         let path = RandomBound { threshold, default };
-        let as_table = RandomBoundAsTable { threshold, default };
         let mut fast =
             random_faulted_engine(32, 12, net_seed, fault_seed, n_bit_flips, n_op_faults);
         // Force reset-stuck neurons so burst suppression is exercised.
@@ -488,8 +581,6 @@ proptest! {
         let reference = slow.run_sample_reference(&train, &path, &mut monitor_slow);
         let optimized = fast.run_sample(&train, &path, &mut ResetMonitor::new(12, window));
         prop_assert_eq!(&optimized, &reference);
-        let via_table = fast.run_sample(&train, &as_table, &mut ResetMonitor::new(12, window));
-        prop_assert_eq!(&via_table, &reference);
         let mut monitor_fast = ResetMonitor::new(12, window);
         let _ = fast.run_sample_into(&train, &path, &mut monitor_fast);
         prop_assert_eq!(monitor_fast.n_disabled(), monitor_slow.n_disabled(), "bounded latch count");
@@ -503,15 +594,15 @@ proptest! {
 }
 
 proptest! {
-    // The batched cases each evaluate up to ~40 samples × 3 kernels × 2
+    // The batched cases each evaluate up to ~40 samples × 2 paths × 2
     // guards against the per-sample reference, so fewer cases carry the
     // same coverage budget as the single-sample properties above.
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Batched-vs-reference equivalence across the whole cross-product:
     /// random batch widths (including 1, 2, chunk-straddling, and a
-    /// ragged final chunk), ragged per-sample train lengths, all three
-    /// accumulation kernels (direct / compare-select / LUT), both guard
+    /// ragged final chunk), ragged per-sample train lengths, the identity
+    /// and a bounding read path, both guard
     /// classes (stateless `NoGuard`, stateful `ResetMonitor`), and fault
     /// maps with vr bursts so the monitor actually latches.
     #[test]
@@ -528,7 +619,6 @@ proptest! {
         density in 0.1_f64..0.7,
     ) {
         let bound = RandomBound { threshold, default };
-        let as_table = RandomBoundAsTable { threshold, default };
         let mut fast =
             random_faulted_engine(24, 10, net_seed, fault_seed, n_bit_flips, n_op_faults);
         let mut rng = StdRng::seed_from_u64(fault_seed ^ 0xba7c4);
@@ -546,15 +636,11 @@ proptest! {
             &mut fast, &mut slow, &trains, &DirectRead, &NoGuard, "direct/noguard");
         assert_batch_matches_reference(
             &mut fast, &mut slow, &trains, &bound, &NoGuard, "bounded/noguard");
-        assert_batch_matches_reference(
-            &mut fast, &mut slow, &trains, &as_table, &NoGuard, "table/noguard");
         let monitor = ResetMonitor::new(10, window);
         assert_batch_matches_reference(
             &mut fast, &mut slow, &trains, &DirectRead, &monitor, "direct/monitored");
         assert_batch_matches_reference(
             &mut fast, &mut slow, &trains, &bound, &monitor, "bounded/monitored");
-        assert_batch_matches_reference(
-            &mut fast, &mut slow, &trains, &as_table, &monitor, "table/monitored");
     }
 
     /// Multi-map-vs-reference equivalence across the cross-product the
@@ -562,8 +648,8 @@ proptest! {
     /// `ResetMonitor`), vr-burst-heavy overlays so the monitor actually
     /// latches, ragged map counts `K` (1 up to two full chunks plus a
     /// ragged last chunk; fixed boundary values in the standalone test
-    /// below), all three accumulation
-    /// kernels, persisted base faults underneath the overlays, empty
+    /// below), the identity and a bounding
+    /// read path, persisted base faults underneath the overlays, empty
     /// overlays (what a clean scenario lowers to), and multiple samples
     /// per trial group.
     #[test]
@@ -583,7 +669,6 @@ proptest! {
         density in 0.1_f64..0.7,
     ) {
         let bound = RandomBound { threshold, default };
-        let as_table = RandomBoundAsTable { threshold, default };
         // Base faults include register bit flips and installed stuck-at
         // bits: the shared crossbar may be (persistently) faulted, and the
         // maps' own flips land on top of it.
@@ -618,15 +703,11 @@ proptest! {
             &mut fast, &mut slow, &trains, &maps, &DirectRead, &NoGuard, "direct/noguard");
         assert_multi_map_matches_reference(
             &mut fast, &mut slow, &trains, &maps, &bound, &NoGuard, "bounded/noguard");
-        assert_multi_map_matches_reference(
-            &mut fast, &mut slow, &trains, &maps, &as_table, &NoGuard, "table/noguard");
         let monitor = ResetMonitor::new(10, window);
         assert_multi_map_matches_reference(
             &mut fast, &mut slow, &trains, &maps, &DirectRead, &monitor, "direct/monitored");
         assert_multi_map_matches_reference(
             &mut fast, &mut slow, &trains, &maps, &bound, &monitor, "bounded/monitored");
-        assert_multi_map_matches_reference(
-            &mut fast, &mut slow, &trains, &maps, &as_table, &monitor, "table/monitored");
     }
 
     /// The batched pass is the one-map case of the multi-map pass: one
@@ -664,9 +745,9 @@ proptest! {
 
     /// The per-sample-maps pass (the re-execution shape: every sample
     /// under its own k maps) against the scalar oracle run one sample at
-    /// a time, across all three kernels, both guard classes, installed
-    /// stuck-at bits, weight-flip overlays with duplicated cells, and
-    /// empty overlays.
+    /// a time, under the identity and a bounding read path, both guard
+    /// classes, installed stuck-at bits, weight-flip overlays with
+    /// duplicated cells, and empty overlays.
     #[test]
     fn run_batch_per_sample_maps_matches_reference(
         net_seed in any::<u64>(),
@@ -681,7 +762,6 @@ proptest! {
         density in 0.1_f64..0.7,
     ) {
         let bound = RandomBound { threshold, default };
-        let as_table = RandomBoundAsTable { threshold, default };
         let mut fast = random_faulted_engine(24, 10, net_seed, fault_seed, 6, 1);
         install_random_stuck_bits(&mut fast, n_stuck, fault_seed ^ 0x57ad);
         let mut slow = fast.clone();
@@ -703,8 +783,6 @@ proptest! {
             &mut fast, &mut slow, &trains, &maps, &DirectRead, &NoGuard, "direct/noguard");
         assert_per_sample_maps_match_reference(
             &mut fast, &mut slow, &trains, &maps, &bound, &monitor, "bounded/monitored");
-        assert_per_sample_maps_match_reference(
-            &mut fast, &mut slow, &trains, &maps, &as_table, &monitor, "table/monitored");
     }
 
     /// Identical samples inside a batch (the shared-accumulate fast path:

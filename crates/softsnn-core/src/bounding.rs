@@ -139,13 +139,6 @@ impl WeightReadPath for BoundedRead {
     fn table(&self) -> [u8; 256] {
         self.table
     }
-
-    #[inline]
-    fn bound_params(&self) -> Option<(u8, u8)> {
-        // Eq. 1 is exactly the engine's comparator+mux kernel shape, so
-        // the engine lowers this path to a vectorized compare/select.
-        Some((self.config.threshold_code, self.config.default_code))
-    }
 }
 
 #[cfg(test)]

@@ -46,7 +46,7 @@ use snn_faults::service::{CampaignService, JobStatus, RunOptions};
 use snn_faults::stats::{Lookahead, StopRule};
 use softsnn_core::methodology::EngineBackendKind;
 use softsnn_exp::campaign::{self, JobConfig, JobRunOutcome};
-use softsnn_exp::profile::Profile;
+use softsnn_exp::profile::{flag_value, Profile};
 use softsnn_exp::{artifact, fig13};
 
 const USAGE: &str = "usage: campaignd <submit|run|resume|status|results|jobs> [<job>] \
@@ -95,65 +95,19 @@ fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Args, String> {
     };
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--root" => parsed.root = it.next().ok_or("--root needs a value")?,
-            "--workload" => {
-                parsed.workload = it.next().ok_or("--workload needs a value")?.parse()?;
-            }
-            "--size" => {
-                let v = it.next().ok_or("--size needs a value")?;
-                parsed.size = Some(v.parse().map_err(|e| format!("bad --size `{v}`: {e}"))?);
-            }
-            "--profile" => {
-                parsed.profile = it.next().ok_or("--profile needs a value")?.parse()?;
-            }
-            "--backend" => {
-                parsed.backend = it.next().ok_or("--backend needs a value")?.parse()?;
-            }
-            "--max-cells" => {
-                let v = it.next().ok_or("--max-cells needs a value")?;
-                parsed.max_cells = Some(
-                    v.parse()
-                        .map_err(|e| format!("bad --max-cells `{v}`: {e}"))?,
-                );
-            }
+            "--root" => parsed.root = flag_value(&arg, &mut it)?,
+            "--workload" => parsed.workload = flag_value(&arg, &mut it)?,
+            "--size" => parsed.size = Some(flag_value(&arg, &mut it)?),
+            "--profile" => parsed.profile = flag_value(&arg, &mut it)?,
+            "--backend" => parsed.backend = flag_value(&arg, &mut it)?,
+            "--max-cells" => parsed.max_cells = Some(flag_value(&arg, &mut it)?),
             "--adaptive" => parsed.adaptive = true,
-            "--half-width" => {
-                let v = it.next().ok_or("--half-width needs a value")?;
-                parsed.half_width = v
-                    .parse()
-                    .map_err(|e| format!("bad --half-width `{v}`: {e}"))?;
-            }
-            "--confidence" => {
-                let v = it.next().ok_or("--confidence needs a value")?;
-                parsed.confidence = v
-                    .parse()
-                    .map_err(|e| format!("bad --confidence `{v}`: {e}"))?;
-            }
-            "--min-trials" => {
-                let v = it.next().ok_or("--min-trials needs a value")?;
-                parsed.min_trials = v
-                    .parse()
-                    .map_err(|e| format!("bad --min-trials `{v}`: {e}"))?;
-            }
-            "--max-trials" => {
-                let v = it.next().ok_or("--max-trials needs a value")?;
-                parsed.max_trials = Some(
-                    v.parse()
-                        .map_err(|e| format!("bad --max-trials `{v}`: {e}"))?,
-                );
-            }
-            "--lookahead" => {
-                let v = it.next().ok_or("--lookahead needs a value (N or `auto`)")?;
-                parsed.lookahead = if v == "auto" {
-                    Lookahead::Auto
-                } else {
-                    let k: usize = v
-                        .parse()
-                        .map_err(|e| format!("bad --lookahead `{v}`: {e}"))?;
-                    Lookahead::Fixed(k).validated().map_err(|e| e.to_string())?
-                };
-            }
-            "--out" => parsed.out = Some(it.next().ok_or("--out needs a value")?),
+            "--half-width" => parsed.half_width = flag_value(&arg, &mut it)?,
+            "--confidence" => parsed.confidence = flag_value(&arg, &mut it)?,
+            "--min-trials" => parsed.min_trials = flag_value(&arg, &mut it)?,
+            "--max-trials" => parsed.max_trials = Some(flag_value(&arg, &mut it)?),
+            "--lookahead" => parsed.lookahead = flag_value(&arg, &mut it)?,
+            "--out" => parsed.out = Some(flag_value(&arg, &mut it)?),
             other if parsed.job.is_none() && !other.starts_with("--") => {
                 parsed.job = Some(other.to_owned());
             }

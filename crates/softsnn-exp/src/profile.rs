@@ -113,6 +113,24 @@ impl FromStr for Profile {
     }
 }
 
+/// Reads the value after flag `flag` from `args` and parses it through
+/// [`FromStr`] — the one flag reader of every binary, so each reports a
+/// missing value as "`--x` needs a value" and a bad one as
+/// "bad `--x` `v`: …".
+///
+/// # Errors
+///
+/// Returns the message when `args` is exhausted or the value does not
+/// parse.
+pub fn flag_value<T>(flag: &str, args: &mut impl Iterator<Item = String>) -> Result<T, String>
+where
+    T: FromStr,
+    T::Err: fmt::Display,
+{
+    let v = args.next().ok_or_else(|| format!("{flag} needs a value"))?;
+    v.parse().map_err(|e| format!("bad {flag} `{v}`: {e}"))
+}
+
 /// Parses `--profile`, `--workload`, `--backend`, and `--out` style
 /// arguments shared by every experiment binary. Unknown flags are
 /// reported, not ignored.
@@ -154,19 +172,10 @@ impl CliArgs {
         let mut it = args.into_iter();
         while let Some(arg) = it.next() {
             match arg.as_str() {
-                "--profile" => {
-                    let v = it.next().ok_or("--profile needs a value")?;
-                    parsed.profile = v.parse()?;
-                }
-                "--workload" => {
-                    parsed.workload = Some(it.next().ok_or("--workload needs a value")?);
-                }
-                "--out" => {
-                    parsed.out_dir = it.next().ok_or("--out needs a value")?;
-                }
-                "--backend" => {
-                    parsed.backend = it.next().ok_or("--backend needs a value")?.parse()?;
-                }
+                "--profile" => parsed.profile = flag_value(&arg, &mut it)?,
+                "--workload" => parsed.workload = Some(flag_value(&arg, &mut it)?),
+                "--out" => parsed.out_dir = flag_value(&arg, &mut it)?,
+                "--backend" => parsed.backend = flag_value(&arg, &mut it)?,
                 other => {
                     return Err(format!(
                         "unknown argument `{other}`; usage: [--profile smoke|quick|default|full] [--workload mnist|fashion] [--backend dense|event] [--out DIR]"
@@ -223,6 +232,16 @@ mod tests {
     fn cli_args_reject_unknown_flags() {
         assert!(CliArgs::parse(["--nope".to_owned()]).is_err());
         assert!(CliArgs::parse(["--profile".to_owned()]).is_err());
+    }
+
+    #[test]
+    fn flag_value_reports_missing_and_bad_values() {
+        let missing = flag_value::<usize>("--size", &mut std::iter::empty());
+        assert_eq!(missing, Err("--size needs a value".to_owned()));
+        let bad = flag_value::<usize>("--size", &mut ["x".to_owned()].into_iter()).unwrap_err();
+        assert!(bad.starts_with("bad --size `x`: "), "{bad}");
+        let ok = flag_value::<usize>("--size", &mut ["7".to_owned()].into_iter());
+        assert_eq!(ok, Ok(7));
     }
 
     #[test]
