@@ -114,9 +114,9 @@ impl FromStr for Profile {
 }
 
 /// Reads the value after flag `flag` from `args` and parses it through
-/// [`FromStr`] — the one flag reader of every binary, so each reports a
-/// missing value as "`--x` needs a value" and a bad one as
-/// "bad `--x` `v`: …".
+/// [`FromStr`] — the one flag reader of the figure binaries and
+/// campaignd, so each reports a missing value as "`--x` needs a value"
+/// and a bad one as "bad `--x` `v`: …".
 ///
 /// # Errors
 ///
