@@ -15,7 +15,7 @@
 //! The paper itself argues (Sec. 3.1, footnote 3) that the fault-tolerance
 //! analysis is workload-agnostic as long as inputs share the same rate
 //! coding and STDP keeps weights in the same positive range — which these
-//! generators preserve. See `DESIGN.md` for the substitution rationale.
+//! generators preserve.
 //!
 //! ```
 //! use snn_data::synth_digits::SynthDigits;
@@ -30,7 +30,6 @@
 
 pub mod dataset;
 pub mod idx;
-pub mod stats;
 pub mod synth_digits;
 pub mod synth_fashion;
 pub mod transform;

@@ -163,6 +163,7 @@ impl Json {
     /// input.
     pub fn parse(input: &str) -> Result<Self, JsonError> {
         let mut p = Parser {
+            text: input,
             bytes: input.as_bytes(),
             pos: 0,
         };
@@ -335,6 +336,9 @@ impl From<bool> for Json {
 /// Recursive-descent parser over the input bytes. Depth-limited so a
 /// hostile checkpoint file cannot blow the stack.
 struct Parser<'a> {
+    /// The input, for char-wise string scanning.
+    text: &'a str,
+    /// The same input as bytes, for everything that is ASCII.
     bytes: &'a [u8],
     pos: usize,
 }
@@ -495,18 +499,21 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            // Strings are scanned char-wise over the (UTF-8) input so
-            // multi-byte characters pass through unmangled.
-            let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                .map_err(|_| self.err("invalid UTF-8 in string"))?;
-            let mut chars = rest.char_indices();
-            match chars.next() {
+            // Strings are scanned char-wise over the input text so
+            // multi-byte characters pass through unmangled. `pos` only
+            // ever advances by whole characters, so it is always a char
+            // boundary and the slice costs O(1).
+            let rest = self
+                .text
+                .get(self.pos..)
+                .ok_or_else(|| self.err("string starts inside a character"))?;
+            match rest.chars().next() {
                 None => return Err(self.err("unterminated string")),
-                Some((_, '"')) => {
+                Some('"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some((_, '\\')) => {
+                Some('\\') => {
                     self.pos += 1;
                     match self.peek() {
                         Some(b'"') => {
@@ -563,10 +570,10 @@ impl<'a> Parser<'a> {
                         _ => return Err(self.err("invalid escape")),
                     }
                 }
-                Some((_, c)) if (c as u32) < 0x20 => {
+                Some(c) if (c as u32) < 0x20 => {
                     return Err(self.err("unescaped control character in string"));
                 }
-                Some((_, c)) => {
+                Some(c) => {
                     out.push(c);
                     self.pos += c.len_utf8();
                 }
@@ -579,9 +586,12 @@ impl<'a> Parser<'a> {
         if end > self.bytes.len() {
             return Err(self.err("truncated \\u escape"));
         }
-        let hex = std::str::from_utf8(&self.bytes[self.pos..end])
-            .map_err(|_| self.err("non-ASCII \\u escape"))?;
-        let code = u32::from_str_radix(hex, 16).map_err(|_| self.err("non-hex \\u escape"))?;
+        // Exactly four hex digits: `from_str_radix` alone would also take
+        // a leading `+`.
+        let code = self.bytes[self.pos..end]
+            .iter()
+            .try_fold(0_u32, |acc, &b| Some(acc * 16 + (b as char).to_digit(16)?))
+            .ok_or_else(|| self.err("non-hex \\u escape"))?;
         self.pos = end;
         Ok(code)
     }
@@ -728,5 +738,13 @@ mod tests {
         assert_eq!(Json::Num(3.0).as_usize(), Some(3));
         assert_eq!(Json::Num(3.5).as_usize(), None);
         assert_eq!(Json::Num(-1.0).as_usize(), None);
+    }
+
+    #[test]
+    fn unicode_escapes_take_exactly_four_hex_digits() {
+        assert_eq!(Json::parse(r#""\u0041""#).unwrap(), Json::Str("A".into()));
+        for bad in [r#""\u+041""#, r#""\u-041""#, r#""\u00g1""#, r#""\u00é""#] {
+            assert!(Json::parse(bad).is_err(), "{bad} must be refused");
+        }
     }
 }

@@ -790,8 +790,14 @@ static TMP_NONCE: AtomicU64 = AtomicU64::new(0);
 /// Writes `text` (plus a trailing newline) to `path` atomically: the
 /// bytes land under a unique tmp name first and are renamed into place,
 /// so readers never observe a torn file and a crash leaves at worst an
-/// orphaned `.tmp` that validation ignores.
-fn write_atomic(path: &Path, text: &str) -> Result<(), ServiceError> {
+/// orphaned `.tmp` that validation ignores. Parent directories are
+/// created as needed.
+///
+/// # Errors
+///
+/// Returns [`ServiceError::Io`] when a directory, the tmp file or the
+/// rename cannot be written.
+pub fn write_atomic(path: &Path, text: &str) -> Result<(), ServiceError> {
     let parent = path.parent().unwrap_or_else(|| Path::new("."));
     fs::create_dir_all(parent).map_err(|e| ServiceError::io(parent, e))?;
     let nonce = TMP_NONCE.fetch_add(1, Ordering::Relaxed);

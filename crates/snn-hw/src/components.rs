@@ -13,7 +13,7 @@
 //! paper's reported relative overheads (area 1.14× for BnP1 and 1.18× for
 //! BnP2/3 in Fig. 14(c); energy ≈ 1.3× / 1.56× in Fig. 14(b); clock-period
 //! stretch ≈ 1.00× / 1.06× in Fig. 14(a)). This is the documented
-//! substitution for the proprietary synthesis flow — see `DESIGN.md`.
+//! substitution for the proprietary synthesis flow.
 
 /// One circuit block: GE count, switching activity, hardening flag.
 ///

@@ -15,7 +15,7 @@
 //! * and **cost models** for area, power/energy, and latency composed from
 //!   a gate-equivalent component library ([`components`], [`area`],
 //!   [`energy`], [`latency`], [`report`]) — the stand-in for the paper's
-//!   Cadence Genus 65 nm synthesis flow (see `DESIGN.md` for the
+//!   Cadence Genus 65 nm synthesis flow (see [`components`] for the
 //!   calibration rationale).
 //!
 //! The engine exposes two extension points used by the SoftSNN mitigation
@@ -59,7 +59,6 @@ pub mod error;
 pub mod event;
 pub mod kernels;
 pub mod latency;
-pub mod learning_unit;
 pub mod mapping;
 pub mod neuron_lanes;
 pub mod neuron_unit;

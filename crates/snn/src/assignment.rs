@@ -2,35 +2,26 @@
 //! unsupervised classifier.
 //!
 //! After unsupervised STDP training, a labeled pass collects per-neuron,
-//! per-class response rates. Two decoders are built from those statistics:
+//! per-class response rates. [`Assignment::predict`] decodes a sample's
+//! output spike counts from those statistics:
 //!
-//! * [`Decoder::MeanVote`] — the classical Diehl & Cook scheme: each neuron
-//!   is assigned its argmax class; the predicted class is the one whose
-//!   assigned neurons fired most on average. Works best when training is
-//!   long enough for neurons to become class-pure.
-//! * [`Decoder::RateTemplate`] (default) — correlates the test sample's
-//!   output spike-count vector against each class's mean rate template.
-//!   This uses exactly the same assignment statistics but tolerates the
-//!   class-mixed neurons that short unsupervised training produces, which
-//!   matters for laptop-scale reproductions (the paper trains on 3×60k
-//!   samples; see DESIGN.md).
+//! * with rate templates (an assignment built from responses) it
+//!   correlates the spike-count vector against each class's mean rate
+//!   template ([`Assignment::predict_template`]). This uses exactly the
+//!   same assignment statistics but tolerates the class-mixed neurons that
+//!   short unsupervised training produces, which matters for laptop-scale
+//!   reproductions (the paper trains on 3×60k samples);
+//! * without them (an assignment built from explicit labels) it takes the
+//!   classical Diehl & Cook mean vote ([`Assignment::predict_mean_vote`]):
+//!   each neuron is assigned its argmax class, and the predicted class is
+//!   the one whose assigned neurons fired most on average.
 //!
-//! Both decoders read only the compute engine's *output spike counts*; in
-//! the paper's accelerator the class readout happens off the compute
-//! engine, so the choice of decoder is orthogonal to the soft-error
-//! mitigation being studied.
+//! Both read only the compute engine's *output spike counts*; in the
+//! paper's accelerator the class readout happens off the compute engine,
+//! so the decoding is orthogonal to the soft-error mitigation being
+//! studied.
 
 use crate::error::SnnError;
-
-/// Which spike-count decoder [`Assignment::predict`] uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Decoder {
-    /// Correlate the spike-count vector with per-class rate templates.
-    #[default]
-    RateTemplate,
-    /// Classical assigned-neuron mean-rate vote (Diehl & Cook).
-    MeanVote,
-}
 
 /// A mapping from excitatory neurons to class labels.
 ///
@@ -62,15 +53,14 @@ pub struct Assignment {
     /// precomputed for the same reason (class-invariant across
     /// predictions). Empty when no templates were recorded.
     template_devs: Vec<f64>,
-    decoder: Decoder,
 }
 
 impl Assignment {
     /// Builds an assignment from explicit per-neuron labels.
     ///
     /// `None` marks a neuron that never responded during assignment and
-    /// does not vote. Without response statistics only the
-    /// [`Decoder::MeanVote`] decoder is available.
+    /// does not vote. Without response statistics [`Assignment::predict`]
+    /// takes the mean vote.
     ///
     /// # Errors
     ///
@@ -93,7 +83,6 @@ impl Assignment {
             templates: None,
             template_means: Vec::new(),
             template_devs: Vec::new(),
-            decoder: Decoder::MeanVote,
         })
     }
 
@@ -208,7 +197,6 @@ impl Assignment {
         assignment.templates = Some(templates);
         assignment.template_means = template_means;
         assignment.template_devs = template_devs;
-        assignment.decoder = Decoder::RateTemplate;
         Ok(assignment)
     }
 
@@ -250,18 +238,6 @@ impl Assignment {
         self.labels.iter().filter(|l| l.is_some()).count() as f64 / self.labels.len() as f64
     }
 
-    /// The decoder [`Assignment::predict`] uses.
-    pub fn decoder(&self) -> Decoder {
-        self.decoder
-    }
-
-    /// Overrides the decoder. Selecting [`Decoder::RateTemplate`] on an
-    /// assignment built without response statistics falls back to
-    /// [`Decoder::MeanVote`] at prediction time.
-    pub fn set_decoder(&mut self, decoder: Decoder) {
-        self.decoder = decoder;
-    }
-
     /// The per-class rate template over neurons, if response statistics
     /// were recorded (`templates()[j]` = mean spikes of neuron `j` per
     /// sample of `class`).
@@ -275,8 +251,9 @@ impl Assignment {
     }
 
     /// Predicts the class for one sample from per-neuron output spike
-    /// counts using the configured [`Decoder`]. Returns `None` if no
-    /// decision can be made (e.g. the network stayed silent).
+    /// counts: rate-template matching when response statistics were
+    /// recorded, the mean vote otherwise. Returns `None` if no decision can
+    /// be made (e.g. the network stayed silent).
     ///
     /// # Panics
     ///
@@ -287,9 +264,10 @@ impl Assignment {
             self.labels.len(),
             "spike count vector must cover every neuron"
         );
-        match (self.decoder, &self.templates) {
-            (Decoder::RateTemplate, Some(_)) => self.predict_template(spike_counts),
-            _ => self.predict_mean_vote(spike_counts),
+        if self.templates.is_some() {
+            self.predict_template(spike_counts)
+        } else {
+            self.predict_mean_vote(spike_counts)
         }
     }
 
@@ -465,7 +443,7 @@ mod tests {
     fn responses_enable_template_decoder() {
         let responses = vec![vec![10, 0], vec![0, 10], vec![5, 5]];
         let a = Assignment::from_responses(&responses, &[10, 10]).unwrap();
-        assert_eq!(a.decoder(), Decoder::RateTemplate);
+        assert!(a.template(0).is_some());
         // Sample that looks like class 0: neuron 0 fires, neuron 1 silent.
         assert_eq!(a.predict(&[8, 0, 3]), Some(0));
         // Sample that looks like class 1.
@@ -477,14 +455,6 @@ mod tests {
         let responses = vec![vec![10, 0], vec![0, 10]];
         let a = Assignment::from_responses(&responses, &[10, 10]).unwrap();
         assert_eq!(a.predict(&[0, 0]), None); // zero-variance counts
-    }
-
-    #[test]
-    fn decoder_can_be_switched_to_mean_vote() {
-        let responses = vec![vec![10, 0], vec![0, 10]];
-        let mut a = Assignment::from_responses(&responses, &[10, 10]).unwrap();
-        a.set_decoder(Decoder::MeanVote);
-        assert_eq!(a.predict(&[3, 1]), Some(0));
     }
 
     #[test]

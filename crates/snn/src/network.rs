@@ -25,7 +25,7 @@
 //!
 //! The two are spike-for-spike *and* weight-for-weight (bit-for-bit)
 //! identical; `crates/snn/tests/proptest_trainer_equivalence.rs` proves
-//! it across plastic/frozen × PostOnly/PrePost × normalization on/off.
+//! it across plastic/frozen × normalization on/off.
 //! Any future change to the fast path must keep those properties green.
 //!
 //! [`apply_post_spike_stdp`]: Network::step
@@ -36,7 +36,7 @@ use crate::homeostasis::Homeostasis;
 use crate::neuron::{LifParams, LifState};
 use crate::rng::Rng;
 use crate::spike::SpikeTrain;
-use crate::stdp::{post_only_new_weight, StdpRule, Traces};
+use crate::stdp::{post_only_new_weight, Traces};
 use rand::Rng as _;
 
 /// The fully connected SNN of the paper's Fig. 1(a): `n_inputs` channels →
@@ -261,25 +261,6 @@ impl Network {
         self.post_traces.decay_step_sparse();
         self.pre_traces.on_spikes(active_inputs);
 
-        // 2b. PrePost rule: depression at pre-synaptic spikes. Row-major
-        //     rows are contiguous here; the write invalidates the
-        //     transposed view and the maintained column sums (element-wise
-        //     updates cannot keep the sums bit-identical to a fresh
-        //     input-order re-summation, so normalize re-sums).
-        if self.plastic && self.cfg.stdp.rule == StdpRule::PrePost {
-            let eta = self.cfg.stdp.eta_pre;
-            if eta > 0.0 && !active_inputs.is_empty() {
-                for &i in active_inputs {
-                    let i = i as usize;
-                    let row = &mut self.weights[i * n..(i + 1) * n];
-                    for (w, &x_post) in row.iter_mut().zip(self.post_traces.values()) {
-                        *w = (*w - eta * x_post * *w).max(0.0);
-                    }
-                }
-                self.invalidate_weight_caches();
-            }
-        }
-
         // 3. Neuron updates: integrate + leak everyone, collect threshold
         //    crossers, then decide who actually fires.
         let v_leak = self.params.v_leak;
@@ -388,20 +369,6 @@ impl Network {
         self.post_traces.decay_step();
         self.pre_traces.on_spikes(active_inputs);
 
-        // 2b. PrePost rule: depression at pre-synaptic spikes.
-        if self.plastic && self.cfg.stdp.rule == StdpRule::PrePost {
-            let eta = self.cfg.stdp.eta_pre;
-            if eta > 0.0 {
-                for &i in active_inputs {
-                    let i = i as usize;
-                    let row = &mut self.weights[i * n..(i + 1) * n];
-                    for (w, &x_post) in row.iter_mut().zip(self.post_traces.values()) {
-                        *w = (*w - eta * x_post * *w).max(0.0);
-                    }
-                }
-            }
-        }
-
         // 3. Neuron updates: integrate + leak everyone, collect threshold
         //    crossers, then decide who actually fires.
         let mut crossers: Vec<u32> = Vec::new();
@@ -475,58 +442,26 @@ impl Network {
     fn apply_post_spike_stdp(&mut self, j: usize) {
         let n = self.cfg.n_neurons;
         let w_max = self.cfg.w_max;
-        match self.cfg.stdp.rule {
-            StdpRule::PostOnly => {
-                let cfg = self.cfg.stdp;
-                for (i, &x_pre) in self.pre_traces.values().iter().enumerate() {
-                    let w = &mut self.weights[i * n + j];
-                    *w = post_only_new_weight(&cfg, w_max, x_pre, *w);
-                }
-            }
-            StdpRule::PrePost => {
-                let eta = self.cfg.stdp.eta_post;
-                for (i, &x_pre) in self.pre_traces.values().iter().enumerate() {
-                    let w = &mut self.weights[i * n + j];
-                    *w = (*w + eta * x_pre * (w_max - *w)).min(w_max);
-                }
-            }
+        let cfg = self.cfg.stdp;
+        for (i, &x_pre) in self.pre_traces.values().iter().enumerate() {
+            let w = &mut self.weights[i * n + j];
+            *w = post_only_new_weight(&cfg, w_max, x_pre, *w);
         }
     }
 
-    /// Fast post-spike STDP. Under `PostOnly` (the paper's rule) it reads
-    /// neuron `j`'s incoming weights through the transposed view
-    /// (contiguous; refreshed lazily on the first update after a
-    /// whole-matrix write, so the repeated winners that single-winner
-    /// training produces pay the strided gather once), scattering the new
-    /// column back into the row-major store. Under `PrePost` the
-    /// per-pre-spike depression invalidates the view nearly every step,
-    /// so the column cache would only add traffic — that rule takes the
-    /// direct strided walk instead. Both arms maintain the column's
-    /// incoming-weight sum, accumulated in input order so it stays
-    /// bit-identical to a fresh re-summation.
+    /// Fast post-spike STDP. Reads neuron `j`'s incoming weights through
+    /// the transposed view (contiguous; refreshed lazily on the first
+    /// update after a whole-matrix write, so the repeated winners that
+    /// single-winner training produces pay the strided gather once),
+    /// scattering the new column back into the row-major store. It
+    /// maintains the column's incoming-weight sum, accumulated in input
+    /// order so it stays bit-identical to a fresh re-summation.
     fn apply_post_spike_stdp_fast(&mut self, j: usize) {
         let n = self.cfg.n_neurons;
         let m = self.cfg.n_inputs;
         let w_max = self.cfg.w_max;
         let stdp = self.cfg.stdp;
         let mut sum = 0.0_f32;
-        if stdp.rule == StdpRule::PrePost {
-            let eta = stdp.eta_post;
-            let Network {
-                weights,
-                pre_traces,
-                ..
-            } = self;
-            for (i, &x_pre) in pre_traces.values().iter().enumerate() {
-                let w = &mut weights[i * n + j];
-                *w = (*w + eta * x_pre * (w_max - *w)).min(w_max);
-                sum += *w;
-            }
-            if self.sums_valid {
-                self.col_sums[j] = sum;
-            }
-            return;
-        }
         if self.col_epoch[j] != self.epoch {
             let Network {
                 weights, weights_t, ..
@@ -651,7 +586,7 @@ impl Network {
     /// training loops can do the same.
     ///
     /// This is the layout-aware fast path: when the maintained per-neuron
-    /// sums are valid (PostOnly training between normalizes keeps them
+    /// sums are valid (training between normalizes keeps them
     /// bit-exact) the `O(m·n)` summation pass is skipped entirely, and the
     /// scale pass walks the row-major weights contiguously with a
     /// per-column scale table instead of striding column by column.

@@ -1,51 +1,31 @@
-//! Trace-based, weight-dependent STDP learning rules.
+//! Trace-based, weight-dependent STDP learning rule.
 //!
-//! Two rules are provided:
-//!
-//! * [`StdpRule::PostOnly`] (default) — the Diehl-&-Cook-style rule used by
-//!   the unsupervised-MNIST literature the paper builds on: all weight
-//!   updates happen at *post*-synaptic spike times, potentiating synapses
-//!   whose pre-synaptic trace is high and depressing the rest. Soft bounds
-//!   keep every weight in `[0, w_max]`, which is exactly the property the
-//!   paper exploits ("the employed STDP learning limits the weights in a
-//!   certain range of positive values", Sec. 3.1 footnote).
-//! * [`StdpRule::PrePost`] — a classical pair rule with potentiation at
-//!   post spikes and depression at pre spikes, for ablations.
+//! The rule is the Diehl-&-Cook-style one used by the unsupervised-MNIST
+//! literature the paper builds on: all weight updates happen at
+//! *post*-synaptic spike times, potentiating synapses whose pre-synaptic
+//! trace is high and depressing the rest. Soft bounds keep every weight in
+//! `[0, w_max]`, which is exactly the property the paper exploits ("the
+//! employed STDP learning limits the weights in a certain range of
+//! positive values", Sec. 3.1 footnote).
 
 use crate::error::SnnError;
-
-/// Which STDP update rule to apply.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum StdpRule {
-    /// Updates only at post-synaptic spikes: `Δw = η (x_pre − x_offset)`,
-    /// soft-bounded (potentiation scaled by `w_max − w`, depression by `w`).
-    #[default]
-    PostOnly,
-    /// Pair rule: potentiation at post spikes (`η_post · x_pre · (w_max−w)`),
-    /// depression at pre spikes (`η_pre · x_post · w`).
-    PrePost,
-}
 
 /// Configuration of the STDP learning rule.
 ///
 /// # Examples
 ///
 /// ```
-/// use snn_sim::stdp::{StdpConfig, StdpRule};
+/// use snn_sim::stdp::StdpConfig;
 ///
-/// let cfg = StdpConfig { rule: StdpRule::PrePost, ..StdpConfig::default() };
+/// let cfg = StdpConfig { eta_post: 0.05, ..StdpConfig::default() };
 /// assert!(cfg.validate().is_ok());
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StdpConfig {
-    /// Which update rule to apply.
-    pub rule: StdpRule,
     /// Learning rate for potentiation (at post spikes).
     pub eta_post: f32,
-    /// Learning rate for depression at pre spikes (PrePost rule only).
-    pub eta_pre: f32,
     /// Target pre-trace offset: inputs whose trace is below this get
-    /// depressed at post spikes (PostOnly rule only).
+    /// depressed at post spikes.
     pub x_offset: f32,
     /// Multiplicative per-step decay of the pre/post traces.
     pub trace_decay: f32,
@@ -56,9 +36,7 @@ pub struct StdpConfig {
 impl Default for StdpConfig {
     fn default() -> Self {
         Self {
-            rule: StdpRule::PostOnly,
             eta_post: 0.1,
-            eta_pre: 1e-4,
             x_offset: 0.35,
             trace_decay: 0.9,
             trace_max: 1.0,
@@ -82,9 +60,6 @@ impl StdpConfig {
         }
         if self.eta_post < 0.0 {
             return Err(bad("stdp.eta_post", "must be non-negative"));
-        }
-        if self.eta_pre < 0.0 {
-            return Err(bad("stdp.eta_pre", "must be non-negative"));
         }
         if !(0.0..=1.0).contains(&self.trace_decay) {
             return Err(bad("stdp.trace_decay", "must be in [0, 1]"));
@@ -217,7 +192,7 @@ impl Traces {
 }
 
 /// Computes the new weight for one synapse after a post-synaptic spike
-/// under the `PostOnly` rule.
+/// (the only STDP rule).
 ///
 /// The weight moves by `η (x_pre − x_offset)`, scaled by `(w_max − w)` when
 /// potentiating and by `w` when depressing, which keeps `w ∈ [0, w_max]`
@@ -244,7 +219,7 @@ pub fn post_only_new_weight(cfg: &StdpConfig, w_max: f32, x_pre: f32, w: f32) ->
     (w + dw).clamp(0.0, w_max)
 }
 
-/// Applies the `PostOnly` update in place over a contiguous weight slice
+/// Applies the post-spike update in place over a contiguous weight slice
 /// (one weight per pre-synaptic channel).
 ///
 /// # Panics

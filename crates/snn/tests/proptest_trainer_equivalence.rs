@@ -4,9 +4,9 @@
 //! `normalize_weights` datapath must be spike-for-spike AND
 //! weight-for-weight (bit-for-bit) identical to the retained reference
 //! formulation (`step_reference` / `run_sample_reference` /
-//! `normalize_weights_reference`) across random networks, both STDP
-//! rules (PostOnly and PrePost), plastic and frozen modes, with and
-//! without divisive weight normalization, and ragged train lengths —
+//! `normalize_weights_reference`) across random networks, plastic and
+//! frozen modes, with and without divisive weight normalization, and
+//! ragged train lengths —
 //! the same obligation the engine equivalence suite
 //! (`crates/snn-hw/tests/proptest_engine_equivalence.rs`) places on the
 //! hardware model. Any future trainer optimization must keep these
@@ -20,15 +20,14 @@ use snn_sim::encoding::PoissonEncoder;
 use snn_sim::network::Network;
 use snn_sim::rng::seeded_rng;
 use snn_sim::spike::SpikeTrain;
-use snn_sim::stdp::{StdpConfig, StdpRule};
+use snn_sim::stdp::StdpConfig;
 
-/// Builds a random-but-valid config covering both STDP rules,
-/// normalization on/off, and the single-winner tie-break on/off.
+/// Builds a random-but-valid config covering normalization on/off and
+/// the single-winner tie-break on/off.
 #[allow(clippy::too_many_arguments)]
 fn make_cfg(
     n_inputs: usize,
     n_neurons: usize,
-    rule_prepost: bool,
     norm_on: bool,
     single_winner: bool,
     v_inh: f32,
@@ -52,13 +51,7 @@ fn make_cfg(
         .single_winner_training(single_winner)
         .w_init((0.1, 0.5))
         .stdp(StdpConfig {
-            rule: if rule_prepost {
-                StdpRule::PrePost
-            } else {
-                StdpRule::PostOnly
-            },
             eta_post: 0.2,
-            eta_pre: 0.01,
             x_offset: 0.3,
             trace_decay,
             trace_max: 1.0,
@@ -137,7 +130,6 @@ proptest! {
         train_seed in any::<u64>(),
         n_inputs in 4_usize..20,
         n_neurons in 2_usize..9,
-        rule_prepost in any::<bool>(),
         norm_on in any::<bool>(),
         single_winner in any::<bool>(),
         plastic in any::<bool>(),
@@ -147,7 +139,7 @@ proptest! {
         density in 0.1_f64..0.9,
     ) {
         let cfg = make_cfg(
-            n_inputs, n_neurons, rule_prepost, norm_on, single_winner,
+            n_inputs, n_neurons, norm_on, single_winner,
             v_inh, t_refrac, trace_decay, 3,
         );
         let (mut fast, mut slow) = twin_networks(&cfg, net_seed);
@@ -174,14 +166,13 @@ proptest! {
         train_seed in any::<u64>(),
         n_inputs in 4_usize..20,
         n_neurons in 2_usize..9,
-        rule_prepost in any::<bool>(),
         single_winner in any::<bool>(),
         plastic in any::<bool>(),
         n_steps in 0_usize..35,
         rest_steps in 0_u32..8,
     ) {
         let cfg = make_cfg(
-            n_inputs, n_neurons, rule_prepost, true, single_winner,
+            n_inputs, n_neurons, true, single_winner,
             2.0, 2, 0.9, rest_steps,
         );
         let (mut fast, mut slow) = twin_networks(&cfg, net_seed);
@@ -213,12 +204,11 @@ proptest! {
         train_seed in any::<u64>(),
         n_inputs in 4_usize..16,
         n_neurons in 2_usize..7,
-        rule_prepost in any::<bool>(),
         norm_on in any::<bool>(),
         n_samples in 1_usize..6,
     ) {
         let cfg = make_cfg(
-            n_inputs, n_neurons, rule_prepost, norm_on, true, 2.0, 2, 0.9, 3,
+            n_inputs, n_neurons, norm_on, true, 2.0, 2, 0.9, 3,
         );
         let (mut fast, mut slow) = twin_networks(&cfg, net_seed);
         // Ragged lengths: sample s runs 5..25 steps.
@@ -250,10 +240,9 @@ proptest! {
         train_seed in any::<u64>(),
         n_inputs in 4_usize..14,
         n_neurons in 2_usize..6,
-        rule_prepost in any::<bool>(),
         mix in prop::collection::vec(any::<bool>(), 1..20),
     ) {
-        let cfg = make_cfg(n_inputs, n_neurons, rule_prepost, true, true, 2.0, 1, 0.9, 2);
+        let cfg = make_cfg(n_inputs, n_neurons, true, true, 2.0, 1, 0.9, 2);
         let (mut mixed, mut slow) = twin_networks(&cfg, net_seed);
         let train = random_train(n_inputs, mix.len(), train_seed, 0.5);
         for (s, &use_fast) in mix.iter().enumerate() {
@@ -303,7 +292,7 @@ proptest! {
 fn full_pipeline_matches_handrolled_reference_loop() {
     use snn_sim::trainer::{train_unsupervised, TrainOptions};
 
-    let cfg = make_cfg(12, 5, false, true, true, 2.0, 2, 0.9, 4);
+    let cfg = make_cfg(12, 5, true, true, 2.0, 2, 0.9, 4);
     let images: Vec<Vec<f32>> = (0..6)
         .map(|k| {
             (0..12)

@@ -20,7 +20,6 @@
 
 use crate::bounding::BnpVariant;
 use snn_hw::components::{enhancement, Component, EngineEnhancement};
-use snn_hw::engine::WeightReadPath;
 
 /// Check bits for a single-error-correcting, double-error-detecting code
 /// over an 8-bit word (Hamming(12,8) + overall parity).
@@ -62,88 +61,6 @@ pub fn dmr_enhancement(retry_fraction: f64) -> EngineEnhancement {
         executions,
         ..EngineEnhancement::none()
     }
-}
-
-/// An idealized ECC read path: under the paper's one-flip-per-cell fault
-/// model, every weight read is corrected back to its clean value.
-///
-/// The corrected value must come from somewhere: this model keeps a copy
-/// of the clean code image (what the check bits encode).
-#[derive(Debug, Clone)]
-pub struct EccRead {
-    clean_codes: Vec<u8>,
-    cols: usize,
-    /// Reads are positional; the engine read path is code-only, so the
-    /// ECC model is exposed through [`EccRead::read_at`] instead and
-    /// falls back to pass-through for the trait.
-    cursor_note: (),
-}
-
-impl EccRead {
-    /// Captures the clean code image of an engine (row-major).
-    pub fn new(clean_codes: Vec<u8>, cols: usize) -> Self {
-        Self {
-            clean_codes,
-            cols,
-            cursor_note: (),
-        }
-    }
-
-    /// The corrected code at a crossbar position.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the position is out of range.
-    pub fn read_at(&self, row: usize, col: usize) -> u8 {
-        self.clean_codes[row * self.cols + col]
-    }
-
-    /// Number of columns in the protected crossbar.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-}
-
-impl WeightReadPath for EccRead {
-    fn read(&self, code: u8) -> u8 {
-        // Positional correction is not expressible through the code-only
-        // trait; single-bit errors are corrected at the storage level in
-        // `correct_crossbar`. Pass through here.
-        let _ = &self.cursor_note;
-        code
-    }
-}
-
-/// Applies SEC-DED correction to a whole crossbar in place: every
-/// register whose content differs from the clean image by exactly one
-/// bit is corrected (the SEC capability); multi-bit corruption — which
-/// the one-flip-per-cell transient model does not produce, but permanent
-/// faults could — is left in place (and would be flagged by DED).
-///
-/// Returns `(corrected, uncorrectable)` counts.
-pub fn correct_crossbar(
-    crossbar: &mut snn_hw::crossbar::Crossbar,
-    clean_codes: &[u8],
-) -> (usize, usize) {
-    let mut corrected = 0;
-    let mut uncorrectable = 0;
-    let cols = crossbar.cols();
-    for row in 0..crossbar.rows() {
-        for col in 0..cols {
-            let current = crossbar.read(row, col);
-            let clean = clean_codes[row * cols + col];
-            let diff = (current ^ clean).count_ones();
-            match diff {
-                0 => {}
-                1 => {
-                    crossbar.write(row, col, clean);
-                    corrected += 1;
-                }
-                _ => uncorrectable += 1,
-            }
-        }
-    }
-    (corrected, uncorrectable)
 }
 
 /// Compares the conventional baselines against BnP on the cost models.
@@ -194,32 +111,6 @@ pub fn comparison_table(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use snn_hw::crossbar::Crossbar;
-
-    #[test]
-    fn ecc_corrects_all_single_bit_flips() {
-        let clean: Vec<u8> = (0..32).collect();
-        let mut xbar = Crossbar::from_codes(4, 8, &clean).unwrap();
-        // Flip one bit in several registers (the transient fault model).
-        xbar.flip_bit(0, 0, 7).unwrap();
-        xbar.flip_bit(1, 3, 2).unwrap();
-        xbar.flip_bit(3, 7, 0).unwrap();
-        let (corrected, uncorrectable) = correct_crossbar(&mut xbar, &clean);
-        assert_eq!(corrected, 3);
-        assert_eq!(uncorrectable, 0);
-        assert_eq!(xbar.codes(), clean);
-    }
-
-    #[test]
-    fn ecc_flags_double_flips_as_uncorrectable() {
-        let clean = vec![0_u8; 4];
-        let mut xbar = Crossbar::from_codes(2, 2, &clean).unwrap();
-        xbar.flip_bit(0, 0, 1).unwrap();
-        xbar.flip_bit(0, 0, 5).unwrap(); // second strike on the same cell
-        let (corrected, uncorrectable) = correct_crossbar(&mut xbar, &clean);
-        assert_eq!(corrected, 0);
-        assert_eq!(uncorrectable, 1);
-    }
 
     #[test]
     fn ecc_costs_more_area_than_bnp() {
@@ -253,14 +144,5 @@ mod tests {
             .find(|(n, ..)| n.starts_with("Re-execution"))
             .unwrap();
         assert!(re.1 > dmr.1, "TMR costs more than DMR");
-    }
-
-    #[test]
-    fn ecc_read_positional_returns_clean() {
-        let ecc = EccRead::new(vec![1, 2, 3, 4], 2);
-        assert_eq!(ecc.read_at(1, 0), 3);
-        assert_eq!(ecc.cols(), 2);
-        use snn_hw::engine::WeightReadPath as _;
-        assert_eq!(ecc.read(200), 200, "trait path is pass-through");
     }
 }

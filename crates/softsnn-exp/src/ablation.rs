@@ -1,5 +1,4 @@
-//! Ablation studies of the SoftSNN design choices called out in
-//! `DESIGN.md`:
+//! Ablation studies of the SoftSNN design choices:
 //!
 //! * **monitor window** — the paper picks ≥2 consecutive hot cycles; how
 //!   do 1/2/4/8 behave? (1 risks false positives on legitimately fast
@@ -11,7 +10,7 @@
 //! * **re-execution vote width** — 1 (no redundancy) / 2 (DMR-style) / 3
 //!   (the paper's TMR) / 5.
 
-use crate::artifact::Json;
+use crate::artifact::{write_json, Json};
 use crate::profile::Profile;
 use crate::table::{fmt_f, Table};
 use crate::workbench::{point_seed, prepare_with_backend, Bench, BASE_SEED};
@@ -23,6 +22,8 @@ use softsnn_core::bounding::{BnpVariant, BoundingConfig};
 use softsnn_core::methodology::EngineBackendKind;
 use softsnn_core::methodology::FaultScenario;
 use softsnn_core::mitigation::Technique;
+use std::error::Error;
+use std::path::Path;
 
 /// The fault rate ablations run at (high enough for clear signal).
 pub const ABLATION_RATE: f64 = 0.05;
@@ -252,6 +253,21 @@ pub fn to_json(results: &AblationResults) -> Json {
         ("threshold", sweep(&results.threshold)),
         ("votes", sweep(&results.votes)),
     ])
+}
+
+/// Writes the ablation files under `out`: one CSV per sweep
+/// (`ablation_window.csv`, `ablation_threshold.csv`,
+/// `ablation_votes.csv`) and `ablation.json`.
+///
+/// # Errors
+///
+/// Returns the first I/O error.
+pub fn write_artifacts(results: &AblationResults, out: &Path) -> Result<(), Box<dyn Error>> {
+    sweep_table(&results.window).write_csv(out.join("ablation_window.csv"))?;
+    sweep_table(&results.threshold).write_csv(out.join("ablation_threshold.csv"))?;
+    sweep_table(&results.votes).write_csv(out.join("ablation_votes.csv"))?;
+    write_json(out.join("ablation.json"), &to_json(results))?;
+    Ok(())
 }
 
 #[cfg(test)]

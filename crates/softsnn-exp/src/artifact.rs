@@ -10,6 +10,7 @@
 pub use snn_faults::codec::{Json, JsonCodec, JsonError};
 
 use snn_faults::grid::Aggregate;
+use snn_faults::service::{write_atomic, ServiceError};
 use std::path::Path;
 
 /// One aggregated grid cell as a JSON object — the shared shape every
@@ -28,19 +29,14 @@ pub fn cell_json(cell: &Aggregate) -> Json {
     ])
 }
 
-/// Writes `json` (plus a trailing newline) to `path`, creating parent
-/// directories as needed.
+/// Writes `json` (plus a trailing newline) to `path` through
+/// [`write_atomic`], so a crash mid-write never leaves a torn file.
 ///
 /// # Errors
 ///
-/// Returns any I/O error from creating or writing the file.
-pub fn write_json<P: AsRef<Path>>(path: P, json: &Json) -> std::io::Result<()> {
-    if let Some(parent) = path.as_ref().parent() {
-        std::fs::create_dir_all(parent)?;
-    }
-    let mut content = json.render();
-    content.push('\n');
-    std::fs::write(path, content)
+/// Returns [`ServiceError::Io`] from creating or writing the file.
+pub fn write_json<P: AsRef<Path>>(path: P, json: &Json) -> Result<(), ServiceError> {
+    write_atomic(path.as_ref(), &json.render())
 }
 
 #[cfg(test)]
@@ -142,6 +138,9 @@ mod tests {
         let path = dir.join("nested").join("x.json");
         write_json(&path, &Json::arr([1.0_f64])).unwrap();
         assert_eq!(std::fs::read_to_string(&path).unwrap(), "[1]\n");
+        // The tmp file the write went through was renamed into place.
+        let entries = std::fs::read_dir(dir.join("nested")).unwrap().count();
+        assert_eq!(entries, 1, "no tmp file left beside x.json");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

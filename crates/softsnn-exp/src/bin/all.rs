@@ -4,7 +4,6 @@
 //! Usage: `all [--profile smoke|quick|default|full] [--out DIR]`
 
 use snn_data::workload::Workload;
-use softsnn_exp::artifact::write_json;
 use softsnn_exp::profile::CliArgs;
 use softsnn_exp::{ablation, fig10, fig13, fig14, fig3, fig9};
 
@@ -24,37 +23,27 @@ fn main() {
         let f14 = fig14::run();
         let (lat, energy, area) = fig14::panel_tables(&f14);
         println!("{}\n{}\n{}", lat.render(), energy.render(), area.render());
-        lat.write_csv(out.join("fig14a_latency.csv"))?;
-        energy.write_csv(out.join("fig14b_energy.csv"))?;
-        area.write_csv(out.join("fig14c_area.csv"))?;
-        write_json(out.join("fig14.json"), &fig14::to_json(&f14))?;
+        fig14::write_artifacts(&f14, out)?;
 
         let f3 = fig3::run_with_backend(args.profile, args.backend)?;
         let t3a = fig3::accuracy_table(&f3);
         let t3b = fig3::overhead_table(&f3);
         println!("{}\n{}", t3a.render(), t3b.render());
-        t3a.write_csv(out.join("fig3a_accuracy.csv"))?;
-        t3b.write_csv(out.join("fig3b_overheads.csv"))?;
+        fig3::write_artifacts(&f3, out)?;
 
         let f9 = fig9::run_with_backend(args.profile, args.backend)?;
-        let t9 = fig9::summary_table(&f9);
-        println!("{}", t9.render());
-        t9.write_csv(out.join("fig9_summary.csv"))?;
-        fig9::histogram_table(&f9).write_csv(out.join("fig9_histograms.csv"))?;
+        println!("{}", fig9::summary_table(&f9).render());
+        fig9::write_artifacts(&f9, out)?;
 
         let f10 = fig10::run_with_backend(args.profile, args.backend)?;
         let t10a = fig10::per_op_table(&f10);
         let t10b = fig10::combined_table(&f10);
         println!("{}\n{}", t10a.render(), t10b.render());
-        t10a.write_csv(out.join("fig10a_neuron_ops.csv"))?;
-        t10b.write_csv(out.join("fig10b_compute_engine.csv"))?;
-        write_json(out.join("fig10.json"), &fig10::to_json(&f10))?;
+        fig10::write_artifacts(&f10, out)?;
 
         let f13 = fig13::run_with_backend(args.profile, &Workload::ALL, args.backend)?;
         for &w in &Workload::ALL {
-            let t = fig13::accuracy_table(&f13, w);
-            println!("{}", t.render());
-            t.write_csv(out.join(format!("fig13_{}.csv", w.name())))?;
+            println!("{}", fig13::accuracy_table(&f13, w).render());
         }
         println!("headline (rate 0.1): re-execution vs best BnP");
         for (workload, n, re, bnp) in fig13::headline_margins(&f13) {
@@ -63,16 +52,13 @@ fn main() {
                 re - bnp
             );
         }
-        write_json(out.join("fig13.json"), &fig13::to_json(&f13))?;
+        fig13::write_artifacts(&f13, out)?;
 
         let ab = ablation::run_with_backend(args.profile, args.backend)?;
         for sweep in [&ab.window, &ab.threshold, &ab.votes] {
             println!("{}", ablation::sweep_table(sweep).render());
         }
-        ablation::sweep_table(&ab.window).write_csv(out.join("ablation_window.csv"))?;
-        ablation::sweep_table(&ab.threshold).write_csv(out.join("ablation_threshold.csv"))?;
-        ablation::sweep_table(&ab.votes).write_csv(out.join("ablation_votes.csv"))?;
-        write_json(out.join("ablation.json"), &ablation::to_json(&ab))?;
+        ablation::write_artifacts(&ab, out)?;
         Ok(())
     };
     if let Err(e) = run() {

@@ -26,14 +26,7 @@ fn main() {
     println!("clean accuracy: {:.1}%", results.clean_accuracy_pct);
     println!("{}", per_op.render());
     println!("{}", combined.render());
-    let out = std::path::Path::new(&args.out_dir);
-    if let Err(e) = per_op
-        .write_csv(out.join("fig10a_neuron_ops.csv"))
-        .and_then(|()| combined.write_csv(out.join("fig10b_compute_engine.csv")))
-        .and_then(|()| {
-            softsnn_exp::artifact::write_json(out.join("fig10.json"), &fig10::to_json(&results))
-        })
-    {
+    if let Err(e) = fig10::write_artifacts(&results, std::path::Path::new(&args.out_dir)) {
         eprintln!("failed to write artifacts: {e}");
         std::process::exit(1);
     }

@@ -41,15 +41,8 @@ fn main() {
     for (workload, n, clean) in &results.clean {
         println!("clean accuracy {workload} N{n}: {clean:.1}%");
     }
-    let out = std::path::Path::new(&args.out_dir);
     for &workload in &workloads {
-        let table = fig13::accuracy_table(&results, workload);
-        println!("{}", table.render());
-        let file = out.join(format!("fig13_{}.csv", workload.name()));
-        if let Err(e) = table.write_csv(&file) {
-            eprintln!("failed to write {}: {e}", file.display());
-            std::process::exit(1);
-        }
+        println!("{}", fig13::accuracy_table(&results, workload).render());
     }
     println!("headline (rate 0.1): re-execution vs best BnP");
     for (workload, n, re, bnp) in fig13::headline_margins(&results) {
@@ -58,10 +51,8 @@ fn main() {
             re - bnp
         );
     }
-    if let Err(e) =
-        softsnn_exp::artifact::write_json(out.join("fig13.json"), &fig13::to_json(&results))
-    {
-        eprintln!("failed to write fig13.json: {e}");
+    if let Err(e) = fig13::write_artifacts(&results, std::path::Path::new(&args.out_dir)) {
+        eprintln!("failed to write artifacts: {e}");
         std::process::exit(1);
     }
     eprintln!("[fig13] wrote CSVs and fig13.json under {}", args.out_dir);

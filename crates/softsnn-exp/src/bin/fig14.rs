@@ -19,35 +19,9 @@ fn main() {
     println!("{}", lat.render());
     println!("{}", energy.render());
     println!("{}", area.render());
-    let conventional = fig14::conventional_table();
-    println!("{}", conventional.render());
-    if let Err(e) = conventional
-        .write_csv(std::path::Path::new(&args.out_dir).join("extension_conventional.csv"))
-    {
-        eprintln!("failed to write conventional CSV: {e}");
-        std::process::exit(1);
-    }
-    let out = std::path::Path::new(&args.out_dir);
-    if let Err(e) = lat
-        .write_csv(out.join("fig14a_latency.csv"))
-        .and_then(|()| energy.write_csv(out.join("fig14b_energy.csv")))
-        .and_then(|()| area.write_csv(out.join("fig14c_area.csv")))
-        .and_then(|()| {
-            softsnn_exp::artifact::write_json(out.join("fig14.json"), &fig14::to_json(&results))
-        })
-    {
+    println!("{}", fig14::conventional_table().render());
+    if let Err(e) = fig14::write_artifacts(&results, std::path::Path::new(&args.out_dir)) {
         eprintln!("failed to write artifacts: {e}");
-        std::process::exit(1);
-    }
-    // Synthesis-style reports (the Genus .txt stand-ins).
-    let mut all_reports = String::new();
-    for report in fig14::synthesis_reports() {
-        all_reports.push_str(&report.to_string());
-        all_reports.push('\n');
-    }
-    let report_path = out.join("synthesis_reports.txt");
-    if let Err(e) = std::fs::write(&report_path, all_reports) {
-        eprintln!("failed to write {}: {e}", report_path.display());
         std::process::exit(1);
     }
     eprintln!(

@@ -26,11 +26,7 @@ fn main() {
     let over = fig3::overhead_table(&results);
     println!("{}", acc.render());
     println!("{}", over.render());
-    let out = std::path::Path::new(&args.out_dir);
-    if let Err(e) = acc
-        .write_csv(out.join("fig3a_accuracy.csv"))
-        .and_then(|()| over.write_csv(out.join("fig3b_overheads.csv")))
-    {
+    if let Err(e) = fig3::write_artifacts(&results, std::path::Path::new(&args.out_dir)) {
         eprintln!("failed to write CSVs: {e}");
         std::process::exit(1);
     }

@@ -25,11 +25,7 @@ fn main() {
     let summary = fig9::summary_table(&results);
     println!("{}", summary.render());
     println!("{}", hist.render());
-    let out = std::path::Path::new(&args.out_dir);
-    if let Err(e) = hist
-        .write_csv(out.join("fig9_histograms.csv"))
-        .and_then(|()| summary.write_csv(out.join("fig9_summary.csv")))
-    {
+    if let Err(e) = fig9::write_artifacts(&results, std::path::Path::new(&args.out_dir)) {
         eprintln!("failed to write CSVs: {e}");
         std::process::exit(1);
     }

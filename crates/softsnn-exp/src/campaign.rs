@@ -29,7 +29,9 @@ use std::path::PathBuf;
 use snn_data::workload::Workload;
 use snn_faults::codec::{Json, JsonCodec, JsonError};
 use snn_faults::grid::GridResults;
-use snn_faults::service::{CampaignService, JobHandle, RunOptions, RunOutcome, ServiceError};
+use snn_faults::service::{
+    write_atomic, CampaignService, JobHandle, RunOptions, RunOutcome, ServiceError,
+};
 use softsnn_core::methodology::EngineBackendKind;
 
 use crate::fig13::{self, Fig13Results};
@@ -152,7 +154,7 @@ pub fn submit_job(
             }
         }
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-            std::fs::write(&config_path, config.to_json().render() + "\n")?;
+            write_atomic(&config_path, &config.to_json().render())?;
         }
         Err(e) => return Err(Box::new(e)),
     }

@@ -7,7 +7,7 @@
 //! (b) accuracy when both weight registers and neuron operations are
 //! struck, rates 10⁻⁴…10⁻¹.
 
-use crate::artifact::Json;
+use crate::artifact::{write_json, Json};
 use crate::profile::Profile;
 use crate::table::{fmt_f, fmt_rate, Table};
 use crate::workbench::{prepare_with_backend, Bench, BASE_SEED};
@@ -19,6 +19,8 @@ use snn_hw::neuron_unit::NeuronOp;
 use softsnn_core::methodology::EngineBackendKind;
 use softsnn_core::methodology::FaultScenario;
 use softsnn_core::mitigation::Technique;
+use std::error::Error;
+use std::path::Path;
 
 /// One accuracy point of Fig. 10.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -238,6 +240,19 @@ pub fn to_json(results: &Fig10Results) -> Json {
             Json::Arr(results.combined.iter().map(point).collect()),
         ),
     ])
+}
+
+/// Writes Fig. 10's files under `out`: `fig10a_neuron_ops.csv`,
+/// `fig10b_compute_engine.csv` and `fig10.json`.
+///
+/// # Errors
+///
+/// Returns the first I/O error.
+pub fn write_artifacts(results: &Fig10Results, out: &Path) -> Result<(), Box<dyn Error>> {
+    per_op_table(results).write_csv(out.join("fig10a_neuron_ops.csv"))?;
+    combined_table(results).write_csv(out.join("fig10b_compute_engine.csv"))?;
+    write_json(out.join("fig10.json"), &to_json(results))?;
+    Ok(())
 }
 
 #[cfg(test)]

@@ -2,7 +2,7 @@
 //! No-Mitigation vs Re-execution vs BnP1/2/3 across network sizes,
 //! fault rates, and workloads.
 
-use crate::artifact::Json;
+use crate::artifact::{write_json, Json};
 use crate::profile::Profile;
 use crate::table::{fmt_f, fmt_rate, Table};
 use crate::workbench::{prepare_with_backend, Bench, BASE_SEED};
@@ -13,6 +13,8 @@ use snn_faults::rate::PAPER_RATES;
 use softsnn_core::methodology::EngineBackendKind;
 use softsnn_core::methodology::FaultScenario;
 use softsnn_core::mitigation::Technique;
+use std::error::Error;
+use std::path::Path;
 
 /// One aggregated accuracy cell of Fig. 13.
 #[derive(Debug, Clone, PartialEq)]
@@ -346,6 +348,23 @@ pub fn to_json(results: &Fig13Results) -> Json {
             ),
         ),
     ])
+}
+
+/// Writes Fig. 13's files under `out`: one `fig13_<workload>.csv` per
+/// workload the results cover, and `fig13.json`.
+///
+/// # Errors
+///
+/// Returns the first I/O error.
+pub fn write_artifacts(results: &Fig13Results, out: &Path) -> Result<(), Box<dyn Error>> {
+    let mut workloads: Vec<Workload> = results.clean.iter().map(|&(w, ..)| w).collect();
+    workloads.dedup();
+    for workload in workloads {
+        accuracy_table(results, workload)
+            .write_csv(out.join(format!("fig13_{}.csv", workload.name())))?;
+    }
+    write_json(out.join("fig13.json"), &to_json(results))?;
+    Ok(())
 }
 
 #[cfg(test)]

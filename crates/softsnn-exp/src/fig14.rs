@@ -1,7 +1,7 @@
 //! Fig. 14 — latency, energy, and area across techniques and network
 //! sizes (paper Sec. 5.2), plus synthesis-style reports.
 
-use crate::artifact::Json;
+use crate::artifact::{write_json, Json};
 use crate::table::{fmt_f, Table};
 use snn_faults::grid::GridSpec;
 use snn_hw::components::EngineEnhancement;
@@ -10,6 +10,8 @@ use snn_hw::params::EngineConfig;
 use snn_hw::report::SynthesisReport;
 use softsnn_core::mitigation::Technique;
 use softsnn_core::overhead::{normalize_grid, overhead_for, OverheadRow, PAPER_SIZES};
+use std::error::Error;
+use std::path::Path;
 
 /// Simulation timesteps per inference (the deployment default).
 pub const TIMESTEPS: u32 = 100;
@@ -164,6 +166,30 @@ pub fn to_json(results: &Fig14Results) -> Json {
             ),
         ),
     ])
+}
+
+/// Writes Fig. 14's files under `out`: the three panel CSVs
+/// (`fig14a_latency.csv`, `fig14b_energy.csv`, `fig14c_area.csv`),
+/// `fig14.json`, the conventional-baseline extension
+/// (`extension_conventional.csv`) and the synthesis-style reports
+/// (`synthesis_reports.txt`).
+///
+/// # Errors
+///
+/// Returns the first I/O error.
+pub fn write_artifacts(results: &Fig14Results, out: &Path) -> Result<(), Box<dyn Error>> {
+    let (lat, energy, area) = panel_tables(results);
+    lat.write_csv(out.join("fig14a_latency.csv"))?;
+    energy.write_csv(out.join("fig14b_energy.csv"))?;
+    area.write_csv(out.join("fig14c_area.csv"))?;
+    write_json(out.join("fig14.json"), &to_json(results))?;
+    conventional_table().write_csv(out.join("extension_conventional.csv"))?;
+    let reports: String = synthesis_reports()
+        .iter()
+        .map(|report| format!("{report}\n"))
+        .collect();
+    std::fs::write(out.join("synthesis_reports.txt"), reports)?;
+    Ok(())
 }
 
 #[cfg(test)]

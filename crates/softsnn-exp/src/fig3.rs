@@ -18,6 +18,8 @@ use softsnn_core::methodology::EngineBackendKind;
 use softsnn_core::methodology::FaultScenario;
 use softsnn_core::mitigation::Technique;
 use softsnn_core::overhead::overhead_for;
+use std::error::Error;
+use std::path::Path;
 
 /// One accuracy point of Fig. 3(a).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -144,6 +146,18 @@ pub fn overhead_table(results: &Fig3Results) -> Table {
         fmt_f(results.reexec_energy_ratio, 2),
     ]);
     t
+}
+
+/// Writes Fig. 3's files under `out`: `fig3a_accuracy.csv` and
+/// `fig3b_overheads.csv`.
+///
+/// # Errors
+///
+/// Returns the first I/O error.
+pub fn write_artifacts(results: &Fig3Results, out: &Path) -> Result<(), Box<dyn Error>> {
+    accuracy_table(results).write_csv(out.join("fig3a_accuracy.csv"))?;
+    overhead_table(results).write_csv(out.join("fig3b_overheads.csv"))?;
+    Ok(())
 }
 
 #[cfg(test)]

@@ -16,6 +16,8 @@ use snn_hw::engine::NoGuard;
 use snn_sim::metrics::Histogram;
 use softsnn_core::analysis::WeightAnalysis;
 use softsnn_core::methodology::EngineBackendKind;
+use std::error::Error;
+use std::path::Path;
 
 /// The histogrammed weight distributions of Fig. 9.
 #[derive(Debug, Clone, PartialEq)]
@@ -131,6 +133,18 @@ pub fn summary_table(results: &Fig9Results) -> Table {
         fmt_f(results.out_of_range_fraction * 100.0, 2),
     ]);
     t
+}
+
+/// Writes Fig. 9's files under `out`: `fig9_histograms.csv` and
+/// `fig9_summary.csv`.
+///
+/// # Errors
+///
+/// Returns the first I/O error.
+pub fn write_artifacts(results: &Fig9Results, out: &Path) -> Result<(), Box<dyn Error>> {
+    histogram_table(results).write_csv(out.join("fig9_histograms.csv"))?;
+    summary_table(results).write_csv(out.join("fig9_summary.csv"))?;
+    Ok(())
 }
 
 #[cfg(test)]

@@ -17,8 +17,7 @@
 //!
 //! Experiments default to laptop-scale sample counts ([`profile::Profile`])
 //! — pass `--profile full` for paper-scale runs. Everything is
-//! deterministic from seeds; see `EXPERIMENTS.md` for measured-vs-paper
-//! numbers.
+//! deterministic from seeds.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

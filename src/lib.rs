@@ -54,9 +54,8 @@
 //! # }
 //! ```
 //!
-//! See `README.md` for the architecture overview, `DESIGN.md` for the
-//! system inventory and substitutions, and `EXPERIMENTS.md` for
-//! paper-vs-measured results of every figure.
+//! See `README.md` for the architecture overview and the map from the
+//! paper's figures to the binaries that regenerate them.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

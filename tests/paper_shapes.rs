@@ -1,7 +1,6 @@
 //! Assertions that the reproduction matches the paper's published
 //! numbers/shapes wherever they are deterministic (the hardware cost
-//! models of Figs. 3b and 14) — the quantitative contract of
-//! EXPERIMENTS.md.
+//! models of Figs. 3b and 14).
 
 use softsnn::core::mitigation::Technique;
 use softsnn::core::overhead::{fig14_grid, normalize_grid, PAPER_SIZES};
