@@ -466,8 +466,12 @@ impl<'a> Parser<'a> {
             }
             p.pos > before
         };
+        let int_start = self.pos;
         if !digits(self) {
             return Err(self.err("expected digits"));
+        }
+        if self.bytes[int_start] == b'0' && self.pos - int_start > 1 {
+            return Err(self.err("leading zero in number"));
         }
         if self.peek() == Some(b'.') {
             self.pos += 1;
@@ -609,6 +613,26 @@ mod tests {
         assert_eq!(j.str_field("c").unwrap(), "x");
         assert_eq!(j.field("d").unwrap().as_bool(), Some(true));
         assert_eq!(j.field("e").unwrap(), &Json::Null);
+    }
+
+    /// JSON's integer part is `0` or starts with a non-zero digit.
+    #[test]
+    fn numbers_with_leading_zeros_are_rejected() {
+        for bad in ["01", "-007.5", "[00]", "00", "-00", "012e3", "{\"a\":05}"] {
+            let err = Json::parse(bad).unwrap_err();
+            assert!(err.to_string().contains("leading zero"), "{bad}: {err}");
+        }
+        for (good, v) in [
+            ("0", 0.0),
+            ("-0", -0.0),
+            ("0.5", 0.5),
+            ("0e3", 0.0),
+            ("10", 10.0),
+        ] {
+            let got = Json::parse(good).unwrap().as_f64().unwrap();
+            assert_eq!(got.to_bits(), f64::to_bits(v), "{good}");
+        }
+        assert_eq!(Json::parse("[0,0.05]").unwrap(), Json::arr([0.0, 0.05]));
     }
 
     #[test]

@@ -12,7 +12,9 @@
 //! The engine has one datapath — the trial-group lane pass below — and
 //! every optimized entry point runs through it; a single sample
 //! ([`ComputeEngine::run_sample_into`]) is its one-lane case. It is
-//! built to be allocation-free in steady state and autovectorizable:
+//! built to be allocation-free in steady state, and its two inner loops
+//! — the accumulate and the neuron phase — vectorize for the baseline
+//! x86-64 target:
 //!
 //! * a read path is its 256-entry table, resolved once per call
 //!   ([`ResolvedPath`]) instead of a per-element closure call: the
@@ -20,10 +22,16 @@
 //!   other accumulates from one transformed-crossbar image keyed on
 //!   (table, mutation epoch), so every read path runs at direct-add
 //!   speed;
+//! * the drive of a cycle is one row-blocked, lane-explicit accumulate
+//!   ([`crate::kernels::write_rows_blocked`]);
 //! * neuron state lives in structure-of-arrays lanes
 //!   ([`crate::neuron_lanes::NeuronLanes`]): a branch-free fused
 //!   integrate→leak→compare kernel covers the fault-free common case,
-//!   with faulty neurons replayed in a sparse patch pass;
+//!   with faulty neurons replayed in a sparse patch pass. The fused pass
+//!   and lateral inhibition run per-word slice helpers, because only
+//!   `noalias` slice parameters let LLVM vectorize them; the
+//!   [`crate::neuron_lanes`] module docs say why and how to check the
+//!   linked binary for it;
 //! * comparator, spike, and fired results are `u64` bitmask words, so
 //!   spike guards observe a whole cycle at once
 //!   ([`SpikeGuard::observe_cycle`]) instead of one call per neuron, and

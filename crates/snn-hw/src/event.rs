@@ -14,10 +14,10 @@
 //!   guard-state evolution is cycle-for-cycle identical to dense), and
 //!   the next processed cycle first flushes the lag through
 //!   [`NeuronLanes::advance_silent`](crate::neuron_lanes::NeuronLanes::advance_silent) — refractory countdown plus a
-//!   `k`-step leak collapsed to one subtraction via a precomputed
-//!   cumulative [`LeakTable`]. The collapse is bit-identical to `k`
-//!   sequential floored leak steps (`max(v − k·d, 0)` = `k` folds of
-//!   `max(v − d, 0)` for `d ≥ 0`), proptest-pinned.
+//!   `k`-step leak collapsed to one `k · v_leak` subtraction per neuron.
+//!   The collapse is bit-identical to `k` sequential floored leak steps
+//!   (`max(v − k·d, 0)` = `k` folds of `max(v − d, 0)` for `d ≥ 0`),
+//!   proptest-pinned.
 //! * **Shared processed-cycle kernels.** The sample loop owns its state:
 //!   one [`NeuronLanes`] set up at rest per sample from the wrapped
 //!   engine's units, its own drive buffer, and the very kernels of the
@@ -66,47 +66,6 @@ use crate::neuron_lanes::{n_words, NeuronLanes};
 use crate::neuron_unit::OpFaults;
 use snn_sim::spike::SpikeTrain;
 
-/// Cumulative floored-leak lookup: `total(k) = k · v_leak` as `i64`,
-/// precomputed so a lazy-leak flush of `k` silent cycles is one table
-/// read and one subtraction per neuron instead of `k` sequential steps.
-///
-/// The table grows on demand ([`ensure`](Self::ensure)); reads beyond
-/// the materialized prefix fall back to the closed-form product, so
-/// [`total`](Self::total) is total in both senses.
-#[derive(Debug, Clone)]
-pub struct LeakTable {
-    v_leak: i32,
-    /// `cum[k] = k · v_leak`; `cum[0] = 0`.
-    cum: Vec<i64>,
-}
-
-impl LeakTable {
-    /// A table for a per-step leak of `v_leak` code units.
-    pub fn new(v_leak: i32) -> Self {
-        Self {
-            v_leak,
-            cum: vec![0],
-        }
-    }
-
-    /// Materializes entries up to `k` steps.
-    pub fn ensure(&mut self, k: u32) {
-        while self.cum.len() <= k as usize {
-            let last = *self.cum.last().expect("table starts with cum[0]");
-            self.cum.push(last + i64::from(self.v_leak));
-        }
-    }
-
-    /// Total leak over `k` steps (`k · v_leak`), from the table when
-    /// materialized, closed-form otherwise.
-    pub fn total(&self, k: u32) -> i64 {
-        match self.cum.get(k as usize) {
-            Some(&t) => t,
-            None => i64::from(self.v_leak) * i64::from(k),
-        }
-    }
-}
-
 /// One compiled delayed synapse of an input row: target column, weight
 /// after the resolved read-path transform, delay in cycles (`≥ 1`).
 type DelayedSynapse = (u32, u8, u16);
@@ -120,8 +79,6 @@ type DelayedSynapse = (u32, u8, u16);
 #[derive(Debug, Clone)]
 pub struct EventEngine {
     inner: ComputeEngine,
-    /// Lazy-leak lookup for silent-gap flushes.
-    leak: LeakTable,
     /// Whether silent-cycle skipping is sound for this parameterization:
     /// requires non-negative leak (membranes never drift *up* while
     /// silent), strictly positive thresholds (a rested lane cannot sit at
@@ -187,7 +144,6 @@ impl EventEngine {
         };
         let cells = inner.n_inputs() * inner.n_neurons();
         Self {
-            leak: LeakTable::new(hw.v_leak),
             lazy_ok,
             delays: vec![0; cells],
             max_delay: 0,
@@ -481,8 +437,7 @@ impl EventEngine {
                 continue;
             }
             if lag > 0 {
-                self.leak.ensure(lag);
-                self.lane.advance_silent(lag, &self.leak);
+                self.lane.advance_silent(lag, hw.v_leak);
                 lag = 0;
             }
             if delayed {

@@ -70,7 +70,7 @@ pub use backend::{AnyBackend, EngineBackend, EngineBackendKind};
 pub use crossbar::Crossbar;
 pub use engine::{ComputeEngine, DirectRead, NoGuard, ResolvedPath, SpikeGuard, WeightReadPath};
 pub use error::HwError;
-pub use event::{EventEngine, LeakTable};
+pub use event::EventEngine;
 pub use mapping::Tiling;
 pub use neuron_lanes::NeuronLanes;
 pub use neuron_unit::{NeuronOp, NeuronUnit, OpFaults};

@@ -19,12 +19,43 @@
 //!
 //! [`NeuronLanes::step_fused`] advances all neurons with a branch-free
 //! integrate→leak→compare→reset kernel assuming the fault-free common
-//! case (selects instead of branches, so the loop autovectorizes), then
-//! re-runs the handful of faulty neurons through the exact
+//! case, then re-runs the handful of faulty neurons through the exact
 //! [`NeuronUnit::step`] semantics in a sparse patch pass, overwriting
 //! their lanes and comparator/spike bits. Comparator and spike results
 //! are produced as `u64` bitmask words — the currency of the batched
 //! [`crate::engine::SpikeGuard::observe_cycle`] protocol.
+//!
+//! # Vectorized bodies
+//!
+//! The fused pass, lateral inhibition
+//! ([`NeuronLanes::inhibit_non_fired`]) and the silent-cycle replay
+//! ([`NeuronLanes::advance_silent`]) each run one private helper per
+//! 64-neuron word. A helper takes the word's state as separate slices,
+//! not through `&mut self`: slice parameters are `noalias`, which is what
+//! lets LLVM prove the membrane and refractory buffers disjoint. Every
+//! input is re-sliced to the membrane length (no bounds checks), the body
+//! uses selects only, and bits cross the word boundary as 0/1 bytes —
+//! comparator bytes are gathered eight per multiply, fired and fault
+//! bits are spread the same way — instead of a per-neuron variable shift.
+//! The integer operations and their order are those of the scalar
+//! formulation, so results are bit-identical to [`NeuronUnit`] (the
+//! `lanes_match_units_step_by_step_on_edge_ranges` lockstep property
+//! pins it neuron by neuron, saturating edges included). Nothing in the
+//! neuron phase allocates.
+//!
+//! The three loops vectorize for the baseline x86-64 target (SSE2, no
+//! `target-cpu` flag). The workspace builds release with `lto = "thin"`,
+//! so a per-crate `--emit asm` shows pre-link code in which the loop
+//! vectorizer has not run yet; check the linked binary instead:
+//!
+//! ```text
+//! cargo build --release
+//! objdump -d --no-show-raw-insn -C target/release/fig13 \
+//!     | awk '/<snn_hw::neuron_lanes::NeuronLanes::step_fused>:/,/^$/' | grep -c xmm
+//! ```
+//!
+//! A count of zero means the fused pass fell back to scalar code (likewise
+//! for `inhibit_non_fired` and `advance_silent`).
 //!
 //! Lanes only ever read the architectural view: [`NeuronLanes::configure`]
 //! imports the units' fault flags into lanes at rest at the start of a
@@ -49,7 +80,110 @@ use crate::neuron_unit::{NeuronHwParams, NeuronOp, NeuronUnit, OpFaults};
 /// Number of `u64` bitmask words covering `n` neurons.
 #[inline]
 pub fn n_words(n: usize) -> usize {
-    n.div_ceil(64)
+    n.div_ceil(WORD)
+}
+
+/// Neurons per bitmask word, and per slice the word helpers below take.
+const WORD: usize = 64;
+
+/// Packs 0/1 bytes into a bitmask word, byte `b` to bit `b`. Each group
+/// of eight bytes is gathered by one multiply: byte `i`'s bit lands on
+/// bit `56 + i` of the product, and no two partial products share a bit,
+/// so nothing carries.
+#[inline(always)]
+fn pack_bytes(bytes: &[u8; WORD]) -> u64 {
+    let mut word = 0;
+    for i in 0..WORD / 8 {
+        let eight = u64::from_le_bytes(std::array::from_fn(|k| bytes[8 * i + k]));
+        word |= (eight.wrapping_mul(0x0102_0408_1020_4080) >> 56) << (8 * i);
+    }
+    word
+}
+
+/// Spreads a bitmask word into 0/1 bytes, bit `b` to byte `b` (the
+/// inverse of [`pack_bytes`]): each group of eight bits is copied into
+/// every byte, byte `i` keeps bit `i`, and adding `0x7f` moves any set
+/// bit to the byte's top bit.
+#[inline(always)]
+fn spread_word(word: u64) -> [u8; WORD] {
+    let mut bytes = [0; WORD];
+    for i in 0..WORD / 8 {
+        let eight = (word >> (8 * i)) & 0xff;
+        let picked = eight.wrapping_mul(0x0101_0101_0101_0101) & 0x8040_2010_0804_0201;
+        let flags = ((picked + 0x7f7f_7f7f_7f7f_7f7f) >> 7) & 0x0101_0101_0101_0101;
+        bytes[8 * i..8 * i + 8].copy_from_slice(&flags.to_le_bytes());
+    }
+    bytes
+}
+
+// The neuron phase's loop bodies, one word each (see the module docs'
+// *Vectorized bodies* for why they take slices).
+
+/// The fault-free fused integrate → leak → compare → reset pass over one
+/// word; returns its comparator bits (bit `j` for neuron `j` of the word).
+#[inline(always)]
+fn fused_word(
+    vmem: &mut [i32],
+    refrac: &mut [u32],
+    acc: &[i32],
+    v_thresh: &[i32],
+    params: &NeuronHwParams,
+) -> u64 {
+    let m = vmem.len();
+    let (refrac, acc, v_thresh) = (&mut refrac[..m], &acc[..m], &v_thresh[..m]);
+    let (v_leak, v_reset, t_refrac) = (params.v_leak, params.v_reset, params.t_refrac);
+    let mut hot = [0_u8; WORD];
+    let hot_m = &mut hot[..m];
+    for j in 0..m {
+        let r = refrac[j];
+        let active = r == 0;
+        let v = (vmem[j].saturating_add(acc[j]) - v_leak).max(0);
+        let fire = active & (v >= v_thresh[j]);
+        vmem[j] = if fire {
+            v_reset
+        } else if active {
+            v
+        } else {
+            vmem[j]
+        };
+        refrac[j] = if fire { t_refrac } else { r.saturating_sub(1) };
+        hot_m[j] = u8::from(fire);
+    }
+    pack_bytes(&hot)
+}
+
+/// Lateral inhibition over one word: every neuron whose `fired` bit is
+/// clear and that is not refractory drops by `total_inh`, floored at 0.
+#[inline(always)]
+fn inhibit_word(vmem: &mut [i32], refrac: &[u32], fired: u64, total_inh: i32) {
+    let m = vmem.len();
+    let refrac = &refrac[..m];
+    let fired = spread_word(fired);
+    let fired = &fired[..m];
+    for j in 0..m {
+        let held = (fired[j] != 0) | (refrac[j] != 0);
+        let v = (vmem[j] - total_inh).max(0);
+        vmem[j] = if held { vmem[j] } else { v };
+    }
+}
+
+/// `k` drive-free cycles over one word (see
+/// [`NeuronLanes::advance_silent`]); `held` has bit `j` set for the
+/// leak-faulty neurons.
+#[inline(always)]
+fn silent_word(vmem: &mut [i32], refrac: &mut [u32], held: u64, k: u32, v_leak: i32) {
+    let m = vmem.len();
+    let refrac = &mut refrac[..m];
+    let held = spread_word(held);
+    let held = &held[..m];
+    for j in 0..m {
+        let r = refrac[j].min(k);
+        refrac[j] -= r;
+        let k_leak = k - r;
+        let v = i64::from(vmem[j]) - i64::from(v_leak) * i64::from(k_leak);
+        let keep = (k_leak == 0) | (held[j] != 0);
+        vmem[j] = if keep { vmem[j] } else { v.max(0) as i32 };
+    }
 }
 
 /// One plane of per-operation fault bitmasks plus the sparse faulty-index
@@ -275,36 +409,11 @@ impl NeuronLanes {
         // Branch-free fused pass, assuming the fault-free case.
         let chunks = self
             .vmem
-            .chunks_mut(64)
-            .zip(self.refrac.chunks_mut(64))
-            .zip(acc.chunks(64).zip(v_thresh.chunks(64)));
+            .chunks_mut(WORD)
+            .zip(self.refrac.chunks_mut(WORD))
+            .zip(acc.chunks(WORD).zip(v_thresh.chunks(WORD)));
         for (wi, ((vm_c, rf_c), (acc_c, th_c))) in chunks.enumerate() {
-            let mut cmp_w = 0_u64;
-            let lanes = vm_c
-                .iter_mut()
-                .zip(rf_c.iter_mut())
-                .zip(acc_c.iter().zip(th_c.iter()));
-            for (b, ((vm, rf), (&drive, &thresh))) in lanes.enumerate() {
-                let r = *rf;
-                let active = r == 0;
-                let v = ((*vm).saturating_add(drive) - params.v_leak).max(0);
-                let hot = active && v >= thresh;
-                *vm = if active {
-                    if hot {
-                        params.v_reset
-                    } else {
-                        v
-                    }
-                } else {
-                    *vm
-                };
-                *rf = if hot {
-                    params.t_refrac
-                } else {
-                    r.saturating_sub(1)
-                };
-                cmp_w |= (hot as u64) << b;
-            }
+            let cmp_w = fused_word(vm_c, rf_c, acc_c, th_c, params);
             cmp_words[wi] = cmp_w;
             spike_words[wi] = cmp_w;
         }
@@ -337,14 +446,9 @@ impl NeuronLanes {
     /// Panics if `fired_words` differs from [`words`](Self::words).
     pub fn inhibit_non_fired(&mut self, fired_words: &[u64], total_inh: i32) {
         assert_eq!(fired_words.len(), self.words(), "fired word width");
-        let chunks = self.vmem.chunks_mut(64).zip(self.refrac.chunks(64));
-        for (wi, (vm_c, rf_c)) in chunks.enumerate() {
-            let fired = fired_words[wi];
-            for (b, (vm, &r)) in vm_c.iter_mut().zip(rf_c.iter()).enumerate() {
-                let held = (fired >> b) & 1 != 0 || r != 0;
-                let v = (*vm - total_inh).max(0);
-                *vm = if held { *vm } else { v };
-            }
+        let chunks = self.vmem.chunks_mut(WORD).zip(self.refrac.chunks(WORD));
+        for ((vm_c, rf_c), &fired) in chunks.zip(fired_words) {
+            inhibit_word(vm_c, rf_c, fired, total_inh);
         }
     }
 
@@ -364,34 +468,21 @@ impl NeuronLanes {
     /// Advances every lane `k` drive-free timesteps in one pass: each
     /// neuron first burns `r = min(refrac, k)` cycles of refractory
     /// countdown (membrane held, exactly as the fused kernel holds it),
-    /// then applies `k − r` floored leak steps collapsed to a single
-    /// subtraction via the precomputed cumulative
-    /// [`LeakTable`](crate::event::LeakTable) — `max(v − k·d, 0)` equals
-    /// `k` sequential `max(v − d, 0)` folds for any `d ≥ 0`, which the
-    /// lazy-leak proptest pins against sequential [`step_fused`](Self::step_fused) cycles.
+    /// then applies `k − r` floored leak steps of `v_leak` collapsed to
+    /// one subtraction — `max(v − k·d, 0)` equals `k` sequential
+    /// `max(v − d, 0)` folds for any `d ≥ 0`, which the lazy-leak proptest
+    /// pins against sequential [`step_fused`](Self::step_fused) cycles.
     /// Leak-faulty (`vl`) lanes hold their membrane, mirroring
     /// [`NeuronUnit::step`]'s faulty path with zero drive.
     ///
     /// Callers guarantee the skipped cycles were genuinely silent (no
-    /// drive, no comparator activity); under that contract no spike,
-    /// reset, or inhibition could have occurred, so state advance is all
-    /// there is to replay.
-    pub fn advance_silent(&mut self, k: u32, leak: &crate::event::LeakTable) {
-        if k == 0 {
-            return;
-        }
-        for j in 0..self.n {
-            let r = self.refrac[j].min(k);
-            self.refrac[j] -= r;
-            let k_leak = k - r;
-            if k_leak == 0 {
-                continue;
-            }
-            if self.masks.vl_words[j >> 6] >> (j & 63) & 1 != 0 {
-                continue;
-            }
-            let v = i64::from(self.vmem[j]) - leak.total(k_leak);
-            self.vmem[j] = v.max(0) as i32;
+    /// drive, no comparator activity) and `v_leak ≥ 0`; under that
+    /// contract no spike, reset, or inhibition could have occurred, so
+    /// state advance is all there is to replay.
+    pub fn advance_silent(&mut self, k: u32, v_leak: i32) {
+        let chunks = self.vmem.chunks_mut(WORD).zip(self.refrac.chunks_mut(WORD));
+        for ((vm_c, rf_c), &vl) in chunks.zip(&self.masks.vl_words) {
+            silent_word(vm_c, rf_c, vl, k, v_leak);
         }
     }
 }
@@ -400,6 +491,9 @@ impl NeuronLanes {
 mod tests {
     use super::*;
     use crate::neuron_unit::NeuronOp;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng as _, SeedableRng};
 
     fn params() -> NeuronHwParams {
         NeuronHwParams {
@@ -641,6 +735,100 @@ mod tests {
     fn overlay_out_of_range_neuron_panics() {
         let units = vec![NeuronUnit::new(); 4];
         NeuronLanes::new(0).configure(&units, &[(9, NeuronOp::VmemReset)]);
+    }
+
+    /// A value from `lo..=hi`, or (one draw in four) within 64 of `hi`:
+    /// membranes, drives and thresholds near `i32::MAX` exercise the
+    /// saturating add.
+    fn near_top(rng: &mut StdRng, lo: i32, hi: i32) -> i32 {
+        if rng.gen_bool(0.25) {
+            rng.gen_range(hi - 64..=hi)
+        } else {
+            rng.gen_range(lo..=hi)
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// `step_fused` and `inhibit_non_fired` against `NeuronUnit::step`
+        /// and `NeuronUnit::inhibit`, neuron by neuron and every step, over
+        /// ragged widths (partial 64-neuron words and 8-neuron tails),
+        /// state near `i32::MAX`, thresholds ≤ 0, `t_refrac = 0`, random op
+        /// faults from the units and from an overlay, and fired words with
+        /// random bits, including non-refractory neurons and bits past `n`.
+        /// Every range keeps `NeuronUnit` itself free of overflow.
+        #[test]
+        fn lanes_match_units_step_by_step_on_edge_ranges(
+            n in 1_usize..=200,
+            t_refrac in 0_u32..=3,
+            v_leak in 0_i32..=40,
+            v_reset in -50_i32..=50,
+            seed in any::<u64>(),
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let params = NeuronHwParams { v_reset, v_leak, t_refrac, v_inh: 0 };
+            let fault_rate = [0.0, 0.05, 0.3][rng.gen_range(0..3_usize)];
+            let mut base = vec![NeuronUnit::new(); n];
+            let mut units = base.clone();
+            let mut overlay = Vec::new();
+            for j in 0..n {
+                for op in NeuronOp::ALL {
+                    if rng.gen_bool(fault_rate) {
+                        units[j].faults.set(op);
+                        if rng.gen_bool(0.5) {
+                            base[j].faults.set(op);
+                        } else {
+                            overlay.push((j as u32, op));
+                        }
+                    }
+                }
+            }
+            let mut lanes = NeuronLanes::new(0);
+            lanes.configure(&base, &overlay);
+            for (j, u) in units.iter_mut().enumerate() {
+                u.vmem = near_top(&mut rng, v_reset.min(0), i32::MAX);
+                u.refrac = rng.gen_range(0..=t_refrac + 1);
+                lanes.vmem[j] = u.vmem;
+                lanes.refrac[j] = u.refrac;
+            }
+            let v_thresh: Vec<i32> = (0..n)
+                .map(|_| match rng.gen_range(0..3_u32) {
+                    0 => rng.gen_range(-100..=0),
+                    1 => rng.gen_range(1..=2_000),
+                    _ => near_top(&mut rng, 1, i32::MAX),
+                })
+                .collect();
+            let words = n_words(n);
+            let (mut cmp, mut spk) = (vec![!0_u64; words], vec![!0_u64; words]);
+            for t in 0..24 {
+                let acc: Vec<i32> = (0..n).map(|_| near_top(&mut rng, -1_000, i32::MAX)).collect();
+                lanes.step_fused(&acc, &v_thresh, &params, &mut cmp, &mut spk);
+                for (j, u) in units.iter_mut().enumerate() {
+                    let out = u.step(i64::from(acc[j]), v_thresh[j], &params);
+                    let (w, b) = (j / 64, j % 64);
+                    prop_assert_eq!((cmp[w] >> b) & 1 != 0, out.cmp_out, "cmp t={} j={}", t, j);
+                    prop_assert_eq!((spk[w] >> b) & 1 != 0, out.spike, "spike t={} j={}", t, j);
+                    prop_assert_eq!(lanes.vmem[j], u.vmem, "vmem t={} j={}", t, j);
+                    prop_assert_eq!(lanes.refrac[j], u.refrac, "refrac t={} j={}", t, j);
+                }
+                if !n.is_multiple_of(64) {
+                    let past_n = !0_u64 << (n % 64);
+                    prop_assert_eq!(cmp[words - 1] & past_n, 0, "cmp bits past n, t={}", t);
+                    prop_assert_eq!(spk[words - 1] & past_n, 0, "spike bits past n, t={}", t);
+                }
+                let fired: Vec<u64> = (0..words).map(|_| rng.gen::<u64>()).collect();
+                let total_inh = rng.gen_range(0..=5_000);
+                lanes.inhibit_non_fired(&fired, total_inh);
+                for (j, u) in units.iter_mut().enumerate() {
+                    if (fired[j / 64] >> (j % 64)) & 1 == 0 {
+                        u.inhibit(total_inh);
+                    }
+                    prop_assert_eq!(lanes.vmem[j], u.vmem, "inhibited vmem t={} j={}", t, j);
+                    prop_assert_eq!(lanes.refrac[j], u.refrac, "inhibited refrac t={} j={}", t, j);
+                }
+            }
+        }
     }
 
     #[test]

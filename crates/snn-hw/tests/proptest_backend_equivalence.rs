@@ -19,7 +19,7 @@ use snn_hw::engine::{
     BatchResult, ComputeEngine, DirectRead, MultiMapResult, NeuronFaultOverlay, NoGuard,
     WeightReadPath,
 };
-use snn_hw::event::{EventEngine, LeakTable};
+use snn_hw::event::EventEngine;
 use snn_hw::neuron_lanes::NeuronLanes;
 use snn_hw::neuron_unit::{NeuronHwParams, NeuronOp, NeuronUnit};
 use snn_sim::config::SnnConfig;
@@ -396,9 +396,7 @@ proptest! {
         }
         let mut sequential = lazy.clone();
 
-        let mut leak = LeakTable::new(v_leak);
-        leak.ensure(k);
-        lazy.advance_silent(k, &leak);
+        lazy.advance_silent(k, v_leak);
 
         let zero_acc = vec![0_i32; n];
         for _ in 0..k {
@@ -406,15 +404,6 @@ proptest! {
             prop_assert!(cmp.iter().all(|&w| w == 0), "comparator fired on a silent step");
         }
         prop_assert_eq!(lazy.vmem(), sequential.vmem(), "lazy leak diverged from sequential");
-    }
-
-    /// `LeakTable::total(k)` is exactly `k · v_leak` both inside the
-    /// precomputed range and past it (the fallback multiply).
-    #[test]
-    fn leak_table_total_matches_closed_form(v_leak in 0_i32..1000, k in 0_u32..500, ensure_to in 0_u32..200) {
-        let mut table = LeakTable::new(v_leak);
-        table.ensure(ensure_to);
-        prop_assert_eq!(table.total(k), i64::from(v_leak) * i64::from(k));
     }
 }
 

@@ -7,7 +7,8 @@
 //! rendered valid `GridSpec`, `Aggregate` and `JobConfig` documents, and
 //! push every value that parses through the three typed decoders. Valid
 //! documents must round-trip exactly: decode(parse(render(x))) == x, with
-//! every `f64` bit-identical.
+//! every `f64` bit-identical; a `0` put before any of their numbers must
+//! fail to parse.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -144,6 +145,29 @@ fn mutate(doc: &[u8], donor: &[u8], rng: &mut StdRng) -> Vec<u8> {
     out
 }
 
+/// Byte offsets of the leading digit of every number in a rendered
+/// (compact) document: outside strings, a number starts right after `[`,
+/// `,` or `:`, and its leading digit follows an optional `-`.
+fn number_digit_offsets(doc: &[u8]) -> Vec<usize> {
+    let mut offsets = Vec::new();
+    let (mut in_string, mut escaped) = (false, false);
+    for (i, &b) in doc.iter().enumerate() {
+        if in_string {
+            match (escaped, b) {
+                (true, _) => escaped = false,
+                (false, b'\\') => escaped = true,
+                (false, b'"') => in_string = false,
+                _ => {}
+            }
+        } else if b == b'"' {
+            in_string = true;
+        } else if (b == b'-' || b.is_ascii_digit()) && i > 0 && b"[,:".contains(&doc[i - 1]) {
+            offsets.push(i + usize::from(b == b'-'));
+        }
+    }
+    offsets
+}
+
 /// Parses `bytes` (lossily decoded: the service reads files as UTF-8
 /// text, so the parser only ever sees valid strings) and, when a value
 /// comes back, checks it re-renders to itself and runs every typed
@@ -201,6 +225,21 @@ proptest! {
         assert_round_trip(&random_spec(&mut rng));
         assert_round_trip(&random_aggregate(&mut rng));
         assert_round_trip(&random_config(&mut rng));
+    }
+
+    /// A `0` put before any number's leading digit is a leading zero,
+    /// which JSON forbids: the document must fail to parse.
+    #[test]
+    fn leading_zero_before_a_rendered_number_fails_to_parse(seed in any::<u64>()) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        for doc in rendered_documents(&mut rng) {
+            let offsets = number_digit_offsets(doc.as_bytes());
+            prop_assert!(!offsets.is_empty(), "every document holds a number: {}", doc);
+            let at = offsets[rng.gen_range(0..offsets.len())];
+            let mut zeroed = doc.clone();
+            zeroed.insert(at, '0');
+            prop_assert!(Json::parse(&zeroed).is_err(), "leading zero accepted: {}", zeroed);
+        }
     }
 
     /// Bit flips, truncations and splices of valid documents parse to a
