@@ -291,9 +291,10 @@ fn bench_engine_accumulate(c: &mut Criterion) {
     // codes) with a realistic Poisson-encoded active-row set. The
     // baseline is the scalar zero-then-add row-at-a-time formulation
     // (the historical `accumulate_cached_rows` shape: one accumulator
-    // pass per row); `chunked_quad` is the engine's one lane-explicit,
-    // four-row-blocked kernel. Both are bit-identical (property-tested);
-    // the ratio is pure formulation cost.
+    // pass per row); `u16_tiles` is the engine's one kernel, which sums
+    // the active rows into `u16` partials per 64-column tile and widens
+    // them once per tile. Both are bit-identical (property-tested); the
+    // ratio is pure formulation cost.
     use snn_hw::kernels::write_rows_blocked;
 
     let (engine, _path, _monitor, trains) = paper_scale_campaign_fixture();
@@ -316,7 +317,7 @@ fn bench_engine_accumulate(c: &mut Criterion) {
             black_box(acc[0])
         });
     });
-    group.bench_function("chunked_quad", |b| {
+    group.bench_function("u16_tiles", |b| {
         b.iter(|| {
             write_rows_blocked(&src, n, &active, &mut acc);
             black_box(acc[0])
@@ -560,13 +561,13 @@ fn emit_derived_metrics(c: &mut Criterion) {
             c.add_metric("weight_multi_map_speedup", per_map / multi);
         }
     }
-    // Kernel headline: the engine's blocked accumulate vs the scalar
+    // Kernel headline: the engine's `u16`-tile accumulate vs the scalar
     // row-at-a-time formulation on the same N400 drive phase.
     let scalar = c.ns_per_iter("engine_accumulate", "scalar_rows");
-    let quad = c.ns_per_iter("engine_accumulate", "chunked_quad");
-    if let (Some(scalar), Some(quad)) = (scalar, quad) {
-        if quad > 0.0 {
-            c.add_metric("accum_speedup", scalar / quad);
+    let tiles = c.ns_per_iter("engine_accumulate", "u16_tiles");
+    if let (Some(scalar), Some(tiles)) = (scalar, tiles) {
+        if tiles > 0.0 {
+            c.add_metric("accum_speedup", scalar / tiles);
         }
     }
     // Sparse-workload headline: the event-driven backend vs the dense

@@ -78,8 +78,19 @@ pub fn read_idx<R: Read>(mut reader: R) -> Result<IdxTensor, DataError> {
         .ok_or_else(|| DataError::ParseIdx {
             detail: format!("dimension product overflows usize: {dims:?}"),
         })?;
-    let mut data = vec![0_u8; total];
-    reader.read_exact(&mut data)?;
+    // The buffer grows with the bytes actually present, so a header that
+    // claims more data than the stream holds fails without allocating
+    // its claim first.
+    let mut data = Vec::new();
+    reader.take(total as u64).read_to_end(&mut data)?;
+    if data.len() != total {
+        return Err(DataError::ParseIdx {
+            detail: format!(
+                "truncated data: dims {dims:?} need {total} bytes, got {}",
+                data.len()
+            ),
+        });
+    }
     Ok(IdxTensor { dims, data })
 }
 
@@ -252,7 +263,24 @@ mod tests {
     fn rejects_truncated_data() {
         let mut buf = sample_images_bytes();
         buf.truncate(buf.len() - 2);
-        assert!(read_idx(Cursor::new(buf)).is_err());
+        assert!(matches!(
+            read_idx(Cursor::new(buf)),
+            Err(DataError::ParseIdx { .. })
+        ));
+    }
+
+    #[test]
+    fn rejects_huge_claim_without_allocating_it() {
+        // Regression: the buffer used to be sized from the header, so a
+        // 12-byte file claiming (2^32 − 1)² bytes panicked with a
+        // capacity overflow before the short read was noticed.
+        let buf = vec![
+            0, 0, 0x08, 2, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF,
+        ];
+        assert!(matches!(
+            read_idx(Cursor::new(buf)),
+            Err(DataError::ParseIdx { .. })
+        ));
     }
 
     #[test]

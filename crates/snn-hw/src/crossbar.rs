@@ -10,7 +10,7 @@
 //! over `u8`, so a register *view* of any cell is a free copy
 //! ([`Crossbar::register`]), while the engine's accumulate hot path
 //! borrows the whole image as one contiguous byte slice
-//! ([`Crossbar::codes_slice`]) and runs it through the lane-explicit
+//! ([`Crossbar::codes_slice`]) and runs it through the accumulate
 //! kernel of [`crate::kernels`].
 
 use crate::error::HwError;

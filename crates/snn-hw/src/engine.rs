@@ -22,8 +22,10 @@
 //!   other accumulates from one transformed-crossbar image keyed on
 //!   (table, mutation epoch), so every read path runs at direct-add
 //!   speed;
-//! * the drive of a cycle is one row-blocked, lane-explicit accumulate
-//!   ([`crate::kernels::write_rows_blocked`]);
+//! * the drive of a cycle is one accumulate over column tiles
+//!   ([`crate::kernels::write_rows_blocked`]): each tile sums the active
+//!   rows into `u16` partials held in registers and widens them into the
+//!   `i32` drives once;
 //! * neuron state lives in structure-of-arrays lanes
 //!   ([`crate::neuron_lanes::NeuronLanes`]): a branch-free fused
 //!   integrate→leak→compare kernel covers the fault-free common case,
@@ -57,8 +59,9 @@
 //! at most [`MAX_LANES`] at a time: the transformed-crossbar image stays
 //! hot across every lane of a timestep, the drive is accumulated once
 //! per distinct active-row set among the chunk's samples (every map lane
-//! of a sample shares it), and the accumulate sums four active rows per
-//! pass ([`crate::kernels::write_rows_blocked`], bit-identical to the
+//! of a sample shares it), and the accumulate sums every active row of a
+//! column tile into `u16` partials before touching the drives
+//! ([`crate::kernels::write_rows_blocked`], bit-identical to the
 //! row-at-a-time sum — see [`crate::kernels`]).
 //!
 //! A map is a [`NeuronFaultOverlay`]: neuron-op sites, which the lane

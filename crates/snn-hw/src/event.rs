@@ -21,7 +21,7 @@
 //! * **Shared processed-cycle kernels.** The sample loop owns its state:
 //!   one [`NeuronLanes`] set up at rest per sample from the wrapped
 //!   engine's units, its own drive buffer, and the very kernels of the
-//!   dense lane pass — the blocked accumulate
+//!   dense lane pass — the tiled accumulate
 //!   ([`kernels::write_rows_blocked`]) over the wrapped engine's resolved
 //!   drive image, and the same crate-private neuron phase every
 //!   trial-group lane runs. On delay-free workloads the two backends are

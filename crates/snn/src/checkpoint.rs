@@ -131,7 +131,13 @@ impl Checkpoint {
         let n_weights = n_inputs
             .checked_mul(n_neurons)
             .ok_or_else(|| bad("dimension overflow"))?;
-        let expected = 14 + 4 * (n_weights + n_neurons);
+        // Checked too: 4 · (weights + neurons) can wrap around to the
+        // input length.
+        let expected = n_weights
+            .checked_add(n_neurons)
+            .and_then(|n| n.checked_mul(4))
+            .and_then(|n| n.checked_add(14))
+            .ok_or_else(|| bad("dimension overflow"))?;
         if bytes.len() != expected {
             return Err(bad(&format!(
                 "expected {expected} bytes for {n_inputs}x{n_neurons}, got {}",
@@ -290,6 +296,22 @@ mod tests {
                 "{len}-byte prefix must be rejected, not panic"
             );
         }
+    }
+
+    #[test]
+    fn rejects_dimensions_whose_payload_size_wraps() {
+        // Regression: 2^31 − 1 inputs × 2^31 neurons fits `usize`, but
+        // 4 · (weights + neurons) wraps to 0, so the 14-byte header alone
+        // matched the expected length and the decoder panicked allocating
+        // the weights.
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(&VERSION.to_le_bytes());
+        bytes.extend_from_slice(&0x7FFF_FFFF_u32.to_le_bytes());
+        bytes.extend_from_slice(&0x8000_0000_u32.to_le_bytes());
+        assert!(matches!(
+            Checkpoint::from_bytes(&bytes),
+            Err(SnnError::InvalidConfig { .. })
+        ));
     }
 
     #[test]
