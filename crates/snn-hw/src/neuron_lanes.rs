@@ -76,6 +76,7 @@
 //! same way.
 
 use crate::neuron_unit::{NeuronHwParams, NeuronOp, NeuronUnit, OpFaults};
+use snn_sim::spike::{pack_bytes, spread_word};
 
 /// Number of `u64` bitmask words covering `n` neurons.
 #[inline]
@@ -85,36 +86,6 @@ pub fn n_words(n: usize) -> usize {
 
 /// Neurons per bitmask word, and per slice the word helpers below take.
 const WORD: usize = 64;
-
-/// Packs 0/1 bytes into a bitmask word, byte `b` to bit `b`. Each group
-/// of eight bytes is gathered by one multiply: byte `i`'s bit lands on
-/// bit `56 + i` of the product, and no two partial products share a bit,
-/// so nothing carries.
-#[inline(always)]
-fn pack_bytes(bytes: &[u8; WORD]) -> u64 {
-    let mut word = 0;
-    for i in 0..WORD / 8 {
-        let eight = u64::from_le_bytes(std::array::from_fn(|k| bytes[8 * i + k]));
-        word |= (eight.wrapping_mul(0x0102_0408_1020_4080) >> 56) << (8 * i);
-    }
-    word
-}
-
-/// Spreads a bitmask word into 0/1 bytes, bit `b` to byte `b` (the
-/// inverse of [`pack_bytes`]): each group of eight bits is copied into
-/// every byte, byte `i` keeps bit `i`, and adding `0x7f` moves any set
-/// bit to the byte's top bit.
-#[inline(always)]
-fn spread_word(word: u64) -> [u8; WORD] {
-    let mut bytes = [0; WORD];
-    for i in 0..WORD / 8 {
-        let eight = (word >> (8 * i)) & 0xff;
-        let picked = eight.wrapping_mul(0x0101_0101_0101_0101) & 0x8040_2010_0804_0201;
-        let flags = ((picked + 0x7f7f_7f7f_7f7f_7f7f) >> 7) & 0x0101_0101_0101_0101;
-        bytes[8 * i..8 * i + 8].copy_from_slice(&flags.to_le_bytes());
-    }
-    bytes
-}
 
 // The neuron phase's loop bodies, one word each (see the module docs'
 // *Vectorized bodies* for why they take slices).

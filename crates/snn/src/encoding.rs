@@ -3,10 +3,24 @@
 //! Each pixel of intensity `p ∈ [0, 1]` becomes an independent Bernoulli
 //! process firing with probability `p * max_rate` per timestep, the standard
 //! rate coding used by the paper's evaluation framework (and by BindsNET).
+//!
+//! # Integer thresholds
+//!
+//! A channel fires at a step when a uniform draw `u` falls below its
+//! probability `p`. The draw is `gen::<f32>()`, which is `k · 2⁻²⁴` with
+//! `k = next_u32() >> 8`: an exact value. Because `p ≤ 1`, `p · 2²⁴` is
+//! exact too (scaling by a power of two only moves the exponent, also for
+//! subnormal `p`). So `u < p` holds exactly when `k < ceil(p · 2²⁴)`, and
+//! the encoder compares integers: once per image it lists the channels
+//! with `p > 0` together with that threshold, and each step draws once per
+//! listed channel, in channel order. Channels with `p ≤ 0` or a NaN `p`
+//! never fire and never draw. The trains and the RNG stream are those of
+//! the float formulation `p > 0.0 && rng.gen::<f32>() < p`, which
+//! `crates/snn/tests/proptest_trainer_equivalence.rs` keeps as its oracle.
 
 use crate::rng::Rng;
 use crate::spike::SpikeTrain;
-use rand::Rng as _;
+use rand::RngCore as _;
 
 /// Poisson (Bernoulli-per-step) rate encoder.
 ///
@@ -58,6 +72,9 @@ impl PoissonEncoder {
     pub fn encode(&self, intensities: &[f32], timesteps: u32, rng: &mut Rng) -> SpikeTrain {
         let mut train = SpikeTrain::new(intensities.len(), timesteps as usize);
         self.encode_into(intensities, timesteps, rng, &mut train);
+        // A fresh train is usually kept (an encoded test set holds one per
+        // sample), so it does not keep the encoder's tables.
+        drop(train.take_encode_scratch());
         train
     }
 
@@ -76,24 +93,64 @@ impl PoissonEncoder {
         out: &mut SpikeTrain,
     ) {
         out.clear_reuse(intensities.len(), timesteps as usize);
-        // The per-channel probability table lives in the train's scratch
-        // between calls, so a reused train allocates nothing at all.
-        let mut probs = out.take_f32_scratch();
-        probs.extend(
-            intensities
-                .iter()
-                .map(|&p| p.clamp(0.0, 1.0) * self.max_rate),
-        );
+        // The per-image tables live in the train between calls, so a
+        // reused train allocates nothing at all.
+        let mut scratch = out.take_encode_scratch();
+        scratch.load(intensities, self.max_rate);
         for _ in 0..timesteps {
+            let hits = scratch.draw(rng);
+            // One push per spike, not `extend_from_slice`: pushes grow a
+            // fresh step buffer to power-of-two capacities. Exact-size
+            // buffers in the kept test sets fragmented the heap across
+            // re-encodes and raised e2ebench `campaign_adaptive`'s
+            // `peak_rss_mb` from 13.8 to 15.5 MB.
             out.push_step_with(|active| {
-                for (i, &p) in probs.iter().enumerate() {
-                    if p > 0.0 && rng.gen::<f32>() < p {
-                        active.push(i as u32);
-                    }
+                for &c in hits {
+                    active.push(c);
                 }
             });
         }
-        out.put_f32_scratch(probs);
+        out.put_encode_scratch(scratch);
+    }
+}
+
+/// The encoder's per-image tables (see the module docs' *Integer
+/// thresholds*).
+#[derive(Debug, Clone, Default)]
+pub(crate) struct EncodeScratch {
+    /// Channels with `p > 0`, ascending.
+    channels: Vec<u32>,
+    /// `ceil(p · 2²⁴)` of each listed channel.
+    thresholds: Vec<u32>,
+    /// One step's spikes: every listed channel is written, and the write
+    /// position advances past the ones that fire.
+    hits: Vec<u32>,
+}
+
+impl EncodeScratch {
+    /// Lists the channels that can fire and their thresholds.
+    fn load(&mut self, intensities: &[f32], max_rate: f32) {
+        self.channels.clear();
+        self.thresholds.clear();
+        for (i, &x) in intensities.iter().enumerate() {
+            let p = x.clamp(0.0, 1.0) * max_rate;
+            if p > 0.0 {
+                self.channels.push(i as u32);
+                self.thresholds.push((p * (1 << 24) as f32).ceil() as u32);
+            }
+        }
+        self.hits.clear();
+        self.hits.resize(self.channels.len(), 0);
+    }
+
+    /// Draws one step: the listed channels that fire, ascending.
+    fn draw(&mut self, rng: &mut Rng) -> &[u32] {
+        let mut n = 0;
+        for (&c, &t) in self.channels.iter().zip(&self.thresholds) {
+            self.hits[n] = c;
+            n += usize::from((rng.next_u32() >> 8) < t);
+        }
+        &self.hits[..n]
     }
 }
 

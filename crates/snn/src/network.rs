@@ -12,30 +12,47 @@
 //! formulations of its hot path:
 //!
 //! * [`Network::step`] / [`Network::run_sample_into`] — the optimized
-//!   trainer datapath: allocation-free per step (reusable crosser/fired
-//!   scratch, a `u64` fired-bitmask for lateral inhibition, an internal
-//!   counts buffer), layout-aware plasticity (a lazily maintained
+//!   trainer datapath: allocation-free per step, a vectorized neuron
+//!   phase (below), layout-aware plasticity (a lazily maintained
 //!   transposed weight view gives [`apply_post_spike_stdp`] contiguous
 //!   column reads, and per-neuron incoming-weight sums are maintained
 //!   incrementally so [`Network::normalize_weights`] skips its `O(m·n)`
-//!   re-summation), and sparsity-aware traces (only live traces decay).
+//!   re-summation), and an internal counts buffer.
 //! * [`Network::step_reference`] / [`Network::run_sample_reference`] /
 //!   [`Network::normalize_weights_reference`] — the original
-//!   formulation, retained verbatim as the behavioral oracle.
+//!   formulation, retained as the behavioral oracle.
 //!
 //! The two are spike-for-spike *and* weight-for-weight (bit-for-bit)
 //! identical; `crates/snn/tests/proptest_trainer_equivalence.rs` proves
 //! it across plastic/frozen × normalization on/off.
 //! Any future change to the fast path must keep those properties green.
 //!
+//! # Vectorized neuron phase
+//!
+//! The neuron state is one structure of arrays, `v` and `refrac`, read by
+//! both paths. The fast path runs the integrate → leak → compare pass and
+//! lateral inhibition as one private helper per 64-neuron word, after
+//! `snn_hw::neuron_lanes`: the helpers take slices (which LLVM may assume
+//! disjoint), use selects only, and return or take spike bits as `u64`
+//! words. An f32 add, subtract, multiply or compare gives the same bits in
+//! a SIMD lane as in scalar code, and each neuron's operations keep the
+//! reference's order, so results stay bit-identical. The floor at zero is
+//! `f32::max(x, 0.0)` written as a select that returns `x` when `x > 0.0`
+//! and `+0.0` otherwise (NaN included); `-0.0` never reaches it, because a
+//! membrane only holds `-0.0` as a reset value, and both the integrate
+//! (`-0.0 + acc` with `acc` starting at `+0.0`) and inhibition (a positive
+//! subtrahend) move it off `-0.0` first. Check the linked binary with
+//! `objdump -d target/release/fig13` for packed (`ps`) float instructions
+//! in `Network::step_impl`.
+//!
 //! [`apply_post_spike_stdp`]: Network::step
 
 use crate::config::SnnConfig;
 use crate::error::SnnError;
 use crate::homeostasis::Homeostasis;
-use crate::neuron::{LifParams, LifState};
+use crate::neuron::LifParams;
 use crate::rng::Rng;
-use crate::spike::SpikeTrain;
+use crate::spike::{pack_bytes, spread_word, SpikeTrain};
 use crate::stdp::{post_only_new_weight, Traces};
 use rand::Rng as _;
 
@@ -64,9 +81,11 @@ pub struct Network {
     params: LifParams,
     weights: Vec<f32>,
     homeostasis: Homeostasis,
-    state: Vec<LifState>,
+    /// Membrane potentials, one per neuron.
+    v: Vec<f32>,
+    /// Remaining refractory steps, one per neuron (0 = integrating).
+    refrac: Vec<u32>,
     pre_traces: Traces,
-    post_traces: Traces,
     plastic: bool,
     // --- fast-path state below; never observable through the public API.
     /// Transposed (neuron-major) weight view: `weights_t[j * m + i]`.
@@ -82,8 +101,9 @@ pub struct Network {
     col_sums: Vec<f32>,
     sums_valid: bool,
     acc: Vec<f32>,
-    crossers: Vec<u32>,
     fired: Vec<u32>,
+    /// One bit per neuron: the step's threshold crossers, then the ones
+    /// that fire.
     fired_words: Vec<u64>,
     counts: Vec<u32>,
     norm_scale: Vec<f32>,
@@ -120,15 +140,14 @@ impl Network {
         let params = LifParams::from_config(&cfg);
         let homeostasis = Homeostasis::new(n, cfg.theta_plus, cfg.theta_decay);
         let pre_traces = Traces::new(m, cfg.stdp.trace_decay, cfg.stdp.trace_max);
-        let post_traces = Traces::new(n, cfg.stdp.trace_decay, cfg.stdp.trace_max);
         Ok(Self {
             cfg,
             params,
             weights,
             homeostasis,
-            state: vec![LifState::new(); n],
+            v: vec![0.0; n],
+            refrac: vec![0; n],
             pre_traces,
-            post_traces,
             plastic: true,
             weights_t: vec![0.0; m * n],
             col_epoch: vec![0; n],
@@ -136,7 +155,6 @@ impl Network {
             col_sums: vec![0.0; n],
             sums_valid: false,
             acc: vec![0.0; n],
-            crossers: Vec::with_capacity(n),
             fired: Vec::with_capacity(n),
             fired_words: vec![0; n.div_ceil(64)],
             counts: vec![0; n],
@@ -175,12 +193,6 @@ impl Network {
         self.pre_traces.values()
     }
 
-    /// Current post-synaptic trace values (one per neuron; for tests and
-    /// inspection).
-    pub fn post_trace_values(&self) -> &[f32] {
-        self.post_traces.values()
-    }
-
     /// The effective firing threshold of neuron `j` (base + adaptive).
     pub fn effective_threshold(&self, j: usize) -> f32 {
         self.cfg.v_thresh + self.homeostasis.theta(j)
@@ -188,7 +200,7 @@ impl Network {
 
     /// Current membrane potential of neuron `j` (for tests/inspection).
     pub fn membrane(&self, j: usize) -> f32 {
-        self.state[j].v
+        self.v[j]
     }
 
     /// Enables STDP plasticity and homeostasis adaptation (training mode).
@@ -211,9 +223,9 @@ impl Network {
     /// Clears membrane potentials, refractory counters, and traces, but
     /// keeps the learned weights and adaptive thresholds.
     pub fn reset_transient(&mut self) {
-        self.state.iter_mut().for_each(LifState::reset);
+        self.v.fill(0.0);
+        self.refrac.fill(0);
         self.pre_traces.reset();
-        self.post_traces.reset();
     }
 
     /// Marks every derived weight structure (transposed view, column sums)
@@ -254,37 +266,28 @@ impl Network {
             }
         }
 
-        // 2. Trace bookkeeping: decay (live traces only; 0·d == 0 exactly,
-        //    so skipping dead traces is float-identical to the dense pass),
-        //    then register the current spikes.
-        self.pre_traces.decay_step_sparse();
-        self.post_traces.decay_step_sparse();
+        // 2. Trace bookkeeping: decay, then register the current spikes.
+        self.pre_traces.decay_step();
         self.pre_traces.on_spikes(active_inputs);
 
-        // 3. Neuron updates: integrate + leak everyone, collect threshold
+        // 3. Neuron updates: integrate + leak everyone, mark threshold
         //    crossers, then decide who actually fires.
-        let v_leak = self.params.v_leak;
-        let v_thresh = self.cfg.v_thresh;
+        let (v_leak, v_thresh) = (self.params.v_leak, self.cfg.v_thresh);
         {
             let Network {
-                state,
+                v,
+                refrac,
                 acc,
                 homeostasis,
-                crossers,
+                fired_words,
                 ..
             } = self;
-            crossers.clear();
-            let thetas = homeostasis.thetas();
-            for (j, (s, (&a, &theta))) in state.iter_mut().zip(acc.iter().zip(thetas)).enumerate() {
-                if s.refrac > 0 {
-                    s.refrac -= 1;
-                    continue;
-                }
-                s.v += a;
-                s.v = (s.v - v_leak).max(0.0);
-                if s.v >= v_thresh + theta {
-                    crossers.push(j as u32);
-                }
+            let words = v
+                .chunks_mut(64)
+                .zip(refrac.chunks_mut(64))
+                .zip(acc.chunks(64).zip(homeostasis.thetas().chunks(64)));
+            for (word, ((v, refrac), (acc, theta))) in fired_words.iter_mut().zip(words) {
+                *word = integrate_word(v, refrac, acc, theta, v_leak, v_thresh);
             }
         }
         // Training-time WTA tie-break: simultaneous crossers would escape
@@ -292,51 +295,46 @@ impl Network {
         // the highest-membrane crosser fires while plastic. Inference fires
         // every crosser, matching the hardware engine.
         self.fired.clear();
-        if self.plastic && self.cfg.single_winner_training && self.crossers.len() > 1 {
+        for (w, &word) in self.fired_words.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                self.fired.push((w * 64) as u32 + bits.trailing_zeros());
+                bits &= bits - 1;
+            }
+        }
+        if self.plastic && self.cfg.single_winner_training && self.fired.len() > 1 {
+            let v = &self.v;
             let winner = self
-                .crossers
+                .fired
                 .iter()
                 .copied()
-                .max_by(|&a, &b| {
-                    self.state[a as usize]
-                        .v
-                        .total_cmp(&self.state[b as usize].v)
-                })
-                .expect("crossers nonempty");
+                .max_by(|&a, &b| v[a as usize].total_cmp(&v[b as usize]))
+                .expect("more than one crosser");
+            self.fired.clear();
             self.fired.push(winner);
-        } else {
-            self.fired.extend_from_slice(&self.crossers);
+            self.fired_words.fill(0);
+            self.fired_words[(winner >> 6) as usize] = 1 << (winner & 63);
         }
-        for k in 0..self.fired.len() {
-            let s = &mut self.state[self.fired[k] as usize];
-            s.v = self.params.v_reset;
-            s.refrac = self.params.t_refrac;
+        for &j in &self.fired {
+            self.v[j as usize] = self.params.v_reset;
+            self.refrac[j as usize] = self.params.t_refrac;
         }
 
-        // 4. Spike side effects: homeostasis, traces, STDP potentiation.
+        // 4. Spike side effects: homeostasis and STDP potentiation.
         for k in 0..self.fired.len() {
             let j = self.fired[k] as usize;
             self.homeostasis.on_spike(j);
-            self.post_traces.on_spike(j);
             if self.plastic {
                 self.apply_post_spike_stdp_fast(j);
             }
         }
 
         // 5. Direct lateral inhibition: every spike subtracts `v_inh` from
-        //    all *other* neurons' membranes (floored at 0). The fired set
-        //    is a `u64` bitmask instead of a freshly allocated bool vec.
+        //    all *other* neurons' membranes (floored at 0).
         if !self.fired.is_empty() && self.cfg.v_inh > 0.0 {
             let total_inh = self.cfg.v_inh * self.fired.len() as f32;
-            self.fired_words.iter_mut().for_each(|w| *w = 0);
-            for &j in &self.fired {
-                self.fired_words[(j >> 6) as usize] |= 1_u64 << (j & 63);
-            }
-            let words = &self.fired_words;
-            for (j, s) in self.state.iter_mut().enumerate() {
-                if words[j >> 6] & (1_u64 << (j & 63)) == 0 {
-                    s.v = (s.v - total_inh).max(0.0);
-                }
+            for (v, &word) in self.v.chunks_mut(64).zip(&self.fired_words) {
+                inhibit_word(v, word, total_inh);
             }
         }
 
@@ -345,7 +343,7 @@ impl Network {
     }
 
     /// Reference formulation of [`Network::step`]: the original
-    /// per-step-allocating implementation, retained verbatim as the
+    /// per-step-allocating scalar implementation, retained as the
     /// behavioral oracle for the equivalence proptests.
     pub fn step_reference(&mut self, active_inputs: &[u32]) -> Vec<u32> {
         // The reference path mutates weights outside the fast path's
@@ -366,21 +364,19 @@ impl Network {
 
         // 2. Trace bookkeeping: decay, then register the current spikes.
         self.pre_traces.decay_step();
-        self.post_traces.decay_step();
         self.pre_traces.on_spikes(active_inputs);
 
         // 3. Neuron updates: integrate + leak everyone, collect threshold
         //    crossers, then decide who actually fires.
         let mut crossers: Vec<u32> = Vec::new();
         for j in 0..n {
-            let s = &mut self.state[j];
-            if s.refrac > 0 {
-                s.refrac -= 1;
+            if self.refrac[j] > 0 {
+                self.refrac[j] -= 1;
                 continue;
             }
-            s.v += self.acc[j];
-            s.v = (s.v - self.params.v_leak).max(0.0);
-            if s.v >= self.cfg.v_thresh + self.homeostasis.theta(j) {
+            self.v[j] += self.acc[j];
+            self.v[j] = (self.v[j] - self.params.v_leak).max(0.0);
+            if self.v[j] >= self.cfg.v_thresh + self.homeostasis.theta(j) {
                 crossers.push(j as u32);
             }
         }
@@ -389,27 +385,21 @@ impl Network {
                 let winner = crossers
                     .iter()
                     .copied()
-                    .max_by(|&a, &b| {
-                        self.state[a as usize]
-                            .v
-                            .total_cmp(&self.state[b as usize].v)
-                    })
+                    .max_by(|&a, &b| self.v[a as usize].total_cmp(&self.v[b as usize]))
                     .expect("crossers nonempty");
                 vec![winner]
             } else {
                 crossers
             };
         for &j in &fired {
-            let s = &mut self.state[j as usize];
-            s.v = self.params.v_reset;
-            s.refrac = self.params.t_refrac;
+            self.v[j as usize] = self.params.v_reset;
+            self.refrac[j as usize] = self.params.t_refrac;
         }
 
-        // 4. Spike side effects: homeostasis, traces, STDP potentiation.
+        // 4. Spike side effects: homeostasis and STDP potentiation.
         for &j in &fired {
             let j = j as usize;
             self.homeostasis.on_spike(j);
-            self.post_traces.on_spike(j);
             if self.plastic {
                 self.apply_post_spike_stdp(j);
             }
@@ -423,9 +413,9 @@ impl Network {
             for &j in &fired {
                 is_fired[j as usize] = true;
             }
-            for (j, s) in self.state.iter_mut().enumerate() {
+            for (j, v) in self.v.iter_mut().enumerate() {
                 if !is_fired[j] {
-                    s.v = (s.v - total_inh).max(0.0);
+                    *v = (*v - total_inh).max(0.0);
                 }
             }
         }
@@ -698,6 +688,62 @@ impl Network {
     }
 }
 
+// The neuron phase's loop bodies, one 64-neuron word each (see the module
+// docs' *Vectorized neuron phase*).
+
+/// `f32::max(x, 0.0)` as a select: `x` when `x > 0.0`, else `+0.0` (NaN
+/// included).
+#[inline(always)]
+fn floor_zero(x: f32) -> f32 {
+    if x > 0.0 {
+        x
+    } else {
+        0.0
+    }
+}
+
+/// Integrate → leak → compare over one word: a neuron that is not
+/// refractory adds its drive, loses `v_leak` (floored at 0) and crosses
+/// when it reaches `v_thresh + theta`; a refractory one only counts down.
+/// Returns the crosser bits (bit `j` for neuron `j` of the word).
+#[inline(always)]
+fn integrate_word(
+    v: &mut [f32],
+    refrac: &mut [u32],
+    acc: &[f32],
+    theta: &[f32],
+    v_leak: f32,
+    v_thresh: f32,
+) -> u64 {
+    let m = v.len();
+    let (refrac, acc, theta) = (&mut refrac[..m], &acc[..m], &theta[..m]);
+    let mut hot = [0_u8; 64];
+    let hot_m = &mut hot[..m];
+    for j in 0..m {
+        let r = refrac[j];
+        let active = r == 0;
+        let x = floor_zero((v[j] + acc[j]) - v_leak);
+        let cross = active & (x >= v_thresh + theta[j]);
+        v[j] = if active { x } else { v[j] };
+        refrac[j] = r.saturating_sub(1);
+        hot_m[j] = u8::from(cross);
+    }
+    pack_bytes(&hot)
+}
+
+/// Lateral inhibition over one word: every neuron whose `fired` bit is
+/// clear drops by `total_inh`, floored at 0.
+#[inline(always)]
+fn inhibit_word(v: &mut [f32], fired: u64, total_inh: f32) {
+    let m = v.len();
+    let fired = spread_word(fired);
+    let fired = &fired[..m];
+    for j in 0..m {
+        let x = floor_zero(v[j] - total_inh);
+        v[j] = if fired[j] != 0 { v[j] } else { x };
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -946,6 +992,72 @@ mod tests {
         slow.normalize_weights_reference();
         assert_eq!(fast.weights(), slow.weights());
         assert_eq!(fast.weight(0, 1), 0.0);
+    }
+
+    #[test]
+    fn step_matches_reference_on_nan_weights_and_tied_crossers() {
+        // Neurons 0, 1 and 3 get the same drive, so they cross with equal
+        // membranes, and single-winner training must pick the last of them
+        // as `max_by` does. Input 1's NaN weight makes neuron 2's membrane
+        // NaN before the floor at zero, which maps it to 0.
+        let cfg = SnnConfig::builder()
+            .n_inputs(2)
+            .n_neurons(4)
+            .v_thresh(1.0)
+            .v_leak(0.0)
+            .v_inh(0.5)
+            .t_refrac(1)
+            .build()
+            .unwrap();
+        let weights = [[1.5, 1.5, 0.2, 1.5], [0.0, 0.0, f32::NAN, 0.0]].concat();
+        for plastic in [true, false] {
+            let mut fast = Network::from_parts(cfg.clone(), weights.clone()).unwrap();
+            let mut slow = Network::from_parts(cfg.clone(), weights.clone()).unwrap();
+            if !plastic {
+                fast.set_frozen();
+                slow.set_frozen();
+            }
+            for s in 0..6 {
+                let a = fast.step(&[0, 1]).to_vec();
+                let b = slow.step_reference(&[0, 1]);
+                assert_eq!(a, b, "fired diverged at step {s} (plastic {plastic})");
+                if s == 0 {
+                    assert_eq!(a, if plastic { vec![3] } else { vec![0, 1, 3] });
+                }
+                for j in 0..4 {
+                    assert_eq!(fast.membrane(j).to_bits(), slow.membrane(j).to_bits());
+                }
+                let bits = |net: &Network| {
+                    net.weights()
+                        .iter()
+                        .map(|w| w.to_bits())
+                        .collect::<Vec<_>>()
+                };
+                assert_eq!(bits(&fast), bits(&slow));
+            }
+        }
+    }
+
+    #[test]
+    fn floor_zero_is_f32_max_with_zero() {
+        let xs = [
+            0.0,
+            1.5,
+            -1.5,
+            f32::from_bits(1),
+            -f32::from_bits(1),
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            -f32::NAN,
+        ];
+        for x in xs {
+            assert_eq!(floor_zero(x).to_bits(), x.max(0.0).to_bits(), "{x}");
+        }
+        // `f32::max` may return either zero for `-0.0`; the select returns
+        // `+0.0`, which never differs from the reference (see the module
+        // docs).
+        assert_eq!(floor_zero(-0.0).to_bits(), 0);
     }
 
     #[test]

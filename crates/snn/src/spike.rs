@@ -1,5 +1,8 @@
 //! Spike-train containers shared between the encoder, the functional
-//! simulator, and the hardware engine model.
+//! simulator, and the hardware engine model, and the 0/1-byte ↔ bitmask
+//! word conversions both neuron phases use for their spike words.
+
+use crate::encoding::EncodeScratch;
 
 /// A spike train over a fixed number of timesteps, stored as per-step lists
 /// of active channel indices (sparse representation).
@@ -29,12 +32,12 @@ pub struct SpikeTrain {
     steps: Vec<Vec<u32>>,
     filled: usize,
     capacity_steps: usize,
-    /// Reusable f32 scratch for fillers (the Poisson encoder parks its
-    /// per-sample probability table here between `encode_into` calls).
-    f32_scratch: Vec<f32>,
+    /// The Poisson encoder's per-image tables, parked here between
+    /// `encode_into` calls.
+    encode_scratch: EncodeScratch,
 }
 
-/// Spare step buffers beyond the logical length (and the filler scratch)
+/// Spare step buffers beyond the logical length (and the encoder scratch)
 /// are an allocation-reuse detail: two trains are equal iff their
 /// observable shape and recorded steps agree.
 impl PartialEq for SpikeTrain {
@@ -56,22 +59,20 @@ impl SpikeTrain {
             steps: Vec::with_capacity(n_steps),
             filled: 0,
             capacity_steps: n_steps,
-            f32_scratch: Vec::new(),
+            encode_scratch: EncodeScratch::default(),
         }
     }
 
-    /// Takes the train's reusable f32 scratch buffer, cleared; return it
-    /// with [`SpikeTrain::put_f32_scratch`] when done so the allocation
-    /// survives to the next use.
-    pub(crate) fn take_f32_scratch(&mut self) -> Vec<f32> {
-        let mut scratch = std::mem::take(&mut self.f32_scratch);
-        scratch.clear();
-        scratch
+    /// Takes the train's encoder scratch; return it with
+    /// [`SpikeTrain::put_encode_scratch`] when done so its allocations
+    /// survive to the next use.
+    pub(crate) fn take_encode_scratch(&mut self) -> EncodeScratch {
+        std::mem::take(&mut self.encode_scratch)
     }
 
-    /// Returns a scratch buffer taken with [`SpikeTrain::take_f32_scratch`].
-    pub(crate) fn put_f32_scratch(&mut self, scratch: Vec<f32>) {
-        self.f32_scratch = scratch;
+    /// Returns a scratch taken with [`SpikeTrain::take_encode_scratch`].
+    pub(crate) fn put_encode_scratch(&mut self, scratch: EncodeScratch) {
+        self.encode_scratch = scratch;
     }
 
     /// Number of channels (e.g. input pixels) this train covers.
@@ -191,6 +192,36 @@ impl SpikeTrain {
     }
 }
 
+/// Packs 64 0/1 bytes into a bitmask word, byte `b` to bit `b`. Each
+/// group of eight bytes is gathered by one multiply: byte `i`'s bit lands
+/// on bit `56 + i` of the product, and no two partial products share a
+/// bit, so nothing carries.
+#[inline(always)]
+pub fn pack_bytes(bytes: &[u8; 64]) -> u64 {
+    let mut word = 0;
+    for i in 0..8 {
+        let eight = u64::from_le_bytes(std::array::from_fn(|k| bytes[8 * i + k]));
+        word |= (eight.wrapping_mul(0x0102_0408_1020_4080) >> 56) << (8 * i);
+    }
+    word
+}
+
+/// Spreads a bitmask word into 64 0/1 bytes, bit `b` to byte `b` (the
+/// inverse of [`pack_bytes`]): each group of eight bits is copied into
+/// every byte, byte `i` keeps bit `i`, and adding `0x7f` moves any set
+/// bit to the byte's top bit.
+#[inline(always)]
+pub fn spread_word(word: u64) -> [u8; 64] {
+    let mut bytes = [0; 64];
+    for i in 0..8 {
+        let eight = (word >> (8 * i)) & 0xff;
+        let picked = eight.wrapping_mul(0x0101_0101_0101_0101) & 0x8040_2010_0804_0201;
+        let flags = ((picked + 0x7f7f_7f7f_7f7f_7f7f) >> 7) & 0x0101_0101_0101_0101;
+        bytes[8 * i..8 * i + 8].copy_from_slice(&flags.to_le_bytes());
+    }
+    bytes
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -272,6 +303,15 @@ mod tests {
         assert_eq!(long, short);
         assert_eq!(long.n_steps(), 1);
         assert_eq!(long.channel_counts(), vec![1, 0, 0, 0]);
+    }
+
+    #[test]
+    fn spread_word_and_pack_bytes_are_inverse() {
+        for word in [0, 1, 1 << 63, 0xdead_beef_0123_4567, u64::MAX] {
+            let bytes = spread_word(word);
+            assert!(bytes.iter().all(|&b| b <= 1));
+            assert_eq!(pack_bytes(&bytes), word);
+        }
     }
 
     #[test]

@@ -27,7 +27,7 @@ pub struct StdpConfig {
     /// Target pre-trace offset: inputs whose trace is below this get
     /// depressed at post spikes.
     pub x_offset: f32,
-    /// Multiplicative per-step decay of the pre/post traces.
+    /// Multiplicative per-step decay of the pre-synaptic traces.
     pub trace_decay: f32,
     /// Value a trace saturates to on a spike.
     pub trace_max: f32,
@@ -78,30 +78,15 @@ impl StdpConfig {
 ///
 /// A trace jumps to `trace_max` when its channel spikes and decays by
 /// `trace_decay` each timestep — a cheap proxy for "how recently did this
-/// channel fire".
-///
-/// Untouched traces are exactly `0.0`, and `0.0 * decay == 0.0` exactly,
-/// so the live set (channels that have spiked since the last reset and
-/// have not yet decayed all the way back to zero) is tracked explicitly:
-/// [`Traces::decay_step_sparse`] multiplies only live traces, which is
-/// float-identical to the dense [`Traces::decay_step`] but skips the
-/// (typically large) dead majority every timestep.
-#[derive(Debug, Clone)]
+/// channel fire". The decay is one dense pass over every channel: at a
+/// decay near 1 a trace takes hundreds of steps to reach zero, so nearly
+/// every channel that spiked in a sample stays nonzero to its end, and a
+/// contiguous multiply over all channels beats gathering the nonzero ones.
+#[derive(Debug, Clone, PartialEq)]
 pub struct Traces {
     values: Vec<f32>,
     decay: f32,
     max: f32,
-    /// Channels with a (possibly) nonzero trace, in no particular order.
-    live: Vec<u32>,
-    is_live: Vec<bool>,
-}
-
-/// Live-set bookkeeping is an internal acceleration detail: two traces
-/// are equal iff their observable values and parameters agree.
-impl PartialEq for Traces {
-    fn eq(&self, other: &Self) -> bool {
-        self.values == other.values && self.decay == other.decay && self.max == other.max
-    }
 }
 
 impl Traces {
@@ -111,8 +96,6 @@ impl Traces {
             values: vec![0.0; n],
             decay,
             max,
-            live: Vec::new(),
-            is_live: vec![false; n],
         }
     }
 
@@ -126,35 +109,10 @@ impl Traces {
         self.values[i]
     }
 
-    /// Number of channels currently tracked as live (for tests; an upper
-    /// bound on the number of nonzero traces).
-    pub fn n_live(&self) -> usize {
-        self.live.len()
-    }
-
-    /// Applies one step of exponential decay (dense reference pass).
+    /// Applies one step of exponential decay.
     pub fn decay_step(&mut self) {
         for v in &mut self.values {
             *v *= self.decay;
-        }
-    }
-
-    /// Applies one step of exponential decay to live traces only.
-    /// Float-identical to [`Traces::decay_step`] (dead traces are exactly
-    /// zero and stay exactly zero); traces that underflow to zero are
-    /// retired from the live set.
-    pub fn decay_step_sparse(&mut self) {
-        let mut k = 0;
-        while k < self.live.len() {
-            let c = self.live[k] as usize;
-            let v = self.values[c] * self.decay;
-            self.values[c] = v;
-            if v == 0.0 {
-                self.is_live[c] = false;
-                self.live.swap_remove(k);
-            } else {
-                k += 1;
-            }
         }
     }
 
@@ -162,32 +120,12 @@ impl Traces {
     pub fn on_spikes(&mut self, channels: &[u32]) {
         for &c in channels {
             self.values[c as usize] = self.max;
-            if !self.is_live[c as usize] {
-                self.is_live[c as usize] = true;
-                self.live.push(c);
-            }
-        }
-    }
-
-    /// Registers a spike on a single channel.
-    pub fn on_spike(&mut self, channel: usize) {
-        self.values[channel] = self.max;
-        if !self.is_live[channel] {
-            self.is_live[channel] = true;
-            self.live.push(channel as u32);
         }
     }
 
     /// Resets all traces to zero.
     pub fn reset(&mut self) {
-        // Spikes are the only way a trace becomes nonzero and they always
-        // enter the live set, so zeroing the live entries clears every
-        // nonzero value.
-        for &c in &self.live {
-            self.values[c as usize] = 0.0;
-            self.is_live[c as usize] = false;
-        }
-        self.live.clear();
+        self.values.fill(0.0);
     }
 }
 
@@ -263,7 +201,7 @@ mod tests {
     #[test]
     fn traces_decay_exponentially() {
         let mut t = Traces::new(1, 0.5, 1.0);
-        t.on_spike(0);
+        t.on_spikes(&[0]);
         t.decay_step();
         t.decay_step();
         assert!((t.get(0) - 0.25).abs() < 1e-6);
@@ -304,57 +242,13 @@ mod tests {
         t.on_spikes(&[0, 2]);
         t.reset();
         assert!(t.values().iter().all(|&v| v == 0.0));
-        assert_eq!(t.n_live(), 0);
     }
 
     #[test]
-    fn sparse_decay_is_float_identical_to_dense() {
-        let mut dense = Traces::new(16, 0.77, 1.0);
-        let mut sparse = Traces::new(16, 0.77, 1.0);
-        for step in 0..200_u32 {
-            if step % 7 == 0 {
-                dense.on_spikes(&[step % 16, (step * 3) % 16]);
-                sparse.on_spikes(&[step % 16, (step * 3) % 16]);
-            }
-            dense.decay_step();
-            sparse.decay_step_sparse();
-            assert_eq!(dense.values(), sparse.values(), "diverged at step {step}");
-        }
-        // The sparse pass never tracks more channels than have spiked.
-        assert!(sparse.n_live() <= 16);
-    }
-
-    #[test]
-    fn sparse_decay_retires_underflowed_traces() {
-        // decay 0.0 drives a live trace to exact zero in one step; the
-        // live set must drop it so dead traces are never re-multiplied.
+    fn zero_decay_clears_traces_in_one_step() {
         let mut t = Traces::new(4, 0.0, 1.0);
         t.on_spikes(&[1, 3]);
-        assert_eq!(t.n_live(), 2);
-        t.decay_step_sparse();
-        assert_eq!(t.n_live(), 0);
-        assert!(t.values().iter().all(|&v| v == 0.0));
-    }
-
-    #[test]
-    fn repeated_spikes_do_not_duplicate_live_entries() {
-        let mut t = Traces::new(4, 0.9, 1.0);
-        for _ in 0..10 {
-            t.on_spikes(&[2]);
-            t.on_spike(2);
-        }
-        assert_eq!(t.n_live(), 1);
-    }
-
-    #[test]
-    fn live_bookkeeping_survives_mixed_dense_and_sparse_decay() {
-        // The reference path uses dense decay on the same struct; a later
-        // sparse pass must still see a consistent live set.
-        let mut t = Traces::new(8, 0.5, 1.0);
-        t.on_spikes(&[0, 5]);
         t.decay_step();
-        t.decay_step_sparse();
-        assert!((t.get(0) - 0.25).abs() < 1e-6);
-        assert!((t.get(5) - 0.25).abs() < 1e-6);
+        assert!(t.values().iter().all(|&v| v.to_bits() == 0));
     }
 }
