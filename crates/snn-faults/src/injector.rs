@@ -81,15 +81,14 @@ pub fn inject(engine: &mut ComputeEngine, map: &FaultMap) -> Result<InjectionSum
 }
 
 /// Lowers `map` to the engine's [`NeuronFaultOverlay`] — the per-call
-/// form the trial-group passes apply without installing it
-/// ([`ComputeEngine::run_batch_multi_map`],
-/// [`ComputeEngine::run_batch_per_sample_maps`]). Running a sample under
+/// form the trial-group pass applies without installing it
+/// ([`ComputeEngine::run_batch_multi_map`]). Running a sample under
 /// the overlay is bit-identical to running it after [`inject`]`(engine,
 /// map)` on the same engine.
 ///
 /// Every site is checked against `engine` first, in [`inject`]'s order
 /// (weight sites, then neuron sites), so an overlay that lowers is one
-/// the passes accept.
+/// the pass accepts.
 ///
 /// # Errors
 ///

@@ -385,7 +385,7 @@ pub struct JobHandle {
 impl JobHandle {
     fn load(dir: PathBuf) -> Result<Self, ServiceError> {
         let job_path = dir.join("job.json");
-        let text = fs::read_to_string(&job_path).map_err(|e| ServiceError::io(&job_path, e))?;
+        let text = read_text(&job_path)?;
         let json =
             Json::parse(&text).map_err(|e| ServiceError::format(&job_path, e.to_string()))?;
         let version = json
@@ -496,10 +496,11 @@ impl JobHandle {
     /// Returns [`ServiceError`] on I/O failure or a failed validation.
     pub fn load_cell(&self, key: CellKey) -> Result<Option<Aggregate>, ServiceError> {
         let path = self.cell_path(key);
-        let text = match fs::read_to_string(&path) {
-            Ok(text) => text,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(ServiceError::io(&path, e)),
+        let text = match read_text(&path) {
+            Err(ServiceError::Io { source, .. }) if source.kind() == io::ErrorKind::NotFound => {
+                return Ok(None)
+            }
+            text => text?,
         };
         let bad = |detail: String| ServiceError::format(&path, detail);
         let json = Json::parse(&text).map_err(|e| bad(e.to_string()))?;
@@ -787,6 +788,14 @@ impl JobHandle {
 /// Process-unique counter making concurrent tmp-file names distinct.
 static TMP_NONCE: AtomicU64 = AtomicU64::new(0);
 
+/// Reads `path` as text. Bytes that are not UTF-8 make a corrupt file
+/// ([`ServiceError::Format`]), not an I/O failure, so a checkpoint with
+/// one flipped high bit re-runs on resume instead of failing the job.
+fn read_text(path: &Path) -> Result<String, ServiceError> {
+    let bytes = fs::read(path).map_err(|e| ServiceError::io(path, e))?;
+    String::from_utf8(bytes).map_err(|e| ServiceError::format(path, e.to_string()))
+}
+
 /// Writes `text` (plus a trailing newline) to `path` atomically: the
 /// bytes land under a unique tmp name first and are renamed into place,
 /// so readers never observe a torn file and a crash leaves at worst an
@@ -940,6 +949,38 @@ mod tests {
             RunOutcome::Complete(results) => assert_eq!(results, reference_results()),
             other => panic!("expected completion, got {other:?}"),
         }
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn non_utf8_files_are_corrupt_not_io_failures() {
+        let root = temp_root("utf8");
+        let service = CampaignService::new(&root);
+        let job = service.submit("j", spec(), None).unwrap();
+        job.run(&(), RunOptions::default(), eval).unwrap();
+        let key = CellKey {
+            technique_idx: 1,
+            rate_idx: 0,
+        };
+        let mut bytes = fs::read(job.cell_path(key)).unwrap();
+        bytes[3] |= 0x80;
+        fs::write(job.cell_path(key), &bytes).unwrap();
+        assert!(matches!(
+            job.load_cell(key),
+            Err(ServiceError::Format { .. })
+        ));
+        assert_eq!(job.status().unwrap().invalid_cells, vec![key]);
+        assert_eq!(job.missing_cells().unwrap(), vec![key]);
+        let outcome = job.run(&(), RunOptions::default(), eval).unwrap();
+        assert!(matches!(outcome, RunOutcome::Complete(_)));
+        let job_path = job.dir().join("job.json");
+        let mut bytes = fs::read(&job_path).unwrap();
+        bytes[0] = 0xFF;
+        fs::write(&job_path, &bytes).unwrap();
+        assert!(matches!(
+            service.open("j"),
+            Err(ServiceError::Format { .. })
+        ));
         let _ = fs::remove_dir_all(&root);
     }
 

@@ -2,9 +2,9 @@
 //! interchangeable per workload.
 //!
 //! [`EngineBackend`] covers the evaluate entry points a deployment (or a
-//! grid shard) drives — sample, batch, multi-map, per-sample maps, the
-//! heal-on-entry `reload_parameters`, and `reset_state` — so callers
-//! pick a backend per workload without forking their evaluation code.
+//! grid shard) drives — sample, batch, multi-map, the heal-on-entry
+//! `reload_parameters`, and `reset_state` — so callers pick a backend
+//! per workload without forking their evaluation code.
 //! Its one implementation is [`AnyBackend`], the concrete closed-world
 //! container (the trait's generic methods keep guard/path static
 //! dispatch, so it cannot be a trait object), which forwards each entry
@@ -14,13 +14,12 @@
 //! exactly.
 //!
 //! Picking a backend: the two differ only in single samples and delays.
-//! Every delay-free trial group — batch, multi-map, per-sample maps —
-//! runs the dense [`ComputeEngine`]'s lane pass on either backend, which
-//! amortizes the drive phase across samples and fault maps,
-//! weight-bearing maps included. For single samples, the
-//! [`EventEngine`] skips the whole neuron phase on provably-silent
-//! cycles and lazily replays leak, which wins when most cycles are
-//! silent. It is also the only backend that can express per-synapse
+//! Every delay-free trial group — batch or multi-map — runs the dense
+//! [`ComputeEngine`]'s lane pass on either backend, which amortizes the
+//! drive phase across samples and fault maps, weight-bearing maps
+//! included. For single samples, the [`EventEngine`] skips the whole
+//! neuron phase on provably-silent cycles and lazily replays leak, which
+//! wins when most cycles are silent. It is also the only backend that can express per-synapse
 //! delays; a delayed engine runs fault maps through an explicit per-map
 //! fallback — apply the map, run each sample, restore — at one sample
 //! run per (map, sample). On delay-free workloads both produce
@@ -64,19 +63,6 @@ pub trait EngineBackend {
     fn run_batch_multi_map<P: WeightReadPath, G: SpikeGuard + Clone>(
         &mut self,
         trains: &[SpikeTrain],
-        maps: &[NeuronFaultOverlay],
-        path: &P,
-        guard: &G,
-        out: &mut MultiMapResult,
-    );
-
-    /// Evaluates each sample under its own `maps_per_sample` fault maps
-    /// (sample `s` under `maps[s·k .. (s + 1)·k]`, plane `(j, s)`) into
-    /// `out`; fault state present before the call is restored after it.
-    fn run_batch_per_sample_maps<P: WeightReadPath, G: SpikeGuard + Clone>(
-        &mut self,
-        trains: &[SpikeTrain],
-        maps_per_sample: usize,
         maps: &[NeuronFaultOverlay],
         path: &P,
         guard: &G,
@@ -228,24 +214,6 @@ impl EngineBackend for AnyBackend {
         match self {
             AnyBackend::Dense(e) => e.run_batch_multi_map(trains, maps, path, guard, out),
             AnyBackend::Event(ev) => ev.run_batch_multi_map(trains, maps, path, guard, out),
-        }
-    }
-
-    fn run_batch_per_sample_maps<P: WeightReadPath, G: SpikeGuard + Clone>(
-        &mut self,
-        trains: &[SpikeTrain],
-        maps_per_sample: usize,
-        maps: &[NeuronFaultOverlay],
-        path: &P,
-        guard: &G,
-        out: &mut MultiMapResult,
-    ) {
-        let k = maps_per_sample;
-        match self {
-            AnyBackend::Dense(e) => e.run_batch_per_sample_maps(trains, k, maps, path, guard, out),
-            AnyBackend::Event(ev) => {
-                ev.run_batch_per_sample_maps(trains, k, maps, path, guard, out)
-            }
         }
     }
 

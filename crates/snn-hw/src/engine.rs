@@ -49,11 +49,10 @@
 //! # Trial groups
 //!
 //! [`ComputeEngine::run_batch_multi_map`] evaluates K fault maps over a
-//! set of encoded samples in one pass,
-//! [`ComputeEngine::run_batch_per_sample_maps`] gives each sample its own
-//! maps (the re-execution shape), and [`ComputeEngine::run_batch_into`]
+//! set of encoded samples in one pass (re-execution runs it over one
+//! sample, one map per execution), and [`ComputeEngine::run_batch_into`]
 //! is the one-map case (a single empty overlay), as is
-//! [`ComputeEngine::run_sample_into`] with one sample. All four run
+//! [`ComputeEngine::run_sample_into`] with one sample. All three run
 //! through one private executor over a bank of
 //! [`crate::neuron_lanes::NeuronLanes`], one lane per (sample, map) pair,
 //! at most [`MAX_LANES`] at a time: the transformed-crossbar image stays
@@ -274,9 +273,8 @@ impl SpikeGuard for NoGuard {
 
 /// One trial's fault map in engine terms: the `(neuron, op)` sites and
 /// the `(row, col, bit)` weight-register flips its soft errors strike.
-/// This is the unit of the trial-group passes' map axis
-/// ([`ComputeEngine::run_batch_multi_map`],
-/// [`ComputeEngine::run_batch_per_sample_maps`]) — campaign layers lower
+/// This is the unit of the trial-group pass's map axis
+/// ([`ComputeEngine::run_batch_multi_map`]) — campaign layers lower
 /// their fault-map types to this shape at the call boundary (the engine
 /// crate cannot name them).
 ///
@@ -493,7 +491,7 @@ pub const MAX_LANES: usize = 16;
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BatchResult {
     /// A batch is the one-map case of a trial group.
-    planes: MultiMapResult,
+    pub(crate) planes: MultiMapResult,
 }
 
 impl BatchResult {
@@ -524,16 +522,6 @@ impl BatchResult {
     /// Iterator over per-sample count slices, in sample order.
     pub fn iter(&self) -> impl Iterator<Item = &[u32]> {
         (0..self.n_samples()).map(|s| self.counts(s))
-    }
-
-    /// Sizes the planes and zeroes every counter (backend-internal).
-    pub(crate) fn reset(&mut self, n_neurons: usize, n_samples: usize) {
-        self.planes.reset(n_neurons, n_samples, 1);
-    }
-
-    /// Mutable plane of sample `s` (backend-internal).
-    pub(crate) fn counts_mut(&mut self, s: usize) -> &mut [u32] {
-        self.planes.counts_mut(0, s)
     }
 }
 
@@ -701,15 +689,6 @@ struct LaneJob {
     slot: usize,
     plane: (usize, usize),
     drive: usize,
-}
-
-/// How a trial group pairs overlays with samples.
-#[derive(Debug, Clone, Copy)]
-enum Pairing {
-    /// Every overlay with every sample.
-    Every,
-    /// Sample `s` with its own overlays `s·k .. (s + 1)·k`.
-    PerSample(usize),
 }
 
 /// Where the lanes of a trial group get their spike guards.
@@ -1147,7 +1126,6 @@ impl ComputeEngine {
         self.run_trial_group(
             std::slice::from_ref(train),
             &[NeuronFaultOverlay::new()],
-            Pairing::Every,
             &resolved,
             LaneGuards::Caller(guard),
             &mut sample,
@@ -1226,7 +1204,6 @@ impl ComputeEngine {
         self.run_trial_group(
             trains,
             &[NeuronFaultOverlay::new()],
-            Pairing::Every,
             &resolved,
             LaneGuards::Cloned(guard, G::clone),
             &mut out.planes,
@@ -1302,116 +1279,49 @@ impl ComputeEngine {
     ) {
         let resolved = ResolvedPath::new(path);
         let guards = LaneGuards::Cloned(guard, G::clone);
-        self.run_trial_group(trains, maps, Pairing::Every, &resolved, guards, out);
-    }
-
-    /// Evaluates every sample under its own `maps_per_sample` fault maps
-    /// in one pass — the re-execution shape, where each execution of a
-    /// sample draws a fresh map. Sample `s` runs once under each of
-    /// `maps[s·k .. (s + 1)·k]` (`k = maps_per_sample`), and
-    /// `out.counts(j, s)` is what
-    /// [`run_batch_multi_map`](Self::run_batch_multi_map) would give for
-    /// `trains[s]` alone under `maps[s·k + j]`. Lanes are
-    /// (sample, map) pairs as there, so the lanes of one sample share its
-    /// drive and the maps are never installed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `maps.len() != trains.len() * maps_per_sample`, or under
-    /// the conditions of [`run_batch_multi_map`](Self::run_batch_multi_map).
-    pub fn run_batch_per_sample_maps<P: WeightReadPath, G: SpikeGuard + Clone>(
-        &mut self,
-        trains: &[SpikeTrain],
-        maps_per_sample: usize,
-        maps: &[NeuronFaultOverlay],
-        path: &P,
-        guard: &G,
-        out: &mut MultiMapResult,
-    ) {
-        let resolved = ResolvedPath::new(path);
-        let pairing = Pairing::PerSample(maps_per_sample);
-        let guards = LaneGuards::Cloned(guard, G::clone);
-        self.run_trial_group(trains, maps, pairing, &resolved, guards, out);
+        self.run_trial_group(trains, maps, &resolved, guards, out);
     }
 
     /// The one trial-group executor behind
     /// [`run_sample_into`](Self::run_sample_into),
-    /// [`run_batch_into`](Self::run_batch_into),
-    /// [`run_batch_multi_map`](Self::run_batch_multi_map) and
-    /// [`run_batch_per_sample_maps`](Self::run_batch_per_sample_maps):
-    /// every (sample, overlay) pair runs in its own lane of the lane bank,
+    /// [`run_batch_into`](Self::run_batch_into) and
+    /// [`run_batch_multi_map`](Self::run_batch_multi_map): every
+    /// (sample, overlay) pair runs in its own lane of the lane bank,
     /// driving its own guard from `guards`, and counts into one plane of
     /// `out`.
     ///
     /// Lanes run in chunks of at most W = [`MAX_LANES`], and each
     /// chunk's overlays are lowered to weight deltas once, against the
-    /// current registers. Under [`Pairing::Every`] a chunk of K overlays
-    /// runs W / K samples at a time — a plain batch is W samples × 1 map,
-    /// a full multi-map chunk 1 sample × W maps; under
-    /// [`Pairing::PerSample`] a chunk holds whole samples' overlay sets
-    /// where they fit.
+    /// current registers. A chunk of K overlays runs W / K samples at a
+    /// time — a plain batch is W samples × 1 map, a full multi-map chunk
+    /// 1 sample × W maps.
     fn run_trial_group<G: SpikeGuard>(
         &mut self,
         trains: &[SpikeTrain],
         overlays: &[NeuronFaultOverlay],
-        pairing: Pairing,
         path: &ResolvedPath,
         mut guards: LaneGuards<'_, G>,
         out: &mut MultiMapResult,
     ) {
-        let n_maps = match pairing {
-            Pairing::Every => overlays.len(),
-            Pairing::PerSample(k) => {
-                assert_eq!(overlays.len(), trains.len() * k, "maps per sample");
-                k
-            }
-        };
-        out.reset(self.n_neurons, trains.len(), n_maps);
+        out.reset(self.n_neurons, trains.len(), overlays.len());
         let mut scratch = std::mem::take(&mut self.trial);
         let mut bank = Vec::new();
-        match pairing {
-            Pairing::Every => {
-                for (chunk_idx, maps) in overlays.chunks(MAX_LANES).enumerate() {
-                    self.lower_deltas(&mut scratch, maps, path);
-                    let per_map = MAX_LANES / maps.len();
-                    for first in (0..trains.len()).step_by(per_map) {
-                        let samples = first..(first + per_map).min(trains.len());
-                        scratch.jobs.clear();
-                        for m in 0..maps.len() {
-                            scratch.jobs.extend(samples.clone().map(|s| LaneJob {
-                                sample: s,
-                                slot: m,
-                                plane: (chunk_idx * MAX_LANES + m, s),
-                                drive: 0,
-                            }));
-                        }
-                        let lane_guards = guards.for_lanes(scratch.jobs.len(), &mut bank);
-                        self.run_lane_chunk(&mut scratch, trains, maps, path, lane_guards, out);
-                    }
-                }
-            }
-            Pairing::PerSample(k) => {
-                // Whole samples per chunk where their k lanes fit.
-                let chunk = if k == 0 || k > MAX_LANES {
-                    MAX_LANES
-                } else {
-                    MAX_LANES - MAX_LANES % k
-                };
-                for (chunk_idx, maps) in overlays.chunks(chunk).enumerate() {
-                    self.lower_deltas(&mut scratch, maps, path);
-                    scratch.jobs.clear();
-                    scratch.jobs.extend((0..maps.len()).map(|slot| {
-                        let lane = chunk_idx * chunk + slot;
-                        LaneJob {
-                            sample: lane / k,
-                            slot,
-                            plane: (lane % k, lane / k),
-                            drive: 0,
-                        }
+        for (chunk_idx, maps) in overlays.chunks(MAX_LANES).enumerate() {
+            self.lower_deltas(&mut scratch, maps, path);
+            let per_map = MAX_LANES / maps.len();
+            for first in (0..trains.len()).step_by(per_map) {
+                let samples = first..(first + per_map).min(trains.len());
+                scratch.jobs.clear();
+                for m in 0..maps.len() {
+                    scratch.jobs.extend(samples.clone().map(|s| LaneJob {
+                        sample: s,
+                        slot: m,
+                        plane: (chunk_idx * MAX_LANES + m, s),
+                        drive: 0,
                     }));
-                    let lane_guards = guards.for_lanes(scratch.jobs.len(), &mut bank);
-                    self.run_lane_chunk(&mut scratch, trains, maps, path, lane_guards, out);
                 }
+                let lane_guards = guards.for_lanes(scratch.jobs.len(), &mut bank);
+                self.run_lane_chunk(&mut scratch, trains, maps, path, lane_guards, out);
             }
         }
         self.trial = scratch;
@@ -2147,14 +2057,6 @@ mod tests {
             &NoGuard,
             &mut out,
         );
-        e.run_batch_per_sample_maps(
-            &[train.clone()],
-            1,
-            &[weighty.clone()],
-            &Bound90,
-            &NoGuard,
-            &mut out,
-        );
         assert_eq!(
             e.read_cache_rebuilds(),
             rebuilds_before,
@@ -2164,13 +2066,12 @@ mod tests {
         assert_eq!(e.read_cache, image_before);
         assert_eq!(e.mutation_epoch(), epoch_before);
         // A delay-free event backend runs its trial groups through the
-        // same lane pass, so none of its three entries installs a map.
+        // same lane pass, so neither of its two entries installs a map.
         let mut ev = crate::event::EventEngine::new(e.clone());
         let maps = [ops(&[(0, NeuronOp::VmemReset)]), weighty.clone()];
         let mut batch = BatchResult::new();
         ev.run_batch_into(&[train.clone()], &Bound90, &NoGuard, &mut batch);
-        ev.run_batch_multi_map(&[train.clone()], &maps, &Bound90, &NoGuard, &mut out);
-        ev.run_batch_per_sample_maps(&[train], 2, &maps, &Bound90, &NoGuard, &mut out);
+        ev.run_batch_multi_map(&[train], &maps, &Bound90, &NoGuard, &mut out);
         let inner = ev.engine();
         assert_eq!(
             inner.read_cache_rebuilds(),

@@ -40,12 +40,13 @@
 //!   `(cycle, neuron)` slot accumulate by plain `i32` addition, so
 //!   arrival order cannot change results.
 //!
-//! Trial groups (batches, multi-map and per-sample-maps passes) of a
-//! delay-free engine run the wrapped engine's lane pass: skipping only
-//! pays per single sample, and the lane pass shares the drive across
-//! samples and maps without installing any overlay. Only a delayed
-//! engine — the lane pass has no delay ring — falls back to one sample
-//! run per (map, sample): apply the map, run the sample, restore.
+//! Trial groups (batches and multi-map passes) of a delay-free engine
+//! run the wrapped engine's lane pass: skipping only pays per single
+//! sample, and the lane pass shares the drive across samples and maps
+//! without installing any overlay. Only a delayed engine — the lane pass
+//! has no delay ring — falls back to one sample run per (map, sample):
+//! apply the map, run each sample, restore. A batch is the one-map case
+//! (a single empty overlay) on either path.
 //!
 //! Compiled adjacency state is keyed on the same (table, mutation epoch)
 //! rule as the wrapped engine's transformed-crossbar image: the resolved
@@ -270,11 +271,10 @@ impl EventEngine {
     }
 
     /// Evaluates a batch with the per-sample semantics of
-    /// [`ComputeEngine::run_batch_into`]. A delay-free engine runs the
-    /// wrapped engine's lane pass itself; a delayed one runs every sample
-    /// through [`run_sample_into`](Self::run_sample_into) with a fresh
-    /// clone of `guard`, exactly the semantics the lane pass is specified
-    /// (and property-tested) against.
+    /// [`ComputeEngine::run_batch_into`]: the one-map case of
+    /// [`run_batch_multi_map`](Self::run_batch_multi_map), one empty
+    /// overlay, so a delayed engine runs every sample through the sample
+    /// loop with a fresh clone of `guard`.
     pub fn run_batch_into<P: WeightReadPath, G: SpikeGuard + Clone>(
         &mut self,
         trains: &[SpikeTrain],
@@ -282,16 +282,8 @@ impl EventEngine {
         guard: &G,
         out: &mut BatchResult,
     ) {
-        if self.max_delay == 0 {
-            return self.inner.run_batch_into(trains, path, guard, out);
-        }
-        let resolved = ResolvedPath::new(path);
-        out.reset(self.inner.n_neurons(), trains.len());
-        for (s, train) in trains.iter().enumerate() {
-            let mut g = guard.clone();
-            self.run_sample_resolved(train, &resolved, &mut g);
-            out.counts_mut(s).copy_from_slice(&self.counts);
-        }
+        let empty = [NeuronFaultOverlay::new()];
+        self.run_batch_multi_map(trains, &empty, path, guard, &mut out.planes);
     }
 
     /// Evaluates every (fault map, sample) pair with the semantics of
@@ -324,49 +316,6 @@ impl EventEngine {
                 self.run_sample_resolved(train, &resolved, &mut guard.clone());
                 out.counts_mut(m, s).copy_from_slice(&self.counts);
             }
-            self.restore_overlay(map, &baseline);
-        }
-    }
-
-    /// Evaluates each sample under its own `maps_per_sample` fault maps
-    /// (see [`ComputeEngine::run_batch_per_sample_maps`]). As in
-    /// [`run_batch_multi_map`](Self::run_batch_multi_map), a delay-free
-    /// engine runs the wrapped engine's lane pass, and a delayed one the
-    /// per-map fallback: apply the map, run its sample with a fresh guard
-    /// clone, restore.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `maps.len() != trains.len() * maps_per_sample` or a map
-    /// site is out of range.
-    pub fn run_batch_per_sample_maps<P: WeightReadPath, G: SpikeGuard + Clone>(
-        &mut self,
-        trains: &[SpikeTrain],
-        maps_per_sample: usize,
-        maps: &[NeuronFaultOverlay],
-        path: &P,
-        guard: &G,
-        out: &mut MultiMapResult,
-    ) {
-        if self.max_delay == 0 {
-            let k = maps_per_sample;
-            return self
-                .inner
-                .run_batch_per_sample_maps(trains, k, maps, path, guard, out);
-        }
-        assert_eq!(
-            maps.len(),
-            trains.len() * maps_per_sample,
-            "maps per sample"
-        );
-        let resolved = ResolvedPath::new(path);
-        out.reset(self.inner.n_neurons(), trains.len(), maps_per_sample);
-        let baseline = self.fault_baseline();
-        for (i, map) in maps.iter().enumerate() {
-            let (j, s) = (i % maps_per_sample, i / maps_per_sample);
-            self.apply_overlay(map);
-            self.run_sample_resolved(&trains[s], &resolved, &mut guard.clone());
-            out.counts_mut(j, s).copy_from_slice(&self.counts);
             self.restore_overlay(map, &baseline);
         }
     }

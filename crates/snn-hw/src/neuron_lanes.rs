@@ -725,8 +725,9 @@ mod tests {
         /// `step_fused` and `inhibit_non_fired` against `NeuronUnit::step`
         /// and `NeuronUnit::inhibit`, neuron by neuron and every step, over
         /// ragged widths (partial 64-neuron words and 8-neuron tails),
-        /// state near `i32::MAX`, thresholds ≤ 0, `t_refrac = 0`, random op
-        /// faults from the units and from an overlay, and fired words with
+        /// state near `i32::MAX`, thresholds ≤ 0, `t_refrac = 0`, op faults
+        /// from the units and from an overlay (random at rates up to 1, or
+        /// dense: every vi/vl/vr/sg combination), and fired words with
         /// random bits, including non-refractory neurons and bits past `n`.
         /// Every range keeps `NeuronUnit` itself free of overflow.
         #[test]
@@ -739,13 +740,20 @@ mod tests {
         ) {
             let mut rng = StdRng::seed_from_u64(seed);
             let params = NeuronHwParams { v_reset, v_leak, t_refrac, v_inh: 0 };
-            let fault_rate = [0.0, 0.05, 0.3][rng.gen_range(0..3_usize)];
+            // A rate per (neuron, op), or `None`: neuron `j` carries op
+            // combination `j % 16` (bit `i` for `NeuronOp::ALL[i]`).
+            let fault_rate = [Some(0.0), Some(0.05), Some(0.3), Some(1.0), None]
+                [rng.gen_range(0..5_usize)];
             let mut base = vec![NeuronUnit::new(); n];
             let mut units = base.clone();
             let mut overlay = Vec::new();
             for j in 0..n {
-                for op in NeuronOp::ALL {
-                    if rng.gen_bool(fault_rate) {
+                for (i, op) in NeuronOp::ALL.into_iter().enumerate() {
+                    let faulty = match fault_rate {
+                        Some(rate) => rng.gen_bool(rate),
+                        None => ((j % 16) >> i) & 1 != 0,
+                    };
+                    if faulty {
                         units[j].faults.set(op);
                         if rng.gen_bool(0.5) {
                             base[j].faults.set(op);

@@ -401,13 +401,4 @@ fn delayed_trial_groups_match_injected_per_sample_runs() {
         }
     }
     assert_restored(&event, "multi-map");
-
-    event.run_batch_per_sample_maps(&trains, 2, &maps, &DirectRead, &guard, &mut out);
-    for (s, train) in trains.iter().enumerate() {
-        for j in 0..2 {
-            let want = injected_run(&maps[s * 2 + j], train);
-            assert_eq!(out.counts(j, s), want.as_slice(), "sample {s} own map {j}");
-        }
-    }
-    assert_restored(&event, "per-sample maps");
 }

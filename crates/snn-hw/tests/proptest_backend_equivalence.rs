@@ -222,10 +222,10 @@ proptest! {
         assert_sample_equivalence(&mut dense, &mut event, &trains, &bound, window, "bounded");
     }
 
-    /// Batch, multi-map and per-sample-maps equivalence through the
-    /// [`EngineBackend`] trait over [`AnyBackend`] — the exact dispatch
-    /// surface a deployment (and every grid shard cloned from it)
-    /// evaluates through. Overlays carry weight flips (duplicated cells
+    /// Batch and multi-map equivalence through the [`EngineBackend`]
+    /// trait over [`AnyBackend`] — the exact dispatch surface a
+    /// deployment (and every grid shard cloned from it) evaluates
+    /// through. Overlays carry weight flips (duplicated cells
     /// included) over installed stuck-at bits. Delay-free, both backends
     /// run the dense lane pass, which adds them as drive corrections; the
     /// delayed engines' per-map fallback is pinned in `event_delays.rs`.
@@ -285,16 +285,6 @@ proptest! {
         dense.run_batch_multi_map(&trains, &maps, &bound, &monitor, &mut mm_a);
         event.run_batch_multi_map(&trains, &maps, &bound, &monitor, &mut mm_b);
         prop_assert_eq!(&mm_a, &mm_b, "bounded multi-map diverged");
-
-        // Per-sample maps: sample s under maps s·k' .. (s + 1)·k', with
-        // the k maps reused round-robin so every sample gets its own set.
-        let per_sample = k.min(3);
-        let own: Vec<NeuronFaultOverlay> = (0..trains.len() * per_sample)
-            .map(|i| maps[(i * 7 + 1) % k].clone())
-            .collect();
-        dense.run_batch_per_sample_maps(&trains, per_sample, &own, &bound, &monitor, &mut mm_a);
-        event.run_batch_per_sample_maps(&trains, per_sample, &own, &bound, &monitor, &mut mm_b);
-        prop_assert_eq!(&mm_a, &mm_b, "per-sample maps diverged");
         prop_assert_eq!(dense.engine().crossbar().codes(), codes.clone(), "dense crossbar moved");
         prop_assert_eq!(event.engine().crossbar().codes(), codes, "event crossbar not restored");
 

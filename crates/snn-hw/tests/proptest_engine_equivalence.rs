@@ -223,38 +223,6 @@ fn install_random_stuck_bits(engine: &mut ComputeEngine, n: usize, seed: u64) {
     engine.install_stuck_bits(&sites).expect("in range");
 }
 
-/// Asserts `run_batch_per_sample_maps` over `(trains, maps)` (non-empty
-/// `trains`, `k = maps.len() / trains.len()` maps each) matches, for every
-/// sample `s` and map `j`, the scalar oracle run on sample `s` alone under
-/// its own maps `maps[s·k .. (s + 1)·k]`.
-fn assert_per_sample_maps_match_reference<P: WeightReadPath, G: SpikeGuard + Clone>(
-    fast: &mut ComputeEngine,
-    slow: &mut ComputeEngine,
-    trains: &[SpikeTrain],
-    maps: &[NeuronFaultOverlay],
-    path: &P,
-    guard: &G,
-    label: &str,
-) {
-    let k = maps.len() / trains.len();
-    let mut lanes = MultiMapResult::new();
-    fast.run_batch_per_sample_maps(trains, k, maps, path, guard, &mut lanes);
-    assert_eq!(lanes.n_maps(), k, "{label}: maps per sample");
-    assert_eq!(lanes.n_samples(), trains.len(), "{label}: sample count");
-    for (s, train) in trains.iter().enumerate() {
-        let own = &maps[s * k..(s + 1) * k];
-        let reference =
-            slow.run_batch_multi_map_reference(std::slice::from_ref(train), own, path, guard);
-        for j in 0..k {
-            assert_eq!(
-                lanes.counts(j, s),
-                reference.counts(j, 0),
-                "{label}: sample {s} map {j} diverged from scalar oracle"
-            );
-        }
-    }
-}
-
 /// Step-level equivalence through the whole-sample entry: the optimized
 /// run over the first `s + 1` steps of `train` (from rest, under a fresh
 /// guard) must fire, at step `s`, exactly the neurons the reference fires
@@ -743,48 +711,6 @@ proptest! {
         }
     }
 
-    /// The per-sample-maps pass (the re-execution shape: every sample
-    /// under its own k maps) against the scalar oracle run one sample at
-    /// a time, under the identity and a bounding read path, both guard
-    /// classes, installed stuck-at bits, weight-flip overlays with
-    /// duplicated cells, and empty overlays.
-    #[test]
-    fn run_batch_per_sample_maps_matches_reference(
-        net_seed in any::<u64>(),
-        fault_seed in any::<u64>(),
-        threshold in any::<u8>(),
-        default in any::<u8>(),
-        n_stuck in 0_usize..4,
-        n_map_flips in 0_usize..10,
-        k in 0_usize..6,
-        n_samples in 1_usize..7,
-        window in 1_u8..4,
-        density in 0.1_f64..0.7,
-    ) {
-        let bound = RandomBound { threshold, default };
-        let mut fast = random_faulted_engine(24, 10, net_seed, fault_seed, 6, 1);
-        install_random_stuck_bits(&mut fast, n_stuck, fault_seed ^ 0x57ad);
-        let mut slow = fast.clone();
-        // Overlay i carries i % 3 neuron sites and i % (F + 1) flips, so
-        // some are empty.
-        let maps: Vec<NeuronFaultOverlay> = (0..n_samples * k)
-            .map(|i| {
-                let mut overlay = random_overlay(10, i % 3, fault_seed ^ (0x300 + i as u64));
-                let flips = i % (n_map_flips + 1);
-                add_random_flips(&mut overlay, 24, 10, flips, fault_seed ^ (0x400 + i as u64));
-                overlay
-            })
-            .collect();
-        let trains: Vec<SpikeTrain> = (0..n_samples)
-            .map(|s| random_train(24, 8 + (s * 5) % 17, fault_seed ^ (0x500 + s as u64), density))
-            .collect();
-        let monitor = ResetMonitor::new(10, window);
-        assert_per_sample_maps_match_reference(
-            &mut fast, &mut slow, &trains, &maps, &DirectRead, &NoGuard, "direct/noguard");
-        assert_per_sample_maps_match_reference(
-            &mut fast, &mut slow, &trains, &maps, &bound, &monitor, "bounded/monitored");
-    }
-
     /// Identical samples inside a batch (the shared-accumulate fast path:
     /// every cycle's active-row set repeats across the batch) must still
     /// match the per-sample reference exactly.
@@ -913,43 +839,6 @@ fn run_batch_multi_map_chunk_boundaries_match_reference() {
             &bound,
             &monitor,
             &format!("multi-map chunk-boundary k={k}"),
-        );
-    }
-}
-
-/// Deterministic maps-per-sample counts the per-sample chunking must get
-/// right: one map per sample, k dividing the lane width or not, exactly
-/// the width, and one past it (a sample's lanes split across chunks).
-#[test]
-fn run_batch_per_sample_maps_chunk_boundaries_match_reference() {
-    for &k in &[1_usize, 3, 5, MAX_LANES, MAX_LANES + 1] {
-        let mut fast = random_faulted_engine(24, 10, 0xfeed, 0xbeef, 15, 1);
-        let mut slow = fast.clone();
-        let trains: Vec<SpikeTrain> = (0..7)
-            .map(|s| random_train(24, 16, 700 + s as u64, 0.4))
-            .collect();
-        let maps: Vec<NeuronFaultOverlay> = (0..trains.len() * k)
-            .map(|i| {
-                let mut overlay: NeuronFaultOverlay = [((i % 10) as u32, NeuronOp::ALL[i % 4])]
-                    .into_iter()
-                    .collect();
-                add_random_flips(&mut overlay, 24, 10, i % 5, 900 + i as u64);
-                overlay
-            })
-            .collect();
-        let bound = RandomBound {
-            threshold: 90,
-            default: 7,
-        };
-        let monitor = ResetMonitor::new(10, 2);
-        assert_per_sample_maps_match_reference(
-            &mut fast,
-            &mut slow,
-            &trains,
-            &maps,
-            &bound,
-            &monitor,
-            &format!("per-sample chunk-boundary k={k}"),
         );
     }
 }

@@ -12,7 +12,7 @@ pub use snn_hw::backend::EngineBackendKind;
 use snn_hw::backend::{AnyBackend, EngineBackend};
 use snn_hw::engine::{
     ComputeEngine, DirectRead, MultiMapResult, NeuronFaultOverlay, NoGuard, SpikeGuard,
-    WeightReadPath, MAX_LANES,
+    WeightReadPath,
 };
 use snn_hw::error::HwError;
 use snn_sim::assignment::Assignment;
@@ -701,11 +701,11 @@ impl SoftSnnDeployment {
 
     /// The Re-execution ×`runs` arm for one scenario (see
     /// [`evaluate`](Self::evaluate)). Every execution reloads parameters
-    /// and faces its own map, so after one reload each sample runs its
-    /// `runs` executions as lanes of one per-sample-maps pass
-    /// ([`ComputeEngine::run_batch_per_sample_maps`]), `MAX_LANES / runs`
-    /// samples per call; maps are generated and lowered one call at a
-    /// time, so at most one call's maps are alive.
+    /// and faces its own map, so after one reload each sample's `runs`
+    /// executions are one trial group over that sample alone
+    /// ([`ComputeEngine::run_batch_multi_map`]), one map per execution;
+    /// maps are generated and lowered one sample at a time, so at most
+    /// one sample's maps are alive.
     fn evaluate_reexecution(
         &mut self,
         runs: u32,
@@ -718,37 +718,26 @@ impl SoftSnnDeployment {
         // its own window — see DEFAULT_REEXEC_EXPOSURE.
         let exec_rate = scenario.rate * self.reexec_exposure;
         let runs = runs as usize;
-        let per_call = (MAX_LANES / runs.max(1)).max(1);
         self.engine.reload_parameters(&mut NoGuard);
-        let mut maps = Vec::with_capacity(per_call * runs);
+        let mut maps = Vec::with_capacity(runs);
         let mut out = MultiMapResult::new();
         let mut votes = Vec::with_capacity(runs);
-        for (call, (chunk, chunk_labels)) in trains
-            .chunks(per_call)
-            .zip(labels.chunks(per_call))
-            .enumerate()
-        {
+        for (s, (train, &label)) in trains.iter().zip(labels).enumerate() {
             maps.clear();
-            for i in 0..chunk.len() {
-                let sample_idx = (call * per_call + i) as u64;
-                for k in 0..runs as u64 {
-                    let exec_seed = derive_seed(scenario.seed, sample_idx * runs as u64 + k);
-                    maps.push(self.scenario_overlay(scenario, exec_rate, exec_seed)?);
-                }
+            for k in 0..runs {
+                let exec_seed = derive_seed(scenario.seed, (s * runs + k) as u64);
+                maps.push(self.scenario_overlay(scenario, exec_rate, exec_seed)?);
             }
-            self.engine.run_batch_per_sample_maps(
-                chunk,
-                runs,
+            self.engine.run_batch_multi_map(
+                std::slice::from_ref(train),
                 &maps,
                 &DirectRead,
                 &NoGuard,
                 &mut out,
             );
-            for (s, &label) in chunk_labels.iter().enumerate() {
-                votes.clear();
-                votes.extend((0..runs).map(|k| self.assignment.predict(out.counts(k, s))));
-                result.record(majority_vote(&votes), label);
-            }
+            votes.clear();
+            votes.extend((0..runs).map(|k| self.assignment.predict(out.counts(k, 0))));
+            result.record(majority_vote(&votes), label);
         }
         Ok(result)
     }

@@ -1,13 +1,15 @@
-//! Totality of the binary decoders: trained-network checkpoints and IDX
-//! dataset files.
+//! Totality of the file decoders: trained-network checkpoints, IDX
+//! dataset files, and campaign job files.
 //!
-//! `Checkpoint::from_bytes` reads a stored network and `read_idx` reads
-//! the MNIST-family files, so each must turn *any* input into a value or
-//! a typed error and never panic. These properties feed them random
-//! bytes, random headers with small claimed sizes, and bit flips and
-//! truncations of valid encodings. Both formats are canonical, so
-//! whatever decodes must re-encode to exactly the bytes it came from,
-//! and valid encodings round-trip bit for bit.
+//! `Checkpoint::from_bytes` reads a stored network, `read_idx` reads
+//! the MNIST-family files, and `CampaignService::open` and
+//! `JobHandle::load_cell` read a job's `job.json` and cell checkpoints,
+//! so each must turn *any* input into a value or a typed error and never
+//! panic. These properties feed them random bytes, random headers with
+//! small claimed sizes, and bit flips and truncations of valid
+//! encodings. The binary formats are canonical, so whatever decodes must
+//! re-encode to exactly the bytes it came from, and valid encodings
+//! round-trip bit for bit.
 //!
 //! An IDX header states its payload size, and a decoder that trusts it
 //! allocates before reading. So every IDX input here claims at most
@@ -19,8 +21,13 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng as _, SeedableRng};
 use softsnn::data::idx::{read_idx, write_idx};
+use softsnn::faults::codec::JsonCodec;
+use softsnn::faults::grid::{Aggregate, GridSpec};
+use softsnn::faults::service::{CampaignService, ServiceError};
 use softsnn::sim::checkpoint::{Checkpoint, MAGIC, VERSION};
 use std::io::Cursor;
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Largest IDX payload, in bytes, an input may claim.
 const MAX_IDX_CLAIM: u128 = 4 << 20;
@@ -123,6 +130,76 @@ fn random_idx(rng: &mut StdRng) -> (Vec<usize>, Vec<u8>, Vec<u8>) {
     (dims, data, bytes)
 }
 
+/// A fresh campaign root under the system temp dir, one per case.
+fn temp_root() -> PathBuf {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    let root = std::env::temp_dir().join(format!("softsnn_job_files_{}_{n}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    root
+}
+
+/// A small grid spec: 1–3 techniques and rates, 1–5 trials, seed offsets.
+fn random_spec(rng: &mut StdRng) -> GridSpec {
+    let techniques = (0..rng.gen_range(1..4_usize))
+        .map(|t| format!("technique {t}"))
+        .collect();
+    let rates = (0..rng.gen_range(1..4_usize))
+        .map(|_| rng.gen::<f64>())
+        .collect();
+    GridSpec::new(
+        rng.gen(),
+        rng.gen(),
+        techniques,
+        rates,
+        rng.gen_range(1..6_usize),
+    )
+    .with_offsets(
+        rng.gen_range(0..100),
+        rng.gen_range(0..100),
+        rng.gen_range(0..100),
+    )
+}
+
+/// A valid cell of `spec`: a random key and a seed-stream prefix of
+/// random trial values.
+fn random_cell(spec: &GridSpec, rng: &mut StdRng) -> Aggregate {
+    let keys = spec.cell_keys();
+    let key = keys[rng.gen_range(0..keys.len())];
+    let trials = (0..rng.gen_range(1..=spec.trials))
+        .map(|_| rng.gen::<f64>())
+        .collect();
+    let technique = spec.techniques[key.technique_idx].clone();
+    Aggregate::from_trials(
+        key,
+        technique,
+        spec.rates[key.rate_idx],
+        spec.trials,
+        trials,
+    )
+}
+
+/// The result of reading an existing file must be a value or a
+/// [`ServiceError::Format`]: a corrupt file is "will re-run", never an
+/// I/O failure that stops a resume.
+fn assert_format_or_ok<T>(result: &Result<T, ServiceError>, what: &str) {
+    if let Err(e) = result {
+        assert!(matches!(e, ServiceError::Format { .. }), "{what}: {e}");
+    }
+}
+
+/// Opens job `name` under `service`, then loads every cell of the spec
+/// it decodes to; any panic fails the property.
+fn open_and_load_every_cell(service: &CampaignService, name: &str) {
+    let job = service.open(name);
+    assert_format_or_ok(&job, "job.json");
+    if let Ok(job) = job {
+        for key in job.cell_keys() {
+            assert_format_or_ok(&job.load_cell(key), "cell");
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -208,5 +285,60 @@ proptest! {
         for _ in 0..8 {
             decode_idx(&mutate(&bytes, &mut rng));
         }
+    }
+
+    /// Random bytes written as a job's `job.json`, and as a cell
+    /// checkpoint of a valid job, open and load to a value or a format
+    /// error.
+    #[test]
+    fn random_job_files_open_and_load_to_a_value_or_an_error(
+        job_bytes in prop::collection::vec(any::<u8>(), 0..160),
+        cell_bytes in prop::collection::vec(any::<u8>(), 0..160),
+        seed in any::<u64>(),
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let service = CampaignService::new(temp_root());
+        let job = service.submit("valid", random_spec(&mut rng), Some(seed)).expect("submit");
+        let key = random_cell(job.spec(), &mut rng).key;
+        std::fs::write(job.cell_path(key), &cell_bytes).expect("write cell");
+        assert_format_or_ok(&job.load_cell(key), "random cell");
+        std::fs::create_dir_all(service.root().join("random")).expect("job dir");
+        std::fs::write(service.root().join("random/job.json"), &job_bytes).expect("write job");
+        open_and_load_every_cell(&service, "random");
+        let _ = std::fs::remove_dir_all(service.root());
+    }
+
+    /// A valid cell round-trips through `store_cell` → `load_cell`, and
+    /// bit flips and truncations of a valid `job.json` and of the stored
+    /// cell open and load to a value or a format error; a cell that still
+    /// loads re-stores to a cell that loads back equal.
+    #[test]
+    fn job_files_round_trip_and_survive_corruption(seed in any::<u64>()) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let service = CampaignService::new(temp_root());
+        let job = service.submit("valid", random_spec(&mut rng), None).expect("submit");
+        let cell = random_cell(job.spec(), &mut rng);
+        job.store_cell(&cell).expect("store");
+        let back = job.load_cell(cell.key).expect("a stored cell loads").expect("present");
+        prop_assert_eq!(back.to_json().render(), cell.to_json().render());
+
+        let job_json = std::fs::read(job.dir().join("job.json")).expect("read job");
+        let cell_file = std::fs::read(job.cell_path(cell.key)).expect("read cell");
+        for _ in 0..8 {
+            std::fs::write(job.cell_path(cell.key), mutate(&cell_file, &mut rng)).expect("write");
+            let loaded = job.load_cell(cell.key);
+            assert_format_or_ok(&loaded, "corrupted cell");
+            if let Ok(Some(loaded)) = loaded {
+                job.store_cell(&loaded).expect("re-store");
+                let again = job.load_cell(cell.key).expect("re-stored cell loads").expect("present");
+                prop_assert_eq!(again.to_json().render(), loaded.to_json().render());
+            }
+        }
+        std::fs::write(job.cell_path(cell.key), &cell_file).expect("restore cell");
+        for _ in 0..8 {
+            std::fs::write(job.dir().join("job.json"), mutate(&job_json, &mut rng)).expect("write");
+            open_and_load_every_cell(&service, "valid");
+        }
+        let _ = std::fs::remove_dir_all(service.root());
     }
 }
