@@ -27,48 +27,15 @@ impl InjectionSummary {
     pub fn neuron_faults(&self) -> usize {
         self.vi_faults + self.vl_faults + self.vr_faults + self.sg_faults
     }
-}
 
-/// Injects every site of `map` into `engine`: bit sites flip register
-/// bits, neuron-op sites set the corresponding fault-stuck flag. Both
-/// persist per the paper's semantics (until overwrite / parameter
-/// replacement — see [`ComputeEngine::reload_parameters`]).
-///
-/// Weight sites are applied first, through
-/// [`ComputeEngine::flip_weight_bit`], a register write that bumps the
-/// engine's mutation epoch, so the next non-identity run rebuilds the
-/// transformed-crossbar image once. A map that touches only neuron sites
-/// leaves the crossbar (and therefore the image) entirely alone. Then all
-/// neuron sites are applied through a single
-/// [`ComputeEngine::neurons_mut`] borrow, into the units every run
-/// imports its fault flags from.
-///
-/// # Errors
-///
-/// Returns [`HwError::IndexOutOfRange`] if the map was generated for a
-/// larger engine than `engine` (the engine may be left partially
-/// injected; callers treat this as fatal for the trial).
-pub fn inject(engine: &mut ComputeEngine, map: &FaultMap) -> Result<InjectionSummary, HwError> {
-    let mut summary = InjectionSummary::default();
-    let n_neurons = engine.n_neurons();
-    for site in map.sites() {
-        if let FaultSite::WeightBit { row, col, bit } = *site {
-            engine.flip_weight_bit(row as usize, col as usize, bit)?;
-            summary.bits_flipped += 1;
-        }
-    }
-    let units = engine.neurons_mut();
-    for site in map.sites() {
-        if let FaultSite::NeuronOp { neuron, op } = *site {
-            let neuron = neuron as usize;
-            if neuron >= n_neurons {
-                return Err(HwError::IndexOutOfRange {
-                    what: "neuron",
-                    index: neuron,
-                    bound: n_neurons,
-                });
-            }
-            units[neuron].faults.set(op);
+    /// What installing `overlay` touches: one flip per weight site, one
+    /// fault per neuron site.
+    fn of(overlay: &NeuronFaultOverlay) -> Self {
+        let mut summary = Self {
+            bits_flipped: overlay.weight_flips().len(),
+            ..Self::default()
+        };
+        for &(_, op) in overlay.neuron_ops() {
             match op {
                 NeuronOp::VmemIncrease => summary.vi_faults += 1,
                 NeuronOp::VmemLeak => summary.vl_faults += 1,
@@ -76,8 +43,30 @@ pub fn inject(engine: &mut ComputeEngine, map: &FaultMap) -> Result<InjectionSum
                 NeuronOp::SpikeGeneration => summary.sg_faults += 1,
             }
         }
+        summary
     }
-    Ok(summary)
+}
+
+/// Injects every site of `map` into `engine`: bit sites flip register
+/// bits, neuron-op sites set the corresponding fault-stuck flag. Both
+/// persist per the paper's semantics (until overwrite / parameter
+/// replacement — see [`ComputeEngine::reload_parameters`]).
+///
+/// This is [`lower_overlay`] followed by the engine's one install path,
+/// [`ComputeEngine::apply_overlay`]. Each weight flip is a register
+/// write that bumps the engine's mutation epoch, so the next
+/// non-identity run rebuilds the transformed-crossbar image once; a map
+/// that touches only neuron sites leaves the crossbar (and therefore the
+/// image) entirely alone.
+///
+/// # Errors
+///
+/// Returns [`HwError::IndexOutOfRange`] if the map was generated for a
+/// larger engine than `engine`; the engine is unchanged in that case.
+pub fn inject(engine: &mut ComputeEngine, map: &FaultMap) -> Result<InjectionSummary, HwError> {
+    let overlay = lower_overlay(engine, map)?;
+    engine.apply_overlay(&overlay)?;
+    Ok(InjectionSummary::of(&overlay))
 }
 
 /// Lowers `map` to the engine's [`NeuronFaultOverlay`] — the per-call
@@ -86,45 +75,28 @@ pub fn inject(engine: &mut ComputeEngine, map: &FaultMap) -> Result<InjectionSum
 /// the overlay is bit-identical to running it after [`inject`]`(engine,
 /// map)` on the same engine.
 ///
-/// Every site is checked against `engine` first, in [`inject`]'s order
-/// (weight sites, then neuron sites), so an overlay that lowers is one
+/// The overlay keeps the map's weight sites in order, then its neuron
+/// sites in order, and is checked against `engine` through
+/// [`ComputeEngine::check_overlay`], so an overlay that lowers is one
 /// the pass accepts.
 ///
 /// # Errors
 ///
-/// Returns the [`HwError::IndexOutOfRange`] that [`inject`] would return
-/// for the same map if it was generated for a larger engine than
-/// `engine`.
+/// Returns the [`HwError::IndexOutOfRange`] of the first out-of-range
+/// site, weight sites first, if the map was generated for a larger
+/// engine than `engine`.
 pub fn lower_overlay(
     engine: &ComputeEngine,
     map: &FaultMap,
 ) -> Result<NeuronFaultOverlay, HwError> {
-    let (rows, cols) = (engine.crossbar().rows(), engine.crossbar().cols());
-    let n_neurons = engine.n_neurons();
-    let out_of_range = |what, index: usize, bound| HwError::IndexOutOfRange { what, index, bound };
     let mut overlay = NeuronFaultOverlay::new();
     for site in map.sites() {
-        if let FaultSite::WeightBit { row, col, bit } = *site {
-            if row as usize >= rows {
-                return Err(out_of_range("row", row as usize, rows));
-            }
-            if col as usize >= cols {
-                return Err(out_of_range("col", col as usize, cols));
-            }
-            if bit >= 8 {
-                return Err(out_of_range("bit", bit as usize, 8));
-            }
-            overlay.push_weight_flip(row, col, bit);
+        match *site {
+            FaultSite::WeightBit { row, col, bit } => overlay.push_weight_flip(row, col, bit),
+            FaultSite::NeuronOp { neuron, op } => overlay.push_neuron_op(neuron, op),
         }
     }
-    for site in map.sites() {
-        if let FaultSite::NeuronOp { neuron, op } = *site {
-            if neuron as usize >= n_neurons {
-                return Err(out_of_range("neuron", neuron as usize, n_neurons));
-            }
-            overlay.push_neuron_op(neuron, op);
-        }
-    }
+    engine.check_overlay(&overlay)?;
     Ok(overlay)
 }
 
@@ -222,21 +194,33 @@ mod tests {
 
     #[test]
     fn lowering_rejects_oversized_maps_like_inject() {
-        // Maps drawn for a 100×50 engine against engines too small in
-        // both dimensions, only in rows, and only in columns.
-        for ((m, n), domain, seed) in [
-            ((4, 2), FaultDomain::ComputeEngine, 4),
-            ((4, 2), FaultDomain::Synapses, 5),
-            ((4, 2), FaultDomain::Neurons(None), 6),
-            ((4, 50), FaultDomain::Synapses, 7),
-            ((100, 2), FaultDomain::Synapses, 8),
+        // Maps drawn for a larger engine against engines too small in
+        // both dimensions, only in rows, and only in columns. The dense
+        // 8×50 maps' first weight (or neuron) sites fit the 8×4 engine
+        // and later ones do not: a failed inject must still change
+        // nothing, not leave the sites before the bad one installed.
+        for ((m, n), (space_m, space_n), domain, rate, seed) in [
+            ((4, 2), (100, 50), FaultDomain::ComputeEngine, 0.1, 4),
+            ((4, 2), (100, 50), FaultDomain::Synapses, 0.1, 5),
+            ((4, 2), (100, 50), FaultDomain::Neurons(None), 0.1, 6),
+            ((4, 50), (100, 50), FaultDomain::Synapses, 0.1, 7),
+            ((100, 2), (100, 50), FaultDomain::Synapses, 0.1, 8),
+            ((8, 4), (8, 50), FaultDomain::ComputeEngine, 0.3, 9),
+            ((8, 4), (8, 50), FaultDomain::Neurons(None), 0.3, 10),
         ] {
             let e = engine(m, n);
-            let map = FaultMap::generate(&FaultSpace::new(100, 50, domain), 0.1, seed);
+            let space = FaultSpace::new(space_m, space_n, domain);
+            let map = FaultMap::generate(&space, rate, seed);
             let lowered = lower_overlay(&e, &map).unwrap_err();
-            let injected = inject(&mut e.clone(), &map).unwrap_err();
+            let mut injected = e.clone();
+            let err = inject(&mut injected, &map).unwrap_err();
             assert!(matches!(lowered, HwError::IndexOutOfRange { .. }));
-            assert_eq!(lowered, injected, "{m}×{n} engine, {domain:?}");
+            assert_eq!(lowered, err, "{m}×{n} engine, {domain:?}");
+            assert_eq!(injected.crossbar(), e.crossbar(), "{m}×{n}, {domain:?}");
+            assert!(
+                injected.neurons().iter().all(|u| !u.faults.any()),
+                "{m}×{n} engine, {domain:?}: a failed inject set neuron faults"
+            );
         }
     }
 

@@ -788,10 +788,16 @@ impl JobHandle {
 /// Process-unique counter making concurrent tmp-file names distinct.
 static TMP_NONCE: AtomicU64 = AtomicU64::new(0);
 
-/// Reads `path` as text. Bytes that are not UTF-8 make a corrupt file
-/// ([`ServiceError::Format`]), not an I/O failure, so a checkpoint with
-/// one flipped high bit re-runs on resume instead of failing the job.
-fn read_text(path: &Path) -> Result<String, ServiceError> {
+/// Reads `path` as text — the one reader of every job file. Bytes that
+/// are not UTF-8 make a corrupt file ([`ServiceError::Format`]), not an
+/// I/O failure, so a checkpoint with one flipped high bit re-runs on
+/// resume instead of failing the job.
+///
+/// # Errors
+///
+/// Returns [`ServiceError::Io`] when the file cannot be read, and
+/// [`ServiceError::Format`] when its bytes are not UTF-8.
+pub fn read_text(path: &Path) -> Result<String, ServiceError> {
     let bytes = fs::read(path).map_err(|e| ServiceError::io(path, e))?;
     String::from_utf8(bytes).map_err(|e| ServiceError::format(path, e.to_string()))
 }

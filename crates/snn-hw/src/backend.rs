@@ -2,9 +2,9 @@
 //! interchangeable per workload.
 //!
 //! [`EngineBackend`] covers the evaluate entry points a deployment (or a
-//! grid shard) drives — sample, batch, multi-map, the heal-on-entry
-//! `reload_parameters`, and `reset_state` — so callers pick a backend
-//! per workload without forking their evaluation code.
+//! grid shard) drives — sample, batch, multi-map, and the heal-on-entry
+//! `reload_parameters` — so callers pick a backend per workload without
+//! forking their evaluation code.
 //! Its one implementation is [`AnyBackend`], the concrete closed-world
 //! container (the trait's generic methods keep guard/path static
 //! dispatch, so it cannot be a trait object), which forwards each entry
@@ -21,9 +21,10 @@
 //! neuron phase on provably-silent cycles and lazily replays leak, which
 //! wins when most cycles are silent. It is also the only backend that can express per-synapse
 //! delays; a delayed engine runs fault maps through an explicit per-map
-//! fallback — apply the map, run each sample, restore — at one sample
-//! run per (map, sample). On delay-free workloads both produce
-//! bit-identical spikes, counts, and guard decisions.
+//! fallback — install the map through [`ComputeEngine::apply_overlay`],
+//! run each sample, revert it — at one sample run per (map, sample). On
+//! delay-free workloads both produce bit-identical spikes, counts, and
+//! guard decisions.
 
 use crate::engine::{
     BatchResult, ComputeEngine, MultiMapResult, NeuronFaultOverlay, SpikeGuard, WeightReadPath,
@@ -73,9 +74,6 @@ pub trait EngineBackend {
     /// registers, cleared neuron faults, guard latches reset. Every evaluate
     /// path heals through this first — on every backend.
     fn reload_parameters<G: SpikeGuard>(&mut self, guard: &mut G);
-
-    /// Clears membrane/refractory state; persisted faults remain.
-    fn reset_state(&mut self);
 
     /// The underlying dense engine — the fault-injection surface shared
     /// by every backend.
@@ -221,13 +219,6 @@ impl EngineBackend for AnyBackend {
         match self {
             AnyBackend::Dense(e) => e.reload_parameters(guard),
             AnyBackend::Event(ev) => ev.reload_parameters(guard),
-        }
-    }
-
-    fn reset_state(&mut self) {
-        match self {
-            AnyBackend::Dense(e) => e.reset_state(),
-            AnyBackend::Event(ev) => ev.reset_state(),
         }
     }
 

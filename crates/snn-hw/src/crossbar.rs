@@ -137,33 +137,38 @@ impl Crossbar {
         Ok(())
     }
 
+    /// Checks that (`row`, `col`, `bit`) names a bit of one of this
+    /// crossbar's registers — the one weight fault-site check, behind
+    /// [`flip_bit`](Self::flip_bit) and every fault-site check of
+    /// [`ComputeEngine`](crate::engine::ComputeEngine).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`HwError::IndexOutOfRange`] naming the first bad index,
+    /// checked in the order row, col, bit.
+    pub fn check_bit(&self, row: usize, col: usize, bit: u8) -> Result<(), HwError> {
+        let out_of_range =
+            |what, index, bound| Err(HwError::IndexOutOfRange { what, index, bound });
+        if row >= self.rows {
+            return out_of_range("row", row, self.rows);
+        }
+        if col >= self.cols {
+            return out_of_range("col", col, self.cols);
+        }
+        if bit >= 8 {
+            return out_of_range("bit", bit as usize, 8);
+        }
+        Ok(())
+    }
+
     /// Flips one bit of the register at (`row`, `col`) — a soft error.
     ///
     /// # Errors
     ///
-    /// Returns [`HwError::IndexOutOfRange`] for bad indices.
+    /// Returns [`HwError::IndexOutOfRange`] for bad indices (see
+    /// [`check_bit`](Self::check_bit)).
     pub fn flip_bit(&mut self, row: usize, col: usize, bit: u8) -> Result<(), HwError> {
-        if row >= self.rows {
-            return Err(HwError::IndexOutOfRange {
-                what: "row",
-                index: row,
-                bound: self.rows,
-            });
-        }
-        if col >= self.cols {
-            return Err(HwError::IndexOutOfRange {
-                what: "col",
-                index: col,
-                bound: self.cols,
-            });
-        }
-        if bit >= 8 {
-            return Err(HwError::IndexOutOfRange {
-                what: "bit",
-                index: bit as usize,
-                bound: 8,
-            });
-        }
+        self.check_bit(row, col, bit)?;
         let mut reg = WeightRegister::new(self.codes[row * self.cols + col]);
         reg.flip_bit(bit);
         self.codes[row * self.cols + col] = reg.read();

@@ -73,6 +73,9 @@
 //! is exact — weight-bearing groups share the drive phase too, with no
 //! fallback. Overlays are per-call inputs: the registers, the read cache
 //! and the mutation epoch are the same after the pass as before it.
+//! [`ComputeEngine::apply_overlay`] is the one way to install an overlay
+//! on the engine, behind one site check
+//! ([`ComputeEngine::check_overlay`]) that the pass runs too.
 //!
 //! Each lane is evaluated *independently* — state reset first, spike
 //! guard cloned from the caller's prototype (a single sample drives the
@@ -282,6 +285,7 @@ impl SpikeGuard for NoGuard {
 /// engine's current registers and persisted faults for the lanes that
 /// carry it and never install it, so the crossbar, the read cache and
 /// the mutation epoch are the same before and after the call.
+/// [`ComputeEngine::apply_overlay`] installs one.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct NeuronFaultOverlay {
     neuron_ops: Vec<(u32, NeuronOp)>,
@@ -365,11 +369,8 @@ impl WeightDeltas {
     /// crossbar: flips of one cell are XOR-merged, and corrections that
     /// read as zero are dropped. Flips already in row-major order (what a
     /// generated fault map lowers to) are merged in place; others are
-    /// sorted through `keys` first.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a flip's row, column or bit is out of range.
+    /// sorted through `keys` first. The flips must have passed
+    /// [`ComputeEngine::check_overlay`].
     fn lower(
         &mut self,
         flips: &[(u32, u32, u8)],
@@ -378,17 +379,10 @@ impl WeightDeltas {
         path: &ResolvedPath,
         keys: &mut Vec<u64>,
     ) {
-        let rows = codes.len() / cols.max(1);
         assert!(
             cols <= 1 << (32 - DELTA_BITS),
             "weight overlays support up to 2^23 columns"
         );
-        for &(row, col, bit) in flips {
-            assert!(
-                (row as usize) < rows && (col as usize) < cols && bit < 8,
-                "overlay weight flip ({row}, {col}, bit {bit}) out of range for {rows}×{cols}"
-            );
-        }
         let cell = |row: u32, col: u32| row as usize * cols + col as usize;
         if flips
             .windows(2)
@@ -910,6 +904,65 @@ impl ComputeEngine {
         Ok(())
     }
 
+    /// The one fault-site check: every weight flip of `overlay` against
+    /// the crossbar ([`Crossbar::check_bit`]), then every neuron site
+    /// against the units. [`apply_overlay`](Self::apply_overlay) and the
+    /// trial-group pass run it before they touch anything.
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`HwError::IndexOutOfRange`] of the first bad site.
+    pub fn check_overlay(&self, overlay: &NeuronFaultOverlay) -> Result<(), HwError> {
+        for &(row, col, bit) in overlay.weight_flips() {
+            self.crossbar.check_bit(row as usize, col as usize, bit)?;
+        }
+        for &(j, _) in overlay.neuron_ops() {
+            if j as usize >= self.n_neurons {
+                return Err(HwError::IndexOutOfRange {
+                    what: "neuron",
+                    index: j as usize,
+                    bound: self.n_neurons,
+                });
+            }
+        }
+        Ok(())
+    }
+
+    /// Installs `overlay` over the current fault state — the one install
+    /// path of a transient fault map: flips its weight bits (register
+    /// writes, each bumping the mutation epoch) and sets its neuron
+    /// sites' fault flags, which persist until the next
+    /// [`reload_parameters`](Self::reload_parameters).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`HwError::IndexOutOfRange`] if any site is out of range
+    /// ([`check_overlay`](Self::check_overlay)); the engine is then
+    /// unchanged.
+    pub fn apply_overlay(&mut self, overlay: &NeuronFaultOverlay) -> Result<(), HwError> {
+        self.check_overlay(overlay)?;
+        for &(row, col, bit) in overlay.weight_flips() {
+            self.flip_weight_bit(row as usize, col as usize, bit)?;
+        }
+        for &(j, op) in overlay.neuron_ops() {
+            self.neurons[j as usize].faults.set(op);
+        }
+        Ok(())
+    }
+
+    /// The exact inverse of a successful `apply_overlay(overlay)` on an
+    /// engine whose fault flags were `flags`: flips the same bits back
+    /// (flips are XOR, and move the epoch) and restores the flags.
+    pub(crate) fn revert_overlay(&mut self, overlay: &NeuronFaultOverlay, flags: &[OpFaults]) {
+        for &(row, col, bit) in overlay.weight_flips() {
+            self.flip_weight_bit(row as usize, col as usize, bit)
+                .expect("an applied overlay's sites are in range");
+        }
+        for (unit, &f) in self.neurons.iter_mut().zip(flags) {
+            unit.faults = f;
+        }
+    }
+
     /// Installs permanent stuck-at faults: each site's bit is forced to
     /// its stuck value now **and after every parameter reload** — healing
     /// restores the clean registers, then the stuck bits re-manifest on
@@ -929,27 +982,7 @@ impl ComputeEngine {
     /// crossbar or names a bit ≥ 8; the engine is unchanged in that case.
     pub fn install_stuck_bits(&mut self, sites: &[StuckWeightBit]) -> Result<(), HwError> {
         for s in sites {
-            if s.row >= self.crossbar.rows() {
-                return Err(HwError::IndexOutOfRange {
-                    what: "stuck-at row",
-                    index: s.row,
-                    bound: self.crossbar.rows(),
-                });
-            }
-            if s.col >= self.crossbar.cols() {
-                return Err(HwError::IndexOutOfRange {
-                    what: "stuck-at column",
-                    index: s.col,
-                    bound: self.crossbar.cols(),
-                });
-            }
-            if s.bit >= 8 {
-                return Err(HwError::IndexOutOfRange {
-                    what: "stuck-at bit",
-                    index: s.bit as usize,
-                    bound: 8,
-                });
-            }
+            self.crossbar.check_bit(s.row, s.col, s.bit)?;
         }
         self.stuck_bits = sites.to_vec();
         self.apply_stuck_bits();
@@ -1252,8 +1285,7 @@ impl ComputeEngine {
     ///
     /// ```text
     /// let mut e = engine.clone();
-    /// for &(r, c, b) in maps[m].weight_flips() { e.flip_weight_bit(r as usize, c as usize, b)?; }
-    /// for &(j, op) in maps[m].neuron_ops() { e.neurons_mut()[j as usize].faults.set(op); }
+    /// e.apply_overlay(&maps[m])?;
     /// e.run_sample(&trains[s], path, &mut guard.clone())
     /// ```
     ///
@@ -1342,6 +1374,9 @@ impl ComputeEngine {
         }
         let codes = self.crossbar.codes_slice();
         for (deltas, map) in scratch.deltas.iter_mut().zip(maps) {
+            if let Err(e) = self.check_overlay(map) {
+                panic!("fault overlay out of range: {e}");
+            }
             deltas.lower(
                 map.weight_flips(),
                 codes,
@@ -1449,12 +1484,12 @@ impl ComputeEngine {
 
     /// Reference formulation of
     /// [`run_batch_multi_map`](Self::run_batch_multi_map): the per-map
-    /// scalar loop — flip each map's weight bits and set its neuron sites
-    /// in the architectural units, run every sample through
+    /// scalar loop — install each map through
+    /// [`apply_overlay`](Self::apply_overlay), run every sample through
     /// [`run_sample_reference`](Self::run_sample_reference) with a fresh
-    /// guard clone, flip the bits back and restore the fault flags. Kept
-    /// as the behavioral oracle for the equivalence property tests; not a
-    /// hot path.
+    /// guard clone, and revert the map to the pre-call registers and
+    /// fault flags. Kept as the behavioral oracle for the equivalence
+    /// property tests; not a hot path.
     ///
     /// # Panics
     ///
@@ -1468,41 +1503,19 @@ impl ComputeEngine {
     ) -> MultiMapResult {
         let mut out = MultiMapResult::new();
         out.reset(self.n_neurons, trains.len(), maps.len());
-        let baseline: Vec<OpFaults> = self.neurons.iter().map(|u| u.faults).collect();
+        let flags: Vec<OpFaults> = self.neurons.iter().map(|u| u.faults).collect();
         for (m, map) in maps.iter().enumerate() {
-            self.flip_overlay_bits(map);
-            {
-                let units = self.neurons_mut();
-                for &(j, op) in map.neuron_ops() {
-                    units[j as usize].faults.set(op);
-                }
+            if let Err(e) = self.apply_overlay(map) {
+                panic!("fault overlay {m} out of range: {e}");
             }
             for (s, train) in trains.iter().enumerate() {
                 let counts = self.run_sample_reference(train, path, &mut guard.clone());
                 out.counts_mut(m, s).copy_from_slice(&counts);
             }
-            self.flip_overlay_bits(map);
-            let units = self.neurons_mut();
-            for (u, &f) in units.iter_mut().zip(&baseline) {
-                u.faults = f;
-            }
+            self.revert_overlay(map, &flags);
         }
         self.reset_state();
         out
-    }
-
-    /// Flips every weight bit of `overlay` in the registers (through
-    /// [`flip_weight_bit`](Self::flip_weight_bit)); a second call undoes
-    /// the first. The apply/restore step of the per-map loops.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a flip is out of range for this engine.
-    pub(crate) fn flip_overlay_bits(&mut self, overlay: &NeuronFaultOverlay) {
-        for &(row, col, bit) in overlay.weight_flips() {
-            self.flip_weight_bit(row as usize, col as usize, bit)
-                .expect("overlay weight flip out of range");
-        }
     }
 
     /// Reference (pre-optimization) formulation of one timestep of the

@@ -45,8 +45,9 @@
 //! sample, and the lane pass shares the drive across samples and maps
 //! without installing any overlay. Only a delayed engine — the lane pass
 //! has no delay ring — falls back to one sample run per (map, sample):
-//! apply the map, run each sample, restore. A batch is the one-map case
-//! (a single empty overlay) on either path.
+//! install the map ([`ComputeEngine::apply_overlay`]), run each sample,
+//! revert it. A batch is the one-map case (a single empty overlay) on
+//! either path.
 //!
 //! Compiled adjacency state is keyed on the same (table, mutation epoch)
 //! rule as the wrapped engine's transformed-crossbar image: the resolved
@@ -64,7 +65,6 @@ use crate::engine::{
 use crate::error::HwError;
 use crate::kernels;
 use crate::neuron_lanes::{n_words, NeuronLanes};
-use crate::neuron_unit::OpFaults;
 use snn_sim::spike::SpikeTrain;
 
 /// One compiled delayed synapse of an input row: target column, weight
@@ -236,15 +236,6 @@ impl EventEngine {
         self.inner.reload_parameters(guard);
     }
 
-    /// Clears membrane/refractory state and drops in-flight delayed
-    /// events (between samples). Persisted faults remain, as on the
-    /// dense path.
-    pub fn reset_state(&mut self) {
-        self.inner.reset_state();
-        self.ring.fill(0);
-        self.ring_live.fill(0);
-    }
-
     /// Presents one encoded sample and returns per-neuron output spike
     /// counts as a borrow of this backend's counter buffer (valid until
     /// the next run). Delay-free configurations are bit-identical to
@@ -289,11 +280,17 @@ impl EventEngine {
     /// Evaluates every (fault map, sample) pair with the semantics of
     /// [`ComputeEngine::run_batch_multi_map`]. A delay-free engine runs
     /// the wrapped engine's lane pass itself, which never installs a map.
-    /// A delayed one takes the explicit per-map fallback: apply map `m`
-    /// (weight flips and neuron sites) over the current fault state, run
-    /// each sample with a fresh guard clone, restore the state exactly,
+    /// A delayed one takes the explicit per-map fallback: install map `m`
+    /// over the current fault state
+    /// ([`ComputeEngine::apply_overlay`]), run each sample with a fresh
+    /// guard clone, revert to the pre-call registers and fault flags,
     /// repeat — the dense multi-map reference semantics, at the cost of
     /// one sample run per (map, sample).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a map site or a train's active-row index is out of range
+    /// for this engine.
     pub fn run_batch_multi_map<P: WeightReadPath, G: SpikeGuard + Clone>(
         &mut self,
         trains: &[SpikeTrain],
@@ -309,37 +306,16 @@ impl EventEngine {
         }
         let resolved = ResolvedPath::new(path);
         out.reset(self.inner.n_neurons(), trains.len(), maps.len());
-        let baseline = self.fault_baseline();
+        let flags: Vec<_> = self.inner.neurons().iter().map(|u| u.faults).collect();
         for (m, map) in maps.iter().enumerate() {
-            self.apply_overlay(map);
+            if let Err(e) = self.inner.apply_overlay(map) {
+                panic!("fault overlay {m} out of range: {e}");
+            }
             for (s, train) in trains.iter().enumerate() {
                 self.run_sample_resolved(train, &resolved, &mut guard.clone());
                 out.counts_mut(m, s).copy_from_slice(&self.counts);
             }
-            self.restore_overlay(map, &baseline);
-        }
-    }
-
-    /// The wrapped engine's current neuron fault flags.
-    fn fault_baseline(&self) -> Vec<OpFaults> {
-        self.inner.neurons().iter().map(|u| u.faults).collect()
-    }
-
-    /// Injects `map` over the current fault state.
-    fn apply_overlay(&mut self, map: &NeuronFaultOverlay) {
-        self.inner.flip_overlay_bits(map);
-        let units = self.inner.neurons_mut();
-        for &(j, op) in map.neuron_ops() {
-            units[j as usize].faults.set(op);
-        }
-    }
-
-    /// Undoes [`apply_overlay`](Self::apply_overlay): flips `map`'s bits
-    /// back and restores the neuron fault flags to `baseline`.
-    fn restore_overlay(&mut self, map: &NeuronFaultOverlay, baseline: &[OpFaults]) {
-        self.inner.flip_overlay_bits(map);
-        for (u, &f) in self.inner.neurons_mut().iter_mut().zip(baseline) {
-            u.faults = f;
+            self.inner.revert_overlay(map, &flags);
         }
     }
 

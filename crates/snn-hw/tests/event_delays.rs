@@ -287,8 +287,8 @@ fn deliveries_past_sample_end_are_dropped() {
     );
 }
 
-/// Delay state survives consecutive samples and `reset_state` — the ring
-/// is cleared between samples so no delivery leaks across.
+/// Delay state does not survive into the next sample — the ring is
+/// cleared at the start of every sample, so no delivery leaks across.
 #[test]
 fn ring_state_does_not_leak_across_samples() {
     let dense = test_engine(0x1ea);

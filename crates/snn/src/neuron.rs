@@ -1,4 +1,4 @@
-//! LIF neuron parameters and state.
+//! LIF neuron parameters.
 //!
 //! The membrane dynamics follow the *hardware* datapath of the paper's
 //! Fig. 5: per timestep a neuron (1) integrates the summed weights of its
@@ -42,149 +42,5 @@ impl LifParams {
             v_leak: cfg.v_leak,
             t_refrac: cfg.t_refrac,
         }
-    }
-}
-
-/// Mutable per-neuron state advanced by [`step_neuron`].
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct LifState {
-    /// Membrane potential.
-    pub v: f32,
-    /// Remaining refractory timesteps (0 = ready to integrate).
-    pub refrac: u32,
-}
-
-impl LifState {
-    /// A fresh, rested neuron.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Resets the neuron to the rested state.
-    pub fn reset(&mut self) {
-        *self = Self::default();
-    }
-}
-
-/// Advances one neuron by one timestep given the summed synaptic input
-/// `drive` and the effective threshold `thresh_eff` (base + adaptive
-/// component). Returns `true` if the neuron fired.
-///
-/// The operation order mirrors the hardware: integrate (skipped while
-/// refractory), leak (floored at 0), compare, reset.
-///
-/// # Examples
-///
-/// ```
-/// use snn_sim::neuron::{step_neuron, LifParams, LifState};
-///
-/// let p = LifParams { v_thresh: 1.0, v_reset: 0.0, v_leak: 0.0, t_refrac: 2 };
-/// let mut s = LifState::new();
-/// assert!(!step_neuron(&mut s, &p, 0.6, 1.0)); // below threshold
-/// assert!(step_neuron(&mut s, &p, 0.6, 1.0));  // 1.2 >= 1.0 -> spike
-/// assert_eq!(s.refrac, 2);
-/// ```
-#[inline]
-pub fn step_neuron(state: &mut LifState, params: &LifParams, drive: f32, thresh_eff: f32) -> bool {
-    if state.refrac > 0 {
-        state.refrac -= 1;
-        // Membrane is clamped at reset while refractory (hardware holds the
-        // register; no integration, no leak below reset).
-        return false;
-    }
-    state.v += drive;
-    state.v = (state.v - params.v_leak).max(0.0);
-    if state.v >= thresh_eff {
-        state.v = params.v_reset;
-        state.refrac = params.t_refrac;
-        true
-    } else {
-        false
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn params() -> LifParams {
-        LifParams {
-            v_thresh: 10.0,
-            v_reset: 0.0,
-            v_leak: 1.0,
-            t_refrac: 3,
-        }
-    }
-
-    #[test]
-    fn integrates_and_fires_at_threshold() {
-        let p = params();
-        let mut s = LifState::new();
-        let mut fired = false;
-        for _ in 0..10 {
-            fired = step_neuron(&mut s, &p, 2.0, p.v_thresh);
-            if fired {
-                break;
-            }
-        }
-        assert!(fired);
-        assert_eq!(s.v, p.v_reset);
-    }
-
-    #[test]
-    fn leak_pulls_toward_zero() {
-        let p = params();
-        let mut s = LifState { v: 5.0, refrac: 0 };
-        step_neuron(&mut s, &p, 0.0, p.v_thresh);
-        assert_eq!(s.v, 4.0);
-    }
-
-    #[test]
-    fn membrane_never_goes_negative() {
-        let p = params();
-        let mut s = LifState { v: 0.5, refrac: 0 };
-        step_neuron(&mut s, &p, 0.0, p.v_thresh);
-        assert_eq!(s.v, 0.0);
-        step_neuron(&mut s, &p, 0.0, p.v_thresh);
-        assert_eq!(s.v, 0.0);
-    }
-
-    #[test]
-    fn refractory_blocks_integration() {
-        let p = params();
-        let mut s = LifState::new();
-        // Drive hard enough to fire immediately.
-        assert!(step_neuron(&mut s, &p, 100.0, p.v_thresh));
-        // Next t_refrac steps cannot fire no matter the drive.
-        for _ in 0..p.t_refrac {
-            assert!(!step_neuron(&mut s, &p, 100.0, p.v_thresh));
-        }
-        // Refractory over: fires again.
-        assert!(step_neuron(&mut s, &p, 100.0, p.v_thresh));
-    }
-
-    #[test]
-    fn higher_effective_threshold_delays_firing() {
-        let p = params();
-        let mut fast = LifState::new();
-        let mut slow = LifState::new();
-        let mut t_fast = None;
-        let mut t_slow = None;
-        for t in 0..100 {
-            if t_fast.is_none() && step_neuron(&mut fast, &p, 3.0, 10.0) {
-                t_fast = Some(t);
-            }
-            if t_slow.is_none() && step_neuron(&mut slow, &p, 3.0, 20.0) {
-                t_slow = Some(t);
-            }
-        }
-        assert!(t_fast.unwrap() < t_slow.unwrap());
-    }
-
-    #[test]
-    fn reset_state_clears_everything() {
-        let mut s = LifState { v: 3.0, refrac: 2 };
-        s.reset();
-        assert_eq!(s, LifState::default());
     }
 }

@@ -96,7 +96,7 @@ impl FaultScenario {
 }
 
 /// Fraction of the accumulated fault density a single re-execution window
-/// is exposed to (see [`SoftSnnDeployment::set_reexec_exposure`]).
+/// is exposed to.
 ///
 /// A [`FaultScenario`]'s rate describes the fault density accumulated on
 /// an engine whose parameters are never reloaded (bits persist until
@@ -283,8 +283,7 @@ impl SpikeActivityStats {
 
 /// A trained, quantized network deployed on the (bit-accurate) compute
 /// engine together with everything the SoftSNN methodology derives from
-/// it: the class assignment, the clean-weight analysis, and the monitor
-/// window.
+/// it: the class assignment and the clean-weight analysis.
 ///
 /// This is the object the experiment harness evaluates under different
 /// mitigation [`Technique`]s and [`FaultScenario`]s.
@@ -298,8 +297,6 @@ pub struct SoftSnnDeployment {
     engine: AnyBackend,
     assignment: Assignment,
     analysis: WeightAnalysis,
-    monitor_window: u8,
-    reexec_exposure: f64,
 }
 
 /// Options for [`SoftSnnDeployment::train`].
@@ -338,8 +335,6 @@ impl SoftSnnDeployment {
             engine,
             assignment,
             analysis,
-            monitor_window: PAPER_WINDOW,
-            reexec_exposure: DEFAULT_REEXEC_EXPOSURE,
         })
     }
 
@@ -411,33 +406,6 @@ impl SoftSnnDeployment {
     /// The neuron-to-class assignment/decoder.
     pub fn assignment(&self) -> &Assignment {
         &self.assignment
-    }
-
-    /// Overrides the faulty-reset monitor window (paper default: 2).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window == 0`.
-    pub fn set_monitor_window(&mut self, window: u8) {
-        assert!(window > 0, "monitor window must be at least 1");
-        self.monitor_window = window;
-    }
-
-    /// Overrides the re-execution exposure fraction
-    /// ([`DEFAULT_REEXEC_EXPOSURE`]): the share of a scenario's
-    /// accumulated fault density that strikes within one re-execution
-    /// window. `1.0` makes every execution face the full density (a
-    /// pessimistic ablation); `0.0` makes re-execution fault-free.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `exposure` is outside `[0, 1]`.
-    pub fn set_reexec_exposure(&mut self, exposure: f64) {
-        assert!(
-            (0.0..=1.0).contains(&exposure),
-            "exposure must be in [0, 1]"
-        );
-        self.reexec_exposure = exposure;
     }
 
     /// The bounding configuration a BnP variant would use on this
@@ -634,7 +602,7 @@ impl SoftSnnDeployment {
                 // pre-muted for the next. The vr-burst signature the
                 // monitor exists for re-latches within `window` cycles of
                 // every sample, so protection strength is unchanged.
-                let monitor = ResetMonitor::new(self.qn.n_neurons, self.monitor_window);
+                let monitor = ResetMonitor::new(self.qn.n_neurons, PAPER_WINDOW);
                 let path = BoundedRead::new(self.bounding_for(variant));
                 self.evaluate_persistent(&path, monitor, scenarios, trains, labels)
             }
@@ -716,7 +684,7 @@ impl SoftSnnDeployment {
         let mut result = EvalResult::new(self.assignment.n_classes());
         // Each execution is only exposed to the strikes landing within
         // its own window — see DEFAULT_REEXEC_EXPOSURE.
-        let exec_rate = scenario.rate * self.reexec_exposure;
+        let exec_rate = scenario.rate * DEFAULT_REEXEC_EXPOSURE;
         let runs = runs as usize;
         self.engine.reload_parameters(&mut NoGuard);
         let mut maps = Vec::with_capacity(runs);
@@ -744,7 +712,7 @@ impl SoftSnnDeployment {
 
     /// Content fingerprint of everything that determines this
     /// deployment's evaluation results: the quantized weights and neuron
-    /// parameters, the class assignment, the mitigation knobs, and the
+    /// parameters, the class assignment, the mitigation constants, and the
     /// active backend. Two deployments hashing equal evaluate any
     /// (technique, scenario, test set) identically, so the campaign
     /// service uses this (plus [`EncodedTestSet::content_hash`]) as the
@@ -775,8 +743,10 @@ impl SoftSnnDeployment {
                 None => h.write_u64(0),
             }
         }
-        h.write_u64(self.monitor_window as u64);
-        h.write_f64(self.reexec_exposure);
+        // The monitor window and re-execution exposure stay in the hash
+        // so that stored job fingerprints keep their values.
+        h.write_u64(PAPER_WINDOW as u64);
+        h.write_f64(DEFAULT_REEXEC_EXPOSURE);
         h.write_str(&format!("{:?}", self.engine.kind()));
         h.finish()
     }
@@ -1109,41 +1079,36 @@ mod tests {
 
     /// Re-execution through lanes equals the per-execution loop it
     /// replaced — reload, inject a fresh map, run the sample through the
-    /// reference formulation, majority-vote — at every rate, clean, and
-    /// under both the default and full exposure.
+    /// reference formulation, majority-vote — at every rate and clean.
     #[test]
     fn reexecution_lanes_match_per_execution_loop() {
         use snn_faults::injector::inject;
         let (mut d, images, labels) = tiny_deployment();
         let set = d.encode_test_set(&images, &labels, 55).unwrap();
         let runs = 3_u32;
-        for exposure in [DEFAULT_REEXEC_EXPOSURE, 1.0] {
-            d.set_reexec_exposure(exposure);
-            for scenario in rate_sweep() {
-                let technique = Technique::ReExecution { runs };
-                let got = d.evaluate_encoded(technique, &scenario, &set).unwrap();
-                let mut oracle = d.clone();
-                let space = scenario.space(8, 4);
-                let rate = scenario.rate * exposure;
-                let mut want = EvalResult::new(2);
-                for (s, (train, &label)) in set.trains().iter().zip(set.labels()).enumerate() {
-                    let votes: Vec<Option<usize>> = (0..runs as u64)
-                        .map(|k| {
-                            let engine = oracle.engine_mut();
-                            engine.reload_parameters(&mut NoGuard);
-                            if !scenario.is_clean() && rate > 0.0 {
-                                let seed = derive_seed(scenario.seed, s as u64 * runs as u64 + k);
-                                inject(engine, &FaultMap::generate(&space, rate, seed)).unwrap();
-                            }
-                            let counts =
-                                engine.run_sample_reference(train, &DirectRead, &mut NoGuard);
-                            oracle.assignment().predict(&counts)
-                        })
-                        .collect();
-                    want.record(majority_vote(&votes), label);
-                }
-                assert_eq!(got, want, "exposure {exposure}, rate {}", scenario.rate);
+        for scenario in rate_sweep() {
+            let technique = Technique::ReExecution { runs };
+            let got = d.evaluate_encoded(technique, &scenario, &set).unwrap();
+            let mut oracle = d.clone();
+            let space = scenario.space(8, 4);
+            let rate = scenario.rate * DEFAULT_REEXEC_EXPOSURE;
+            let mut want = EvalResult::new(2);
+            for (s, (train, &label)) in set.trains().iter().zip(set.labels()).enumerate() {
+                let votes: Vec<Option<usize>> = (0..runs as u64)
+                    .map(|k| {
+                        let engine = oracle.engine_mut();
+                        engine.reload_parameters(&mut NoGuard);
+                        if !scenario.is_clean() && rate > 0.0 {
+                            let seed = derive_seed(scenario.seed, s as u64 * runs as u64 + k);
+                            inject(engine, &FaultMap::generate(&space, rate, seed)).unwrap();
+                        }
+                        let counts = engine.run_sample_reference(train, &DirectRead, &mut NoGuard);
+                        oracle.assignment().predict(&counts)
+                    })
+                    .collect();
+                want.record(majority_vote(&votes), label);
             }
+            assert_eq!(got, want, "rate {}", scenario.rate);
         }
     }
 

@@ -24,13 +24,13 @@
 //! and the encoded test set ([`job_fingerprint`]); resume recomputes both
 //! and refuses to splice checkpoints onto a drifted bench.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use snn_data::workload::Workload;
 use snn_faults::codec::{Json, JsonCodec, JsonError};
 use snn_faults::grid::GridResults;
 use snn_faults::service::{
-    write_atomic, CampaignService, JobHandle, RunOptions, RunOutcome, ServiceError,
+    read_text, write_atomic, CampaignService, JobHandle, RunOptions, RunOutcome, ServiceError,
 };
 use softsnn_core::methodology::EngineBackendKind;
 
@@ -136,14 +136,8 @@ pub fn submit_job(
     let fingerprint = job_fingerprint(&bench);
     let handle = service.submit(name, fig13::grid_spec(config.profile), Some(fingerprint))?;
     let config_path = handle.dir().join("config.json");
-    match std::fs::read_to_string(&config_path) {
-        Ok(text) => {
-            let existing = Json::parse(&text)
-                .and_then(|json| JobConfig::from_json(&json))
-                .map_err(|e| ServiceError::Format {
-                    path: config_path.clone(),
-                    detail: e.to_string(),
-                })?;
+    match read_config(&config_path) {
+        Ok(existing) => {
             if existing != config {
                 return Err(Box::new(ServiceError::SpecMismatch {
                     detail: format!(
@@ -153,7 +147,7 @@ pub fn submit_job(
                 }));
             }
         }
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+        Err(ServiceError::Io { source, .. }) if source.kind() == std::io::ErrorKind::NotFound => {
             write_atomic(&config_path, &config.to_json().render())?;
         }
         Err(e) => return Err(Box::new(e)),
@@ -168,15 +162,17 @@ pub fn submit_job(
 /// Returns [`ServiceError`] when the file is missing or malformed.
 pub fn load_config(service: &CampaignService, name: &str) -> Result<JobConfig, ServiceError> {
     let handle = service.open(name)?;
-    let path = handle.dir().join("config.json");
-    let text = std::fs::read_to_string(&path).map_err(|e| ServiceError::Io {
-        path: path.clone(),
-        source: e,
-    })?;
-    Json::parse(&text)
+    read_config(&handle.dir().join("config.json"))
+}
+
+/// Reads and decodes the `config.json` at `path` through the service's
+/// one reader; bytes that do not decode make a corrupt file
+/// ([`ServiceError::Format`]).
+fn read_config(path: &Path) -> Result<JobConfig, ServiceError> {
+    Json::parse(&read_text(path)?)
         .and_then(|json| JobConfig::from_json(&json))
         .map_err(|e| ServiceError::Format {
-            path,
+            path: path.to_path_buf(),
             detail: e.to_string(),
         })
 }
@@ -261,5 +257,30 @@ mod tests {
         )
         .unwrap();
         assert!(JobConfig::from_json(&bad).is_err());
+    }
+
+    #[test]
+    fn non_utf8_config_is_corrupt_not_an_io_failure() {
+        let root = std::env::temp_dir().join(format!("softsnn_config_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let service = CampaignService::new(&root);
+        let handle = service
+            .submit("j", fig13::grid_spec(Profile::Smoke), None)
+            .unwrap();
+        let config = JobConfig {
+            workload: Workload::Mnist,
+            n_neurons: 100,
+            profile: Profile::Smoke,
+            backend: EngineBackendKind::Dense,
+        };
+        let path = handle.dir().join("config.json");
+        write_atomic(&path, &config.to_json().render()).unwrap();
+        assert_eq!(load_config(&service, "j").unwrap(), config);
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[0] = 0xFF;
+        std::fs::write(&path, &bytes).unwrap();
+        let err = load_config(&service, "j").unwrap_err();
+        assert!(matches!(err, ServiceError::Format { .. }), "{err}");
+        let _ = std::fs::remove_dir_all(&root);
     }
 }
