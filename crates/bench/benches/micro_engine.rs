@@ -254,11 +254,11 @@ fn bench_run_weight_multi_map(c: &mut Criterion) {
     group.bench_function("bnp3_monitored_multi_map", |b| {
         let mut engine = engine.clone();
         let mut out = MultiMapResult::new();
+        let mut overlays = vec![NeuronFaultOverlay::new(); maps.len()];
         b.iter(|| {
-            let overlays: Vec<NeuronFaultOverlay> = maps
-                .iter()
-                .map(|map| lower_overlay(&engine, map).expect("in range"))
-                .collect();
+            for (overlay, map) in overlays.iter_mut().zip(&maps) {
+                lower_overlay(&engine, map, overlay).expect("in range");
+            }
             engine.reload_parameters(&mut monitor.clone());
             engine.run_batch_multi_map(&trains, &overlays, &path, &monitor, &mut out);
             black_box(out.counts(0, 0)[0])

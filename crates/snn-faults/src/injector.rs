@@ -52,8 +52,9 @@ impl InjectionSummary {
 /// persist per the paper's semantics (until overwrite / parameter
 /// replacement — see [`ComputeEngine::reload_parameters`]).
 ///
-/// This is [`lower_overlay`] followed by the engine's one install path,
-/// [`ComputeEngine::apply_overlay`]. Each weight flip is a register
+/// This is the map's overlay (as [`lower_overlay`] builds it) installed
+/// through the engine's one install path, [`ComputeEngine::apply_overlay`],
+/// which runs the one site check. Each weight flip is a register
 /// write that bumps the engine's mutation epoch, so the next
 /// non-identity run rebuilds the transformed-crossbar image once; a map
 /// that touches only neuron sites leaves the crossbar (and therefore the
@@ -64,16 +65,19 @@ impl InjectionSummary {
 /// Returns [`HwError::IndexOutOfRange`] if the map was generated for a
 /// larger engine than `engine`; the engine is unchanged in that case.
 pub fn inject(engine: &mut ComputeEngine, map: &FaultMap) -> Result<InjectionSummary, HwError> {
-    let overlay = lower_overlay(engine, map)?;
+    let mut overlay = NeuronFaultOverlay::new();
+    fill_overlay(map, &mut overlay);
     engine.apply_overlay(&overlay)?;
     Ok(InjectionSummary::of(&overlay))
 }
 
-/// Lowers `map` to the engine's [`NeuronFaultOverlay`] — the per-call
-/// form the trial-group pass applies without installing it
-/// ([`ComputeEngine::run_batch_multi_map`]). Running a sample under
-/// the overlay is bit-identical to running it after [`inject`]`(engine,
-/// map)` on the same engine.
+/// Lowers `map` into `overlay` (cleared first), the engine's
+/// [`NeuronFaultOverlay`] — the per-call form the trial-group pass
+/// applies without installing it
+/// ([`ComputeEngine::run_batch_multi_map`]). Running a sample under the
+/// overlay is bit-identical to running it after [`inject`]`(engine, map)`
+/// on the same engine. Filling a caller's overlay lets a loop over many
+/// maps reuse one set of buffers.
 ///
 /// The overlay keeps the map's weight sites in order, then its neuron
 /// sites in order, and is checked against `engine` through
@@ -88,16 +92,21 @@ pub fn inject(engine: &mut ComputeEngine, map: &FaultMap) -> Result<InjectionSum
 pub fn lower_overlay(
     engine: &ComputeEngine,
     map: &FaultMap,
-) -> Result<NeuronFaultOverlay, HwError> {
-    let mut overlay = NeuronFaultOverlay::new();
+    overlay: &mut NeuronFaultOverlay,
+) -> Result<(), HwError> {
+    fill_overlay(map, overlay);
+    engine.check_overlay(overlay)
+}
+
+/// Writes `map`'s sites into `overlay` (cleared first), unchecked.
+fn fill_overlay(map: &FaultMap, overlay: &mut NeuronFaultOverlay) {
+    overlay.clear();
     for site in map.sites() {
         match *site {
             FaultSite::WeightBit { row, col, bit } => overlay.push_weight_flip(row, col, bit),
             FaultSite::NeuronOp { neuron, op } => overlay.push_neuron_op(neuron, op),
         }
     }
-    engine.check_overlay(&overlay)?;
-    Ok(overlay)
 }
 
 /// Installs a permanent stuck-at map on `engine` and returns the number
@@ -211,7 +220,7 @@ mod tests {
             let e = engine(m, n);
             let space = FaultSpace::new(space_m, space_n, domain);
             let map = FaultMap::generate(&space, rate, seed);
-            let lowered = lower_overlay(&e, &map).unwrap_err();
+            let lowered = lower_overlay(&e, &map, &mut NeuronFaultOverlay::new()).unwrap_err();
             let mut injected = e.clone();
             let err = inject(&mut injected, &map).unwrap_err();
             assert!(matches!(lowered, HwError::IndexOutOfRange { .. }));
@@ -233,10 +242,15 @@ mod tests {
         let maps: Vec<FaultMap> = (0..3)
             .map(|seed| FaultMap::generate(&space, 0.3, 20 + seed))
             .collect();
-        let overlays: Vec<NeuronFaultOverlay> = maps
-            .iter()
-            .map(|map| lower_overlay(&e, map).unwrap())
-            .collect();
+        // Each overlay is filled twice, first with another map: a refill
+        // must not keep the previous map's sites.
+        let mut overlays = vec![NeuronFaultOverlay::new(); maps.len()];
+        for (overlay, map) in overlays.iter_mut().zip(maps.iter().rev()) {
+            lower_overlay(&e, map, overlay).unwrap();
+        }
+        for (overlay, map) in overlays.iter_mut().zip(&maps) {
+            lower_overlay(&e, map, overlay).unwrap();
+        }
         let mut out = MultiMapResult::new();
         e.run_batch_multi_map(
             std::slice::from_ref(&train),

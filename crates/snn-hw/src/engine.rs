@@ -16,6 +16,12 @@
 //! — the accumulate and the neuron phase — vectorize for the baseline
 //! x86-64 target:
 //!
+//! * the pass is compiled twice from one source, for the crate's target
+//!   and with AVX2 enabled, and each trial group runs the widest copy
+//!   the CPU has (detected at run time, never chosen by a setting; the
+//!   two are bit-identical, integer arithmetic being the same at any
+//!   vector width). Its hot callees are `#[inline(always)]`, so the AVX2
+//!   copy compiles them with 256-bit registers too;
 //! * a read path is its 256-entry table, resolved once per call
 //!   ([`ResolvedPath`]) instead of a per-element closure call: the
 //!   identity table accumulates straight from the registers, and any
@@ -298,6 +304,12 @@ impl NeuronFaultOverlay {
         Self::default()
     }
 
+    /// Removes every site, keeping the buffers for reuse.
+    pub fn clear(&mut self) {
+        self.neuron_ops.clear();
+        self.weight_flips.clear();
+    }
+
     /// Adds a stuck fault on operation `op` of neuron `neuron`.
     pub fn push_neuron_op(&mut self, neuron: u32, op: NeuronOp) {
         self.neuron_ops.push((neuron, op));
@@ -444,6 +456,7 @@ impl WeightDeltas {
     /// into `out` and returns `true`, or returns `false` (leaving `out`
     /// alone) when none of the rows carries one — the lane then reads
     /// `drive` itself.
+    #[inline(always)]
     fn apply(&self, drive: &[i32], active_rows: &[u32], out: &mut [i32]) -> bool {
         if self.entries.is_empty() {
             return false;
@@ -646,6 +659,7 @@ impl CycleWords {
     /// lane of the trial-group pass and the event backend's sample loop
     /// run through this one copy. Returns whether any comparator fired
     /// this cycle (pre-guard).
+    #[inline(always)]
     pub(crate) fn lane_phase<G: SpikeGuard>(
         &mut self,
         lane: &mut NeuronLanes,
@@ -727,6 +741,30 @@ struct TrialScratch {
     lane_drive: Vec<i32>,
     deltas: Vec<WeightDeltas>,
     keys: Vec<u64>,
+}
+
+/// The compiled copy of the lane pass a trial group runs on (see
+/// [`ComputeEngine::run_lane_chunk`]). Only the CPU decides which: there
+/// is no setting.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum LaneCopy {
+    /// Built for the crate's target; runs on every host.
+    Baseline,
+    /// Built with AVX2 enabled. Only [`LaneCopy::detect`] returns it,
+    /// and only on a CPU with AVX2.
+    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+    Avx2,
+}
+
+impl LaneCopy {
+    /// The widest copy this CPU runs.
+    fn detect() -> Self {
+        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            return Self::Avx2;
+        }
+        Self::Baseline
+    }
 }
 
 /// Calls `f` with the index of every set bit of `words`, ascending.
@@ -1157,6 +1195,7 @@ impl ComputeEngine {
         let resolved = ResolvedPath::new(path);
         let mut sample = std::mem::take(&mut self.sample);
         self.run_trial_group(
+            LaneCopy::detect(),
             std::slice::from_ref(train),
             &[NeuronFaultOverlay::new()],
             &resolved,
@@ -1235,6 +1274,7 @@ impl ComputeEngine {
     ) {
         let resolved = ResolvedPath::new(path);
         self.run_trial_group(
+            LaneCopy::detect(),
             trains,
             &[NeuronFaultOverlay::new()],
             &resolved,
@@ -1311,7 +1351,7 @@ impl ComputeEngine {
     ) {
         let resolved = ResolvedPath::new(path);
         let guards = LaneGuards::Cloned(guard, G::clone);
-        self.run_trial_group(trains, maps, &resolved, guards, out);
+        self.run_trial_group(LaneCopy::detect(), trains, maps, &resolved, guards, out);
     }
 
     /// The one trial-group executor behind
@@ -1326,9 +1366,10 @@ impl ComputeEngine {
     /// chunk's overlays are lowered to weight deltas once, against the
     /// current registers. A chunk of K overlays runs W / K samples at a
     /// time — a plain batch is W samples × 1 map, a full multi-map chunk
-    /// 1 sample × W maps.
+    /// 1 sample × W maps. Every chunk runs on `copy`.
     fn run_trial_group<G: SpikeGuard>(
         &mut self,
+        copy: LaneCopy,
         trains: &[SpikeTrain],
         overlays: &[NeuronFaultOverlay],
         path: &ResolvedPath,
@@ -1353,7 +1394,7 @@ impl ComputeEngine {
                     }));
                 }
                 let lane_guards = guards.for_lanes(scratch.jobs.len(), &mut bank);
-                self.run_lane_chunk(&mut scratch, trains, maps, path, lane_guards, out);
+                self.run_lane_chunk(copy, &mut scratch, trains, maps, path, lane_guards, out);
             }
         }
         self.trial = scratch;
@@ -1394,7 +1435,58 @@ impl ComputeEngine {
     /// samples, then each live lane runs [`CycleWords::lane_phase`] on
     /// its sample's drive, corrected by its overlay's weight deltas on
     /// the active rows.
+    ///
+    /// The body ([`lane_chunk_body`](Self::lane_chunk_body)) is compiled
+    /// twice from one source: once for the crate's target and once with
+    /// AVX2 enabled ([`lane_chunk_avx2`](Self::lane_chunk_avx2)); `copy`
+    /// picks one (see [`LaneCopy`]). Integer arithmetic is the same at
+    /// any vector width, so both copies give bit-identical results.
+    #[allow(clippy::too_many_arguments)]
     fn run_lane_chunk<G: SpikeGuard>(
+        &mut self,
+        copy: LaneCopy,
+        scratch: &mut TrialScratch,
+        trains: &[SpikeTrain],
+        maps: &[NeuronFaultOverlay],
+        path: &ResolvedPath,
+        guards: &mut [G],
+        out: &mut MultiMapResult,
+    ) {
+        match copy {
+            LaneCopy::Baseline => self.lane_chunk_body(scratch, trains, maps, path, guards, out),
+            #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+            #[allow(unsafe_code)]
+            LaneCopy::Avx2 => {
+                // SAFETY: `lane_chunk_avx2` needs only AVX2, and
+                // `LaneCopy::Avx2` comes only from `LaneCopy::detect`,
+                // which returns it after `is_x86_feature_detected!("avx2")`.
+                unsafe { self.lane_chunk_avx2(scratch, trains, maps, path, guards, out) }
+            }
+        }
+    }
+
+    /// [`lane_chunk_body`](Self::lane_chunk_body) compiled with AVX2
+    /// enabled: the body and its `#[inline(always)]` callees are built
+    /// into this function with 256-bit registers.
+    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+    #[target_feature(enable = "avx2")]
+    fn lane_chunk_avx2<G: SpikeGuard>(
+        &mut self,
+        scratch: &mut TrialScratch,
+        trains: &[SpikeTrain],
+        maps: &[NeuronFaultOverlay],
+        path: &ResolvedPath,
+        guards: &mut [G],
+        out: &mut MultiMapResult,
+    ) {
+        self.lane_chunk_body(scratch, trains, maps, path, guards, out);
+    }
+
+    /// The one source of the lane pass (see
+    /// [`run_lane_chunk`](Self::run_lane_chunk)). Always inlined, so each
+    /// copy compiles it, and its hot callees, with its own features.
+    #[inline(always)]
+    fn lane_chunk_body<G: SpikeGuard>(
         &mut self,
         scratch: &mut TrialScratch,
         trains: &[SpikeTrain],
@@ -2200,5 +2292,203 @@ mod tests {
             (0.7..1.3).contains(&ratio),
             "integer engine diverges from float sim: {int_total} vs {float_total}"
         );
+    }
+
+    /// A word-level faulty-reset monitor with the paper's two-cycle
+    /// window, written the way softsnn-core's `ResetMonitor` runs it
+    /// (this crate's unit tests cannot name that type): a neuron hot on
+    /// two consecutive cycles is muted for the rest of the sample. Its
+    /// `observe_cycle` is always inlined, so each lane-pass copy compiles
+    /// it in, as it does the real monitor.
+    #[derive(Debug, Clone)]
+    struct WordMonitor {
+        streak: Vec<u64>,
+        disabled: Vec<u64>,
+    }
+
+    impl WordMonitor {
+        fn new(n_neurons: usize) -> Self {
+            let words = n_words(n_neurons);
+            Self {
+                streak: vec![0; words],
+                disabled: vec![0; words],
+            }
+        }
+    }
+
+    impl SpikeGuard for WordMonitor {
+        fn allow_spike(&mut self, neuron: usize, cmp_out: bool) -> bool {
+            let (w, bit) = (neuron / 64, 1_u64 << (neuron % 64));
+            if cmp_out {
+                self.disabled[w] |= self.streak[w] & bit;
+                self.streak[w] |= bit;
+            } else {
+                self.streak[w] &= !bit;
+            }
+            self.disabled[w] & bit == 0
+        }
+
+        #[inline(always)]
+        fn observe_cycle(&mut self, cmp_words: &[u64], allow_words: &mut [u64], _n: usize) {
+            let state = self.streak.iter_mut().zip(self.disabled.iter_mut());
+            for ((&cmp, allow), (streak, disabled)) in cmp_words.iter().zip(allow_words).zip(state)
+            {
+                *disabled |= *streak & cmp;
+                *streak = cmp;
+                *allow = !*disabled;
+            }
+        }
+    }
+
+    /// A stateless guard on the default per-neuron protocol: every third
+    /// neuron is muted.
+    #[derive(Debug, Clone)]
+    struct MuteThirds;
+
+    impl SpikeGuard for MuteThirds {
+        fn allow_spike(&mut self, neuron: usize, _cmp_out: bool) -> bool {
+            !neuron.is_multiple_of(3)
+        }
+    }
+
+    /// A bounding-shaped read path, so the pass reads a transformed image.
+    struct Bound(u8);
+
+    impl WeightReadPath for Bound {
+        fn read(&self, code: u8) -> u8 {
+            if code > self.0 {
+                code / 2
+            } else {
+                code
+            }
+        }
+    }
+
+    /// Runs one trial group on the baseline lane-pass copy and one on
+    /// `copy`, each on its own clone of `engine`, and asserts the planes
+    /// match bit for bit.
+    fn assert_copies_agree<G: SpikeGuard + Clone>(
+        copy: LaneCopy,
+        engine: &ComputeEngine,
+        trains: &[SpikeTrain],
+        maps: &[NeuronFaultOverlay],
+        path: &ResolvedPath,
+        guard: &G,
+        label: &str,
+    ) {
+        let run = |copy| {
+            let mut e = engine.clone();
+            let mut out = MultiMapResult::new();
+            let guards = LaneGuards::Cloned(guard, G::clone);
+            e.run_trial_group(copy, trains, maps, path, guards, &mut out);
+            out
+        };
+        let baseline = run(LaneCopy::Baseline);
+        assert_eq!(baseline.n_maps(), maps.len(), "{label}: map count");
+        assert_eq!(run(copy), baseline, "{label}: copies diverged");
+    }
+
+    #[test]
+    fn detect_picks_avx2_exactly_on_avx2_hosts() {
+        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+        assert_eq!(
+            LaneCopy::detect() == LaneCopy::Avx2,
+            std::arch::is_x86_feature_detected!("avx2")
+        );
+        #[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
+        assert_eq!(LaneCopy::detect(), LaneCopy::Baseline);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(12))]
+
+        /// The baseline and AVX2 copies of the lane pass give identical
+        /// planes over random chunks: ragged engine widths (partial
+        /// 64-neuron words, 8-column tails), persisted weight and neuron
+        /// faults, ragged map counts around `MAX_LANES`, maps with weight
+        /// flips and neuron ops (some dense: every neuron faulty), ragged
+        /// trains, the identity and a transformed read path, and the
+        /// no-op, word-monitor and per-neuron guards. On a host without
+        /// AVX2 there is one copy and nothing to compare.
+        #[test]
+        fn lane_pass_copies_agree_on_random_chunks(seed in proptest::prelude::any::<u64>()) {
+            use rand::rngs::StdRng;
+            use rand::{Rng as _, SeedableRng};
+
+            let copy = LaneCopy::detect();
+            if copy == LaneCopy::Baseline {
+                return;
+            }
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (m, n) = (rng.gen_range(1..=70_usize), rng.gen_range(1..=150_usize));
+            let cfg = SnnConfig::builder()
+                .n_inputs(m)
+                .n_neurons(n)
+                .v_thresh(2.0)
+                .v_leak(0.1)
+                .v_inh(3.0)
+                .t_refrac(2)
+                .build()
+                .unwrap();
+            let net = Network::new(cfg, &mut seeded_rng(seed ^ 0x1a2e));
+            let qn = QuantizedNetwork::from_network_default(&net);
+            let mut engine = ComputeEngine::for_network(&qn).unwrap();
+            for _ in 0..rng.gen_range(0..=8_usize) {
+                let (row, col) = (rng.gen_range(0..m), rng.gen_range(0..n));
+                engine.flip_weight_bit(row, col, rng.gen_range(0..8)).unwrap();
+                let op = NeuronOp::ALL[rng.gen_range(0..4_usize)];
+                engine.neurons_mut()[col].faults.set(op);
+            }
+            let trains: Vec<SpikeTrain> = (0..rng.gen_range(1..=3_usize))
+                .map(|_| {
+                    let steps = rng.gen_range(0..=16_usize);
+                    let p = rng.gen_range(0.05..0.6);
+                    let mut train = SpikeTrain::new(m, steps);
+                    for _ in 0..steps {
+                        train.push_step((0..m as u32).filter(|_| rng.gen_bool(p)).collect());
+                    }
+                    train
+                })
+                .collect();
+            let maps: Vec<NeuronFaultOverlay> = (0..rng.gen_range(1..=2 * MAX_LANES + 3))
+                .map(|_| {
+                    let mut map = NeuronFaultOverlay::new();
+                    for _ in 0..rng.gen_range(0..=3 * n) {
+                        map.push_weight_flip(
+                            rng.gen_range(0..m as u32),
+                            rng.gen_range(0..n as u32),
+                            rng.gen_range(0..8),
+                        );
+                    }
+                    let dense = rng.gen_bool(0.25);
+                    let rate = rng.gen_range(0.0..0.3);
+                    for j in 0..n as u32 {
+                        for (i, op) in NeuronOp::ALL.into_iter().enumerate() {
+                            // Dense: neuron `j` carries the nonzero op
+                            // combination `1 + j % 15`.
+                            let faulty = if dense {
+                                ((1 + j % 15) >> i) & 1 != 0
+                            } else {
+                                rng.gen_bool(rate)
+                            };
+                            if faulty {
+                                map.push_neuron_op(j, op);
+                            }
+                        }
+                    }
+                    map
+                })
+                .collect();
+            for (path, path_name) in [
+                (ResolvedPath::new(&DirectRead), "direct"),
+                (ResolvedPath::new(&Bound(rng.gen())), "bound"),
+            ] {
+                let label = format!("seed {seed}, {m}×{n}, {} maps, {path_name}", maps.len());
+                assert_copies_agree(copy, &engine, &trains, &maps, &path, &NoGuard, &label);
+                let monitor = WordMonitor::new(n);
+                assert_copies_agree(copy, &engine, &trains, &maps, &path, &monitor, &label);
+                assert_copies_agree(copy, &engine, &trains, &maps, &path, &MuteThirds, &label);
+            }
+        }
     }
 }

@@ -20,6 +20,15 @@
 //! tile. Columns past the last full tile run the same body in
 //! [`TAIL_COLS`]-wide tiles, then one column at a time.
 //!
+//! [`write_rows_blocked`] is `#[inline(always)]`, so it is compiled into
+//! each copy of the engine's lane pass: the baseline copy (128-bit `xmm`
+//! registers) and the AVX2 copy that x86 hosts with AVX2 run (256-bit
+//! `ymm` registers, four per partial). Check the linked binary, as the
+//! [`crate::neuron_lanes`] docs show: `ymm` in
+//! `<snn_hw::engine::ComputeEngine::lane_chunk_avx2>`, `xmm` in its
+//! baseline caller. The event backend's delayed sample loop calls it
+//! from baseline code only.
+//!
 //! # Why the `u16` partials are exact
 //!
 //! All summands are `u8` codes (non-negative, ≤ 255), and
@@ -35,7 +44,7 @@
 //! pins it across the tile boundary and the group flush).
 
 /// Columns per tile: sixty-four `u16` partials, i.e. eight 128-bit
-/// registers.
+/// (or four 256-bit) registers.
 pub const TILE_COLS: usize = 64;
 
 /// Tile width for the columns past the last full [`TILE_COLS`] tile:
@@ -87,7 +96,7 @@ fn write_tile<const W: usize>(src: &[u8], cols: usize, c0: usize, rows: &[u32], 
 /// column `c` of every row in `active_rows`; `acc.len()` must not exceed
 /// `cols`. Bit-identical to the zero-then-add row-at-a-time formulation
 /// (see the module docs).
-#[inline]
+#[inline(always)]
 pub fn write_rows_blocked(src: &[u8], cols: usize, active_rows: &[u32], acc: &mut [i32]) {
     assert!(acc.len() <= cols, "accumulators wider than a row");
     let mut c0 = 0;

@@ -43,19 +43,32 @@
 //! pins it neuron by neuron, saturating edges included). Nothing in the
 //! neuron phase allocates.
 //!
-//! The three loops vectorize for the baseline x86-64 target (SSE2, no
-//! `target-cpu` flag). The workspace builds release with `lto = "thin"`,
-//! so a per-crate `--emit asm` shows pre-link code in which the loop
-//! vectorizer has not run yet; check the linked binary instead:
+//! The three loops vectorize at any vector width, and the lane pass is
+//! built twice from one source (the trial-group chunk runner behind
+//! [`crate::engine::ComputeEngine::run_batch_multi_map`]):
+//! a baseline copy for the crate's target (SSE2 on x86-64, `xmm`
+//! registers) and an AVX2 copy (`ymm` registers) that x86 hosts with
+//! AVX2 run. `step_fused` and `inhibit_non_fired` are
+//! `#[inline(always)]`, so each copy compiles them with its own
+//! features; `advance_silent` (the event backend's sample loop) has the
+//! baseline build only. The workspace builds release with
+//! `lto = "thin"`, so a per-crate `--emit asm` shows pre-link code in
+//! which the loop vectorizer has not run yet; check the linked binary
+//! instead:
 //!
 //! ```text
 //! cargo build --release
-//! objdump -d --no-show-raw-insn -C target/release/fig13 \
-//!     | awk '/<snn_hw::neuron_lanes::NeuronLanes::step_fused>:/,/^$/' | grep -c xmm
+//! objdump -d --no-show-raw-insn -C target/release/fig13 > fig13.asm
+//! # The AVX2 copy, with the fused pass and inhibition inlined:
+//! awk '/<snn_hw::engine::ComputeEngine::lane_chunk_avx2>:$/,/^$/' fig13.asm | grep -c ymm
+//! # The baseline copy, inlined into its caller (and no `ymm` there):
+//! awk '/<snn_hw::engine::ComputeEngine::run_batch_multi_map>:$/,/^$/' fig13.asm | grep -c xmm
 //! ```
 //!
-//! A count of zero means the fused pass fell back to scalar code (likewise
-//! for `inhibit_non_fired` and `advance_silent`).
+//! A count of zero means that copy fell back to scalar code — or, for
+//! the AVX2 copy, that a callee lost its inline mark and runs the
+//! baseline build (likewise check
+//! `<snn_hw::neuron_lanes::NeuronLanes::advance_silent>` for `xmm`).
 //!
 //! Lanes only ever read the architectural view: [`NeuronLanes::configure`]
 //! imports the units' fault flags into lanes at rest at the start of a
@@ -354,6 +367,7 @@ impl NeuronLanes {
     /// Panics if `acc`/`v_thresh` lengths differ from the lane count or
     /// the word buffers differ from [`words`](Self::words) (exact length,
     /// so no caller-supplied word can be left stale).
+    #[inline(always)]
     pub fn step_fused(
         &mut self,
         acc: &[i32],
@@ -415,6 +429,7 @@ impl NeuronLanes {
     /// # Panics
     ///
     /// Panics if `fired_words` differs from [`words`](Self::words).
+    #[inline(always)]
     pub fn inhibit_non_fired(&mut self, fired_words: &[u64], total_inh: i32) {
         assert_eq!(fired_words.len(), self.words(), "fired word width");
         let chunks = self.vmem.chunks_mut(WORD).zip(self.refrac.chunks(WORD));
@@ -720,14 +735,16 @@ mod tests {
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(96))]
+        #![proptest_config(ProptestConfig::with_cases(128))]
 
         /// `step_fused` and `inhibit_non_fired` against `NeuronUnit::step`
         /// and `NeuronUnit::inhibit`, neuron by neuron and every step, over
         /// ragged widths (partial 64-neuron words and 8-neuron tails),
         /// state near `i32::MAX`, thresholds ≤ 0, `t_refrac = 0`, op faults
         /// from the units and from an overlay (random at rates up to 1, or
-        /// dense: every vi/vl/vr/sg combination), and fired words with
+        /// a dense plane: every vi/vl/vr/sg combination across the
+        /// neurons, every neuron faulty in every nonzero combination, or
+        /// every neuron in one shared combination), and fired words with
         /// random bits, including non-refractory neurons and bits past `n`.
         /// Every range keeps `NeuronUnit` itself free of overflow.
         #[test]
@@ -740,18 +757,27 @@ mod tests {
         ) {
             let mut rng = StdRng::seed_from_u64(seed);
             let params = NeuronHwParams { v_reset, v_leak, t_refrac, v_inh: 0 };
-            // A rate per (neuron, op), or `None`: neuron `j` carries op
-            // combination `j % 16` (bit `i` for `NeuronOp::ALL[i]`).
-            let fault_rate = [Some(0.0), Some(0.05), Some(0.3), Some(1.0), None]
-                [rng.gen_range(0..5_usize)];
+            // Planes 0–3 draw each (neuron, op) at a rate; planes 4–6 give
+            // neuron `j` an op combination (bit `i` for `NeuronOp::ALL[i]`):
+            // `j % 16`, the nonzero `1 + (j + shift) % 15`, or one nonzero
+            // combination shared by every neuron.
+            let plane = rng.gen_range(0..7_usize);
+            let (shift, shared) = (rng.gen_range(0..15_usize), rng.gen_range(1..16_usize));
+            let combination = |j: usize| match plane {
+                4 => Some(j % 16),
+                5 => Some(1 + (j + shift) % 15),
+                6 => Some(shared),
+                _ => None,
+            };
+            let fault_rate = [0.0, 0.05, 0.3, 1.0][plane.min(3)];
             let mut base = vec![NeuronUnit::new(); n];
             let mut units = base.clone();
             let mut overlay = Vec::new();
             for j in 0..n {
                 for (i, op) in NeuronOp::ALL.into_iter().enumerate() {
-                    let faulty = match fault_rate {
-                        Some(rate) => rng.gen_bool(rate),
-                        None => ((j % 16) >> i) & 1 != 0,
+                    let faulty = match combination(j) {
+                        Some(c) => (c >> i) & 1 != 0,
+                        None => rng.gen_bool(fault_rate),
                     };
                     if faulty {
                         units[j].faults.set(op);
@@ -762,6 +788,9 @@ mod tests {
                         }
                     }
                 }
+            }
+            if plane >= 5 {
+                prop_assert!(units.iter().all(|u| u.faults.any()), "dense plane left a neuron clean");
             }
             let mut lanes = NeuronLanes::new(0);
             lanes.configure(&base, &overlay);

@@ -628,10 +628,10 @@ impl SoftSnnDeployment {
         trains: &[SpikeTrain],
         labels: &[usize],
     ) -> Result<Vec<EvalResult>, MethodologyError> {
-        let overlays = scenarios
-            .iter()
-            .map(|scenario| self.scenario_overlay(scenario, scenario.rate, scenario.seed))
-            .collect::<Result<Vec<_>, _>>()?;
+        let mut overlays = vec![NeuronFaultOverlay::new(); scenarios.len()];
+        for (overlay, scenario) in overlays.iter_mut().zip(scenarios) {
+            self.scenario_overlay(scenario, scenario.rate, scenario.seed, overlay)?;
+        }
         self.engine.reload_parameters(&mut guard);
         let mut out = MultiMapResult::new();
         self.engine
@@ -641,21 +641,23 @@ impl SoftSnnDeployment {
             .collect())
     }
 
-    /// The overlay of `scenario`'s space at `rate` and `seed`: empty for
-    /// a clean scenario or a zero rate, else the generated map lowered
-    /// against the engine ([`lower_overlay`]).
+    /// Fills `overlay` with `scenario`'s space at `rate` and `seed`:
+    /// empty for a clean scenario or a zero rate, else the generated map
+    /// lowered against the engine ([`lower_overlay`]).
     fn scenario_overlay(
         &self,
         scenario: &FaultScenario,
         rate: f64,
         seed: u64,
-    ) -> Result<NeuronFaultOverlay, MethodologyError> {
+        overlay: &mut NeuronFaultOverlay,
+    ) -> Result<(), MethodologyError> {
         if scenario.is_clean() || rate == 0.0 {
-            return Ok(NeuronFaultOverlay::new());
+            overlay.clear();
+            return Ok(());
         }
         let space = scenario.space(self.qn.n_inputs, self.qn.n_neurons);
         let map = FaultMap::generate(&space, rate, seed);
-        Ok(lower_overlay(self.engine.engine(), &map)?)
+        Ok(lower_overlay(self.engine.engine(), &map, overlay)?)
     }
 
     /// Decodes per-sample spike counts and scores them against `labels`.
@@ -672,8 +674,8 @@ impl SoftSnnDeployment {
     /// and faces its own map, so after one reload each sample's `runs`
     /// executions are one trial group over that sample alone
     /// ([`ComputeEngine::run_batch_multi_map`]), one map per execution;
-    /// maps are generated and lowered one sample at a time, so at most
-    /// one sample's maps are alive.
+    /// maps are generated and lowered one sample at a time into one
+    /// `runs`-long set of overlays, refilled in place for every sample.
     fn evaluate_reexecution(
         &mut self,
         runs: u32,
@@ -687,14 +689,13 @@ impl SoftSnnDeployment {
         let exec_rate = scenario.rate * DEFAULT_REEXEC_EXPOSURE;
         let runs = runs as usize;
         self.engine.reload_parameters(&mut NoGuard);
-        let mut maps = Vec::with_capacity(runs);
+        let mut maps = vec![NeuronFaultOverlay::new(); runs];
         let mut out = MultiMapResult::new();
         let mut votes = Vec::with_capacity(runs);
         for (s, (train, &label)) in trains.iter().zip(labels).enumerate() {
-            maps.clear();
-            for k in 0..runs {
+            for (k, map) in maps.iter_mut().enumerate() {
                 let exec_seed = derive_seed(scenario.seed, (s * runs + k) as u64);
-                maps.push(self.scenario_overlay(scenario, exec_rate, exec_seed)?);
+                self.scenario_overlay(scenario, exec_rate, exec_seed, map)?;
             }
             self.engine.run_batch_multi_map(
                 std::slice::from_ref(train),

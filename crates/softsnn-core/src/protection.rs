@@ -142,6 +142,8 @@ impl SpikeGuard for ResetMonitor {
         self.disabled_words[w] & bit == 0
     }
 
+    // Always inlined, so the engine's AVX2 lane pass compiles it in.
+    #[inline(always)]
     fn observe_cycle(&mut self, cmp_words: &[u64], allow_words: &mut [u64], n_neurons: usize) {
         // A monitor smaller than the observed engine would otherwise
         // leave the uncovered allow words stale — a silent mute of every
